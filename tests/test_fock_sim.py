@@ -1,6 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
 from polaron_lab.errors import SizingError
@@ -27,6 +32,13 @@ def ops_id():
 @pytest.fixture(scope="module")
 def pekar_id(ops_id):
     return fs.discrete_pekar(ops_id)
+
+
+@pytest.fixture(scope="module")
+def propagation_problem(rng):
+    ops = fs.assemble(fs.FockConfig(8, 4.0, (1, -1), v0=0.3, n_max=4, alpha=1.5))
+    x = rng.standard_normal(ops.basis.dim_total) + 1j * rng.standard_normal(ops.basis.dim_total)
+    return ops, x / np.linalg.norm(x)
 
 
 class TestAssembly:
@@ -65,6 +77,30 @@ class TestAssembly:
     def test_occupation_order_is_lexicographic(self, ops_id):
         occs = ops_id.basis.occupations
         assert occs == sorted(occs)
+
+    @pytest.mark.parametrize("n_modes, n_max", [(0, 3), (1, 4), (2, 0), (3, 3), (4, 5), (6, 2)])
+    def test_occupations_match_product_filter(self, n_modes, n_max):
+        reference = [
+            n for n in itertools.product(range(n_max + 1), repeat=n_modes) if sum(n) <= n_max
+        ]
+        occ = fs._occupations(n_modes, n_max)
+        assert [tuple(row) for row in occ.tolist()] == reference
+        assert np.array_equal(fs._occupation_rank(occ, n_max), np.arange(len(reference)))
+
+    def test_lowering_matches_loop_reference(self):
+        basis = fs.FockBasis(fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.1, n_max=5, alpha=1.0))
+        index = {occ: i for i, occ in enumerate(basis.occupations)}
+        for j, aj in enumerate(basis.lowering):
+            rows, cols, vals = [], [], []
+            for i, occ in enumerate(basis.occupations):
+                if occ[j] > 0:
+                    target = list(occ)
+                    target[j] -= 1
+                    rows.append(index[tuple(target)])
+                    cols.append(i)
+                    vals.append(np.sqrt(occ[j]))
+            reference = sp.csr_matrix((vals, (rows, cols)), shape=aj.shape, dtype=complex)
+            assert (aj != reference).nnz == 0
 
     def test_mode_set_must_close_under_negation(self):
         with pytest.raises(ValueError):
@@ -178,19 +214,29 @@ class TestPropagation:
         out = fs.propagate(ops_id, psi.coefficients, 0.7)
         assert np.max(np.abs(out - np.exp(-1j * e0 * 0.7) * psi.coefficients)) < 1e-10
 
-    def test_krylov_matches_dense(self, rng):
-        cfg = fs.FockConfig(8, 4.0, (1, -1), v0=0.3, n_max=4, alpha=1.5)
-        ops = fs.assemble(cfg)
-        x = rng.standard_normal(ops.basis.dim_total) + 1j * rng.standard_normal(
-            ops.basis.dim_total
-        )
-        x /= np.linalg.norm(x)
-        dense = fs.Propagator(ops.hamiltonian, ops.basis.dim_total)
-        krylov = fs.Propagator(
-            ops.hamiltonian, ops.basis.dim_total, tol=1e-12, force_krylov=True
-        )
+    def test_matches_dense_eigh_reference(self, propagation_problem):
+        ops, x = propagation_problem
+        vals, vecs = eigh(ops.hamiltonian.toarray())
+        prop = fs.Propagator(ops.hamiltonian)
         for t in (0.5, 3.0):
-            assert np.linalg.norm(dense.apply(x, t) - krylov.apply(x, t)) < 1e-9
+            dense = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ x))
+            assert np.linalg.norm(dense - prop.apply(x, t)) < 1e-9
+
+    def test_grid_matches_scalar_samples(self, propagation_problem):
+        ops, x = propagation_problem
+        prop = fs.Propagator(ops.hamiltonian)
+        times = np.linspace(0.5, 3.0, 11)
+        stacked = prop.apply(x, times)
+        assert stacked.shape == (len(times), ops.basis.dim_total)
+        for t, row in zip(times, stacked):
+            assert np.linalg.norm(row - prop.apply(x, t)) < 1e-9
+
+    def test_grid_must_be_uniform(self, ops_id):
+        prop = fs.Propagator(ops_id.hamiltonian)
+        x = np.zeros(ops_id.basis.dim_total, dtype=complex)
+        for bad in ([0.0, 1.0, 3.0], [1.0], [[0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                prop.apply(x, np.array(bad))
 
     def test_norm_and_energy_preserved(self, ops_id, rng):
         x = rng.standard_normal(ops_id.basis.dim_total) + 0j
@@ -200,6 +246,49 @@ class TestPropagation:
         e0 = np.real(np.vdot(x, ops_id.hamiltonian @ x))
         e1 = np.real(np.vdot(out, ops_id.hamiltonian @ out))
         assert abs(e1 - e0) < 1e-9
+
+
+@st.composite
+def fock_problems(draw):
+    """A small assembled Fock Hamiltonian and a random normalized state on its space."""
+    pairs = draw(st.integers(1, 2))
+    config = fs.FockConfig(
+        n_sites=draw(st.sampled_from((2, 4, 8))),
+        box_length=draw(st.floats(2.0, 8.0)),
+        mode_numbers=tuple(m for k in range(1, pairs + 1) for m in (k, -k)),
+        v0=draw(st.floats(0.0, 0.5)),
+        n_max=draw(st.integers(0, 3)),
+        alpha=draw(st.floats(0.5, 4.0)),
+    )
+    ops = fs.assemble(config)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = ops.basis.dim_total
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return fs.Propagator(ops.hamiltonian), x / np.linalg.norm(x)
+
+
+any_time = st.floats(-3.0, 3.0)
+properties = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+class TestPropagatorProperties:
+    @properties
+    @given(fock_problems(), any_time)
+    def test_norm_preserved(self, problem, t):
+        prop, x = problem
+        assert abs(np.linalg.norm(prop.apply(x, t)) - 1.0) < 1e-10
+
+    @properties
+    @given(fock_problems(), any_time)
+    def test_reversible(self, problem, t):
+        prop, x = problem
+        assert np.linalg.norm(prop.apply(prop.apply(x, t), -t) - x) < 1e-9
+
+    @properties
+    @given(fock_problems(), any_time, any_time)
+    def test_group_law(self, problem, s, t):
+        prop, x = problem
+        assert np.linalg.norm(prop.apply(x, s + t) - prop.apply(prop.apply(x, s), t)) < 1e-9
 
 
 class TestProjectors:
@@ -295,7 +384,7 @@ class TestSweeps:
         pek = fs.discrete_pekar(ops)
         u0 = np.kron(pek.phi, pek.eta)
         u0 /= np.linalg.norm(u0)
-        prop = fs.Propagator(ops.hamiltonian, ops.basis.dim_total)
+        prop = fs.Propagator(ops.hamiltonian)
         for t in (0.7, 2.3):
             errs = []
             for sign in (1, -1):
@@ -386,10 +475,10 @@ class TestInequalities:
         chi = fs._band_limited_vector(basis, rng, basis.config.n_max - 2)
         u0 = expm_multiply(-gen, chi)  # W(alpha f)^* chi
         t = 1.3
-        lhs_a = fs.Propagator(ops.hamiltonian, basis.dim_total).apply(u0, t)
-        lhs_b = fs.Propagator(ops.h_effective(f), basis.dim_total).apply(u0, t)
-        rhs_a = fs.Propagator(ops.h_rotated(f), basis.dim_total).apply(chi, t)
-        rhs_b = fs.Propagator(ops.h_tilde(f), basis.dim_total).apply(chi, t)
+        lhs_a = fs.Propagator(ops.hamiltonian).apply(u0, t)
+        lhs_b = fs.Propagator(ops.h_effective(f)).apply(u0, t)
+        rhs_a = fs.Propagator(ops.h_rotated(f)).apply(chi, t)
+        rhs_b = fs.Propagator(ops.h_tilde(f)).apply(chi, t)
         assert np.linalg.norm(lhs_a - lhs_b) == pytest.approx(
             np.linalg.norm(rhs_a - rhs_b), abs=1e-8
         )

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from polaron_lab.errors import SchemaError
-from polaron_lab import runner
+from polaron_lab import fock_sim, runner
 from polaron_lab.cli import main as cli_main
 
 
@@ -230,6 +230,17 @@ class TestPlotData:
 class TestCli:
     def test_schema_error_exit_code(self, capsys):
         assert cli_main(["fock", "--modes", "3", "--out", "/tmp/x"]) == 2
+
+    def test_budget_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # 16 modes at n_max 10 on 16 sites is 85M states; the guard must fire
+        # from the closed-form count, before any occupation is enumerated
+        def enumerate_forbidden(*args):
+            raise AssertionError("occupations enumerated before the budget check")
+
+        monkeypatch.setattr(fock_sim, "_occupations", enumerate_forbidden)
+        code = cli_main(["fock", "--modes", "16", "--nmax", "10", "--out", str(tmp_path)])
+        assert code == 3
+        assert "exceeds budget" in capsys.readouterr().err
 
     def test_projectors_verb(self, tmp_path):
         code = cli_main(
