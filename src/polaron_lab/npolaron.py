@@ -36,6 +36,7 @@ __all__ = [
     "pt_energy",
     "minimize_pt",
     "binding_scan",
+    "single_polaron_energy",
     "dfn_evolve",
     "PairState",
 ]
@@ -206,10 +207,14 @@ class PTSolution:
         return self.cfg.statistics
 
 
-def _binding_diagnostic(cfg: PTConfig, e_n: float, rho: np.ndarray, tol: float) -> dict:
+def single_polaron_energy(grid: Grid, form: FormFactor, tol: float = 1e-7) -> float:
+    """E_1, the one-electron energy (g = 1/2) the binding diagnostic compares N E_1 with."""
+    return minimize_pekar(grid, g=0.5, tol=tol, form=form, compute_gap=False).e_p
+
+
+def _binding_diagnostic(cfg: PTConfig, e_n: float, rho: np.ndarray, e_single: float) -> dict:
     grid = cfg.grid
-    single = minimize_pekar(grid, g=0.5, tol=tol, form=cfg.form, compute_gap=False)
-    n_single = cfg.n_particles * single.e_p
+    n_single = cfg.n_particles * e_single
     mesh = np.meshgrid(*([grid.x_axis_centered] * grid.dim), indexing="ij")
     r2 = sum(c**2 for c in mesh)
     total = float(np.sum(rho) * grid.cell_volume)
@@ -227,7 +232,7 @@ def _binding_diagnostic(cfg: PTConfig, e_n: float, rho: np.ndarray, tol: float) 
     }
 
 
-def _minimize_product(cfg: PTConfig, tol: float, rng) -> PTSolution:
+def _minimize_product(cfg: PTConfig, tol: float, rng, e_single: float) -> PTSolution:
     grid, form = cfg.grid, cfg.form
     n = cfg.n_particles
     g_eff = cfg.effective_orbital_coupling
@@ -251,11 +256,11 @@ def _minimize_product(cfg: PTConfig, tol: float, rng) -> PTSolution:
         mu=mu,
         f=f,
         residual=residual,
-        binding=_binding_diagnostic(cfg, en.total, rho, tol),
+        binding=_binding_diagnostic(cfg, en.total, rho, e_single),
     )
 
 
-def _minimize_pair(cfg: PTConfig, tol: float, max_iter: int, rng) -> PTSolution:
+def _minimize_pair(cfg: PTConfig, tol: float, max_iter: int, rng, e_single: float) -> PTSolution:
     """Imaginary-time (preconditioned, monotone BB) minimization over the pair state."""
     grid, form = cfg.grid, cfg.form
     u_rep = cfg.repulsion
@@ -340,7 +345,7 @@ def _minimize_pair(cfg: PTConfig, tol: float, max_iter: int, rng) -> PTSolution:
         mu=mu,
         f=f,
         residual=residual,
-        binding=_binding_diagnostic(cfg, energy, rho, tol),
+        binding=_binding_diagnostic(cfg, energy, rho, e_single),
     )
 
 
@@ -348,21 +353,29 @@ def _exchange(pair: np.ndarray, d: int) -> np.ndarray:
     return np.transpose(pair, axes=tuple(range(d, 2 * d)) + tuple(range(d)))
 
 
-def minimize_pt(cfg: PTConfig, tol: float = 1e-7, max_iter: int = 2000, rng=None) -> PTSolution:
-    """Minimize the N-electron functional under the configured statistics."""
+def minimize_pt(
+    cfg: PTConfig, tol: float = 1e-7, max_iter: int = 2000, rng=None, e_single=None
+) -> PTSolution:
+    """Minimize the N-electron functional; E_1 (``e_single``) is solved when not given."""
     if rng is None:
         rng = np.random.default_rng(0)
+    if e_single is None:
+        e_single = single_polaron_energy(cfg.grid, cfg.form, tol)
     if cfg.statistics == "boson_product":
-        return _minimize_product(cfg, tol, rng)
-    return _minimize_pair(cfg, tol, max_iter, rng)
+        return _minimize_product(cfg, tol, rng, e_single)
+    return _minimize_pair(cfg, tol, max_iter, rng, e_single)
 
 
-def binding_scan(grid: Grid, u_values, n_particles: int = 2, tol: float = 1e-7, form=None):
-    """E_N over a repulsion grid plus the binding diagnostic per point."""
+def binding_scan(
+    grid: Grid, u_values, n_particles: int = 2, tol: float = 1e-7, form=None, e_single=None
+):
+    """E_N over a repulsion grid plus the binding diagnostic per point (one E_1 solve)."""
     rows = []
     for u in u_values:
         cfg = PTConfig(n_particles, float(u), grid, form=form)
-        sol = minimize_pt(cfg, tol=tol)
+        if e_single is None:
+            e_single = single_polaron_energy(grid, cfg.form, tol)
+        sol = minimize_pt(cfg, tol=tol, e_single=e_single)
         rows.append(
             {
                 "U": float(u),

@@ -13,8 +13,9 @@ f(k) = v(k) rhohat(k) with mu = -2g ||f||^2 and E_P = lambda - mu.  The
 rescaled strong-coupling units used by the dynamics and Fock modules
 correspond to g = 1/2 (where mu = -||f||^2).
 
-Minimization is normalized imaginary-time propagation (split-step) with an
-energy-monotonicity safeguard and multiplicative step adaptation.
+Minimization is a projected, kinetic-preconditioned Barzilai-Borwein flow
+on the sphere with an energy-monotone line search. Its iterate is real and
+non-negative, so the mean-field operator runs on real transforms (rfftn).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .spectral_core import (
     FormFactor,
     Grid,
     WaveField,
+    _coulomb_form,
     hartree_energy,
-    kernel_potential,
     kinetic_energy,
     mode_norm_sq,
 )
@@ -49,14 +50,6 @@ __all__ = [
     "save_solution",
     "load_solution",
 ]
-
-
-def _default_form(grid: Grid, kernel: str) -> FormFactor:
-    if kernel == "isolated":
-        return FormFactor.coulomb_d3_isolated(grid)
-    if kernel == "periodic":
-        return FormFactor.coulomb_d3(grid)
-    raise ValueError(f"unknown kernel {kernel!r}")
 
 
 @dataclass(frozen=True)
@@ -75,31 +68,50 @@ class PekarEnergy:
 def pekar_energy(phi: WaveField, g: float, form: FormFactor | None = None) -> PekarEnergy:
     """Evaluate E(phi) = T - g*D together with its (T, D) decomposition."""
     if form is None:
-        form = _default_form(phi.grid, "isolated")
+        form = _coulomb_form(phi.grid, "isolated")
     t = kinetic_energy(phi)
     rho = WaveField(phi.grid, phi.density())
     d = hartree_energy(rho, form=form).value
     return PekarEnergy(total=t - g * d, kinetic=t, hartree=d, g=g)
 
 
-def _mean_field_potential(phi: WaveField, form: FormFactor) -> np.ndarray:
-    rho = WaveField(phi.grid, phi.density())
-    return kernel_potential(rho, form).values.real
+def _fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """ifft(multiplier * fft(values)) for a real multiplier even in k, as all of them here.
+
+    A real field takes the real transforms on the half spectrum, a complex one the full ones.
+    """
+    axes = tuple(range(values.ndim))
+    if np.iscomplexobj(values):
+        return np.fft.ifftn(multiplier * np.fft.fftn(values, axes=axes), axes=axes)
+    half = multiplier[..., : values.shape[-1] // 2 + 1]
+    return np.fft.irfftn(half * np.fft.rfftn(values, axes=axes), s=values.shape, axes=axes)
+
+
+def _mean_field_apply(values: np.ndarray, g: float, form: FormFactor, v=None) -> tuple:
+    """(E, H_mf values, V) for H_mf = -Lap + 2 g V, V = -(K * |values|^2) unless ``v`` is given.
+
+    E = <phi, -Lap phi> - g D(|phi|^2) is the energy functional at a normalized phi.
+    """
+    if v is None:
+        v = -_fourier_multiply(np.abs(values) ** 2, form.kernel_multiplier).real
+    kin = _fourier_multiply(values, form.grid.k_sq)
+    dv = form.grid.cell_volume
+    t = float(np.real(np.vdot(values, kin)) * dv)
+    d = float(-np.sum(np.abs(values) ** 2 * v) * dv)
+    return t - g * d, kin + 2.0 * g * v * values, v
 
 
 def energy_gradient(phi: WaveField, g: float, form: FormFactor | None = None) -> np.ndarray:
     """H_mf phi with H_mf = -Lap + 2 g V[rho]; pairs with variations via 2 Re<., .>."""
     if form is None:
-        form = _default_form(phi.grid, "isolated")
-    v = _mean_field_potential(phi, form)
-    lap = WaveField.from_spectrum(phi.grid, phi.grid.k_sq * phi.spectrum()).values
-    return lap + 2.0 * g * v * phi.values
+        form = _coulomb_form(phi.grid, "isolated")
+    return _mean_field_apply(phi.values, g, form)[1]
 
 
 def coherent_displacement(phi: WaveField, form: FormFactor | None = None) -> np.ndarray:
     """Stationary phonon displacement profile f(k) = v(k) rhohat(k)."""
     if form is None:
-        form = _default_form(phi.grid, "isolated")
+        form = _coulomb_form(phi.grid, "isolated")
     rho = WaveField(phi.grid, phi.density())
     return form.values * rho.spectrum()
 
@@ -122,37 +134,18 @@ class PekarSolution:
     def kernel(self) -> str:
         return self.form.variant
 
-    def mean_field_hamiltonian(self) -> "LinearOperator":
-        """The converged operator -Lap + 2 g V as a matrix-free LinearOperator."""
-        grid = self.phi0.grid
-        v = _mean_field_potential(self.phi0, self.form)
-        ksq = grid.k_sq
 
-        def matvec(x):
-            arr = x.reshape(grid.shape)
-            out = np.fft.ifftn(ksq * np.fft.fftn(arr)) + 2.0 * self.g * v * arr
-            return out.ravel()
-
-        return LinearOperator(
-            (grid.size, grid.size), matvec=matvec, dtype=np.complex128
-        )
-
-
-def _gaussian_seed(grid: Grid, g: float, rng=None) -> WaveField:
+def _gaussian_seed(grid: Grid, g: float, rng) -> WaveField:
     sigma = max(1.5 / max(g, 1e-3), 2.5 * grid.dx)
     mesh = np.meshgrid(*([grid.x_axis_centered] * grid.dim), indexing="ij")
     r2 = sum(c**2 for c in mesh)
-    vals = np.exp(-r2 / (4.0 * sigma**2))
-    if rng is not None:
-        vals = vals * (1.0 + 0.01 * rng.standard_normal(grid.shape))
+    vals = np.exp(-r2 / (4.0 * sigma**2)) * (1.0 + 0.01 * rng.standard_normal(grid.shape))
     return WaveField(grid, vals).normalized()
 
 
-def _recenter(phi: WaveField) -> WaveField:
+def _recenter(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Integer-shift the density centroid to the grid origin (periodic centroid)."""
-    grid = phi.grid
-    rho = phi.density()
-    vals = phi.values
+    rho = np.abs(values) ** 2
     shifts = []
     for axis in range(grid.dim):
         phase = np.exp(-2j * np.pi * grid.x_axis / grid.box_length)
@@ -162,36 +155,32 @@ def _recenter(phi: WaveField) -> WaveField:
         theta = np.angle(m)  # in (-pi, pi], centroid = theta/(2 pi) * L
         shift = int(np.round(theta / (2.0 * np.pi) * grid.points_per_axis))
         shifts.append(-shift % grid.points_per_axis)
-    vals = np.roll(vals, shifts, axis=tuple(range(grid.dim)))
-    return WaveField(grid, vals)
+    return np.roll(values, shifts, axis=tuple(range(grid.dim)))
 
 
-def _residual(phi: WaveField, g: float, form: FormFactor) -> tuple:
-    hphi = energy_gradient(phi, g, form)
-    lam = float(np.real(np.vdot(phi.values, hphi)) * phi.grid.cell_volume)
-    r = hphi - lam * phi.values
-    return float(np.sqrt(np.sum(np.abs(r) ** 2) * phi.grid.cell_volume)), lam
+def _residual(values: np.ndarray, g: float, form: FormFactor) -> tuple:
+    hphi = _mean_field_apply(values, g, form)[1]
+    dv = form.grid.cell_volume
+    lam = float(np.real(np.vdot(values, hphi)) * dv)
+    return float(np.sqrt(np.sum(np.abs(hphi - lam * values) ** 2) * dv)), lam
 
 
 def _spectral_gap(phi: WaveField, g: float, form: FormFactor, rng) -> tuple:
     """Two lowest eigenvalues of -Lap + 2gV (matrix-free, kinetic-preconditioned)."""
     grid = phi.grid
-    v = _mean_field_potential(phi, form)
-    ksq = grid.k_sq
+    values = phi.values.real
+    v = _mean_field_apply(values, g, form)[2]
+    inverse_kinetic = 1.0 / (grid.k_sq + 0.3)
 
     def matvec(x):
-        arr = x.reshape(grid.shape)
-        out = np.fft.ifftn(ksq * np.fft.fftn(arr)) + 2.0 * g * v * arr
-        return out.ravel().real
+        return _mean_field_apply(x.reshape(grid.shape), g, form, v)[1].ravel()
 
     def precond(x):
-        return np.fft.ifftn(np.fft.fftn(x.reshape(grid.shape)) / (ksq + 0.3)).ravel().real
+        return _fourier_multiply(x.reshape(grid.shape), inverse_kinetic).ravel()
 
     op = LinearOperator((grid.size, grid.size), matvec=matvec, dtype=float)
     m = LinearOperator((grid.size, grid.size), matvec=precond, dtype=float)
-    block = np.stack(
-        [phi.values.ravel().real, rng.standard_normal(grid.size)], axis=1
-    )
+    block = np.stack([values.ravel(), rng.standard_normal(grid.size)], axis=1)
     vals, _ = lobpcg(op, block, M=m, tol=1e-8, maxiter=400, largest=False)
     vals = np.sort(vals)
     return float(vals[0]), float(vals[1] - vals[0])
@@ -202,7 +191,6 @@ def minimize_pekar(
     g: float,
     tol: float = 1e-6,
     max_iter: int = 2000,
-    seed_profile: WaveField | None = None,
     kernel: str = "isolated",
     form: FormFactor | None = None,
     rng=None,
@@ -217,47 +205,36 @@ def minimize_pekar(
     if rng is None:
         rng = np.random.default_rng(0)
     if form is None:
-        form = _default_form(grid, kernel)
+        form = _coulomb_form(grid, kernel)
 
     if g <= 0:
         # Non-binding limit: the infimum 0 is attained only by the constant mode.
         phi = WaveField(grid, np.full(grid.shape, 1.0)).normalized()
         f = coherent_displacement(phi, form)
+        residual, lam = _residual(phi.values, g, form)
+        e_p = pekar_energy(phi, g, form).total
         return PekarSolution(
             phi0=phi,
-            lam=0.0 if g == 0 else _residual(phi, g, form)[1],
+            lam=0.0 if g == 0 else lam,
             mu=-2.0 * g * mode_norm_sq(grid, f),
-            e_p=pekar_energy(phi, g, form).total,
+            e_p=e_p,
             g=g,
-            residual=_residual(phi, g, form)[0],
+            residual=residual,
             f=f,
             form=form,
             gap=None,
-            energy_history=(pekar_energy(phi, g, form).total,),
+            energy_history=(e_p,),
             flags=("free case",),
         )
 
-    phi0 = seed_profile.normalized() if seed_profile is not None else _gaussian_seed(grid, g, rng)
-    phi = phi0.values.astype(np.complex128)
+    phi = _gaussian_seed(grid, g, rng).values.real
     ksq = grid.k_sq
     dv = grid.cell_volume
-    mom_w = grid.mode_weight
-    mult = form.kernel_multiplier
-    twopi_d = (2.0 * np.pi) ** grid.dim
-
-    def evaluate(values):
-        spec = np.fft.fftn(values) * dv
-        rho_hat = np.fft.fftn(np.abs(values) ** 2) * dv
-        v = (np.fft.ifftn(-mult * rho_hat) / dv).real
-        t = float(np.sum(ksq * np.abs(spec) ** 2) * mom_w / twopi_d)
-        d = float(-np.sum(np.abs(values) ** 2 * v) * dv)
-        hphi = np.fft.ifftn(ksq * spec) / dv + 2.0 * g * v * values
-        return t - g * d, hphi
 
     def precondition(vec, shift):
-        return np.fft.ifftn(np.fft.fftn(vec) / (ksq + shift))
+        return _fourier_multiply(vec, 1.0 / (ksq + shift))
 
-    energy, hphi = evaluate(phi)
+    energy, hphi, _ = _mean_field_apply(phi, g, form)
     history = [energy]
     tau = 0.5 / max(g, 1.0)
     prev_step = prev_dgrad = None
@@ -267,33 +244,33 @@ def minimize_pekar(
     # Projected gradient flow on the sphere: imaginary-time direction,
     # kinetic-preconditioned, Barzilai-Borwein step with a monotone safeguard.
     for it in range(max_iter):
-        lam = float(np.real(np.vdot(phi, hphi)) * dv)
+        lam = float(np.vdot(phi, hphi) * dv)
         grad = hphi - lam * phi
-        residual = float(np.sqrt(np.sum(np.abs(grad) ** 2) * dv))
+        residual = float(np.sqrt(np.sum(grad**2) * dv))
         if residual < tol:
             break
         shift = max(abs(lam), 0.05)
         direction = precondition(grad, shift)
         if prev_step is not None:
-            sy = float(np.real(np.vdot(prev_step, prev_dgrad)) * dv)
-            ss = float(np.real(np.vdot(prev_step, prev_step)) * dv)
+            sy = float(np.vdot(prev_step, prev_dgrad) * dv)
+            ss = float(np.vdot(prev_step, prev_step) * dv)
             if sy > 1e-300:
                 tau = min(max(ss / sy, 1e-4), 100.0)
         accepted = False
         for _ in range(40):
             cand = phi - tau * direction
-            neg_mass = float(np.sqrt(np.sum(np.clip(cand.real, None, 0.0) ** 2)))
-            if it > 30 and neg_mass > 0.05 * float(np.sqrt(np.sum(np.abs(cand) ** 2))):
+            neg_mass = float(np.sqrt(np.sum(np.clip(cand, None, 0.0) ** 2)))
+            if it > 30 and neg_mass > 0.05 * float(np.sqrt(np.sum(cand**2))):
                 raise ProjectionError(
                     "iterate developed persistent sign changes under positivity projection"
                 )
             cand = np.abs(cand)  # ground state is positive; removes phase drift
             cand /= np.sqrt(np.sum(cand**2) * dv)
-            e_new, h_new = evaluate(cand)
+            e_new, h_new, _ = _mean_field_apply(cand, g, form)
             if e_new <= energy + 1e-15 * max(1.0, abs(energy)):
                 prev_step = cand - phi
-                phi = cand.astype(np.complex128)
-                lam_new = float(np.real(np.vdot(phi, h_new)) * dv)
+                phi = cand
+                lam_new = float(np.vdot(phi, h_new) * dv)
                 prev_dgrad = precondition((h_new - lam_new * phi) - grad, shift)
                 energy, hphi = e_new, h_new
                 history.append(energy)
@@ -309,10 +286,10 @@ def minimize_pekar(
             f"no convergence after {max_iter} iterations (residual {residual:.3e})",
             residual=residual,
         )
-    phi = WaveField(grid, phi)
 
-    phi = _recenter(phi)
+    phi = _recenter(grid, phi)
     residual, lam = _residual(phi, g, form)
+    phi = WaveField(grid, phi)
     f = coherent_displacement(phi, form)
     fsq = mode_norm_sq(grid, f)
     mu = -2.0 * g * fsq

@@ -9,9 +9,12 @@ different algorithm. Used as the acceptance oracle for the 3d minimizer.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+
+from .errors import ConvergenceError
 
 __all__ = ["radial_ground_state", "radial_newton_potential", "radial_truncated_potential"]
 
@@ -68,8 +71,9 @@ def radial_ground_state(
 ):
     """Self-consistent radial solve of (-d^2/dr^2 + 2 g V[u]) u = lam u.
 
-    Returns {"E", "T", "D", "lam"} with E = T - g D. ``r_cut`` selects the
-    sphere-truncated interaction; None means the full 1/r kernel.
+    Returns the read-only (cached) mapping {"E", "T", "D", "lam"}, E = T - g D.
+    ``r_cut`` selects the sphere-truncated interaction; None means the full 1/r
+    kernel. Raises ConvergenceError if ``max_iter`` passes without settling.
     """
     dr = r_max / n
     r = dr * np.arange(1, n + 1)
@@ -95,4 +99,6 @@ def radial_ground_state(
         if abs(energy - e_prev) < tol:
             break
         e_prev = energy
-    return {"E": energy, "T": energy + g * d, "D": d, "lam": lam}
+    else:
+        raise ConvergenceError(f"radial SCF not settled to {tol} in {max_iter} iterations")
+    return MappingProxyType({"E": energy, "T": energy + g * d, "D": d, "lam": lam})

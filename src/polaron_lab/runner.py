@@ -486,7 +486,8 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
     grid = Grid(3, p["grid"], p["box"])
     statistics = "boson_product" if p["mode"] == "product" else "full_two_body"
     cfg = npl.PTConfig(p["N"], p["U"], grid, statistics=statistics)
-    sol = npl.minimize_pt(cfg)
+    e_single = npl.single_polaron_energy(grid, cfg.form)
+    sol = npl.minimize_pt(cfg, e_single=e_single)
     record.summary = {
         "E_N": sol.e_n,
         "lambda": sol.lam,
@@ -497,7 +498,7 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
         "N": p["N"],
     }
     u_values = [float(u) for u in str(p["u_grid"]).split(",") if u]
-    scan = npl.binding_scan(grid, u_values, n_particles=p["N"])
+    scan = npl.binding_scan(grid, u_values, n_particles=p["N"], form=cfg.form, e_single=e_single)
     record.tables["binding"] = (
         scan,
         ["U", "E_N", "N_E_single", "bound", "rms_radius"],

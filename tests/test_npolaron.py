@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from polaron_lab.cli import main as cli_main
 from polaron_lab.errors import SizingError
 from polaron_lab.spectral_core import FormFactor, Grid, WaveField
 from polaron_lab import npolaron as npl
@@ -134,6 +137,33 @@ class TestMinimization:
         rows = npl.binding_scan(grid1d, [0.0, 0.25, 0.5, 1.0], form=form1d, tol=1e-8)
         energies = [r["E_N"] for r in rows]
         assert all(a <= b + 1e-10 for a, b in zip(energies, energies[1:]))
+
+    def test_verb_solves_the_single_polaron_once(self, tmp_path, monkeypatch):
+        # one E_1 solve shared by minimize_pt and the two-point scan: 1 + 1 + 2
+        # minimizer calls, where solving E_1 at every point took 2 + 2 + 2
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["g"])
+            return minimize_pekar(*args, **kwargs)
+
+        monkeypatch.setattr(npl, "minimize_pekar", counting)
+        code = cli_main(
+            ["npolaron", "--grid", "16", "--box", "24", "--u-grid", "0,1.0", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(calls) == 4 and calls.count(0.5) == 2  # E_1 and the U = 1 orbital
+        with open(tmp_path / "binding.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        # each row equals a stand-alone solve at its U that finds its own E_1
+        grid = Grid(3, 16, 24.0)
+        for row in rows:
+            sol = npl.minimize_pt(npl.PTConfig(2, float(row["U"]), grid))
+            assert float(row["E_N"]) == sol.e_n
+            assert float(row["N_E_single"]) == sol.binding["n_times_single"]
+            assert row["bound"] == str(sol.binding["bound"])
+            assert float(row["rms_radius"]) == sol.binding["rms_radius"]
+        assert [row["bound"] for row in rows] == ["True", "False"]
 
 
 class TestDynamics:

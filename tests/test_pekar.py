@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaron_lab.errors import ConvergenceError
 from polaron_lab.spectral_core import (
@@ -10,6 +12,7 @@ from polaron_lab.spectral_core import (
     mode_norm_sq,
 )
 from polaron_lab.pekar import (
+    _mean_field_apply,
     coherent_displacement,
     energy_gradient,
     load_solution,
@@ -64,6 +67,45 @@ class TestEnergy:
 
             numeric = (energy_at(h) - energy_at(-h)) / (2 * h)
             assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-10)
+
+
+def complex_mean_field_reference(values, g, form):
+    """(E, H_mf phi, V) on full complex transforms, kinetic energy by Parseval."""
+    grid = form.grid
+    dv = grid.cell_volume
+    spec = np.fft.fftn(values) * dv
+    v = (np.fft.ifftn(-form.kernel_multiplier * np.fft.fftn(np.abs(values) ** 2) * dv) / dv).real
+    t = np.sum(grid.k_sq * np.abs(spec) ** 2) * grid.mode_weight / (2 * np.pi) ** grid.dim
+    d = -np.sum(np.abs(values) ** 2 * v) * dv
+    return t - g * d, np.fft.ifftn(grid.k_sq * spec) / dv + 2 * g * v * values, v
+
+
+@st.composite
+def mean_field_problems(draw):
+    """Real and imaginary parts of an orbital, a coupling and a form on a small 1-3d grid."""
+    dim = draw(st.integers(1, 3))
+    grid = Grid(dim, draw(st.sampled_from((2, 4, 8, 16))), draw(st.floats(2.0, 20.0)))
+    if dim == 3 and draw(st.booleans()):
+        form = FormFactor.coulomb_d3_isolated(grid)
+    else:
+        form = FormFactor.toy(grid, draw(st.floats(0.01, 1.0)), draw(st.sampled_from((0.0, 1.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((2,) + grid.shape), draw(st.floats(0.1, 3.0)), form
+
+
+class TestMeanFieldOperator:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(mean_field_problems())
+    def test_matches_complex_reference(self, problem):
+        # a real orbital takes the real transforms, a complex one the complex ones
+        (real, imag), coupling, form = problem
+        for values in (real, real + 1j * imag):
+            e_ref, h_ref, v_ref = complex_mean_field_reference(values, coupling, form)
+            energy, hphi, v = _mean_field_apply(values, coupling, form)
+            assert np.isrealobj(hphi) == np.isrealobj(values)
+            assert abs(energy - e_ref) <= 1e-12 * max(1.0, abs(e_ref))
+            assert np.max(np.abs(hphi - h_ref)) <= 1e-12 * max(1.0, np.max(np.abs(h_ref)))
+            assert np.max(np.abs(v - v_ref)) <= 1e-12 * max(1.0, np.max(np.abs(v_ref)))
 
 
 class TestMinimizer:
@@ -202,6 +244,16 @@ class TestRadialOracle:
         res = radial_ground_state(1.0)
         assert res["E"] == pytest.approx(-0.108513, abs=2e-6)
         assert res["D"] == pytest.approx(2 * res["T"], rel=1e-4)
+
+    def test_exhausted_iterations_raise(self):
+        with pytest.raises(ConvergenceError):
+            radial_ground_state(1.0, max_iter=3)
+
+    def test_cached_result_is_read_only(self):
+        res = radial_ground_state(1.0)
+        with pytest.raises(TypeError):
+            res["E"] = 0.0
+        assert radial_ground_state(1.0)["E"] == pytest.approx(-0.108513, abs=2e-6)
 
 
 class TestPersistence:

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from polaron_lab.errors import SchemaError
-from polaron_lab import fock_sim, runner
+from polaron_lab.errors import ConvergenceError, SchemaError
+from polaron_lab import fock_sim, pekar, runner
 from polaron_lab.cli import main as cli_main
 
 
@@ -230,6 +230,17 @@ class TestPlotData:
 class TestCli:
     def test_schema_error_exit_code(self, capsys):
         assert cli_main(["fock", "--modes", "3", "--out", "/tmp/x"]) == 2
+
+    def test_solver_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("injected non-convergence", residual=1.0)
+
+        monkeypatch.setattr(pekar, "minimize_pekar", no_convergence)
+        code = cli_main(["pekar", "--grid", "16", "--out", str(tmp_path)])
+        assert code == 1
+        assert "injected non-convergence" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
 
     def test_budget_error_exit_code(self, tmp_path, monkeypatch, capsys):
         # 16 modes at n_max 10 on 16 sites is 85M states; the guard must fire

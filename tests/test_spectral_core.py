@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
@@ -21,6 +23,7 @@ from polaron_lab.spectral_core import (
     hartree_energy,
     ifft_field,
     kinetic_energy,
+    mode_inner,
 )
 
 from oracles import brute_force_coulomb_free, dft_direct
@@ -320,3 +323,48 @@ class TestKernels:
         k0 = g.k_axis[5]
         psi = WaveField(g, np.exp(1j * k0 * g.x_axis) / np.sqrt(g.box_length))
         assert kinetic_energy(psi) == pytest.approx(k0**2, rel=1e-12)
+
+
+@st.composite
+def real_fields(draw, count):
+    """``count`` random real fields on a small 1-, 2- or 3-d grid."""
+    dim = draw(st.integers(1, 3))
+    grid = Grid(dim, draw(st.sampled_from((2, 4, 8, 16))), draw(st.floats(1.0, 20.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return grid, [rng.standard_normal(grid.shape) for _ in range(count)]
+
+
+def any_form(grid, choice, v0):
+    """A Coulomb factor (3d) or a toy factor, with and without a k = 0 mode."""
+    if grid.dim == 3 and choice == 0:
+        return FormFactor.coulomb_d3_isolated(grid)
+    if grid.dim == 3 and choice == 1:
+        return FormFactor.coulomb_d3(grid)
+    return FormFactor.toy(grid, v0, exponent=float(choice % 2))
+
+
+spectral_properties = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+class TestSpectralProperties:
+    @spectral_properties
+    @given(real_fields(2))
+    def test_parseval_on_real_fields(self, problem):
+        grid, (a, b) = problem
+        fa, fb = WaveField(grid, a), WaveField(grid, b)
+        lhs = field_inner(fa, fb)
+        rhs = mode_inner(grid, fft_field(fa), fft_field(fb)) / (2 * np.pi) ** grid.dim
+        assert abs(lhs - rhs) <= 1e-12 * fa.norm() * fb.norm()
+        assert fa.norm() ** 2 == pytest.approx(
+            mode_inner(grid, fft_field(fa), fft_field(fa)).real / (2 * np.pi) ** grid.dim,
+            rel=1e-12,
+        )
+
+    @spectral_properties
+    @given(real_fields(1), st.integers(0, 3), st.floats(0.01, 1.0))
+    def test_dual_hartree_identity_on_real_densities(self, problem, choice, v0):
+        grid, (u,) = problem
+        rho = WaveField(grid, u**2)
+        res = hartree_energy(rho, form=any_form(grid, choice, v0), rtol=np.inf)
+        assert res.momentum > 0.0
+        assert res.real_space == pytest.approx(res.momentum, rel=1e-12)
