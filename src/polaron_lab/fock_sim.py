@@ -449,26 +449,24 @@ def discrete_pekar(ops: FockOperatorSet, tol: float = 1e-12, max_iter: int = 500
     basis = ops.basis
     alpha = ops.alpha
     n = basis.config.n_sites
-    psi = np.ones(n) / np.sqrt(n)
-    f = basis.v * basis.density_transform(psi)
+    f = basis.v * basis.density_transform(np.ones(n) / np.sqrt(n))
     energy = np.inf
     for _ in range(max_iter):
-        v = ops.mean_field_potential(f)
-        h_e = basis.kinetic_electron + np.diag(v)
-        vals, vecs = eigh(h_e)
-        psi_new = vecs[:, 0]
-        f_new = basis.v * basis.density_transform(psi_new)
-        e_new = float(vals[0]) + basis.mode_norm_sq(f_new)
-        if abs(e_new - energy) < tol and np.linalg.norm(f_new - f) < np.sqrt(tol):
-            psi, f, energy, lam = psi_new, f_new, e_new, float(vals[0])
+        vals, vecs = eigh(basis.kinetic_electron + np.diag(ops.mean_field_potential(f)))
+        psi, lam, f_prev, e_prev = vecs[:, 0], float(vals[0]), f, energy
+        f = basis.v * basis.density_transform(psi)
+        energy = lam + basis.mode_norm_sq(f)
+        if abs(energy - e_prev) < tol and np.linalg.norm(f - f_prev) < np.sqrt(tol):
             break
-        psi, f, energy, lam = psi_new, f_new, e_new, float(vals[0])
+    else:
+        raise ConvergenceError(
+            f"discrete Pekar not converged in {max_iter} iterations", residual=abs(energy - e_prev)
+        )
     fsq = basis.mode_norm_sq(f)
     mu = -fsq
     eta, leakage = coherent_state(basis, -alpha * f)
     # stationarity checks
-    v = ops.mean_field_potential(f)
-    h_e = basis.kinetic_electron + np.diag(v)
+    h_e = basis.kinetic_electron + np.diag(ops.mean_field_potential(f))
     e_res = float(np.linalg.norm(h_e @ psi - lam * psi))
     h_ph = (alpha**-2) * basis.number_occ + (alpha**-1) * basis.field_occ(f)
     p_res = float(np.linalg.norm(h_ph @ eta - mu * eta))
@@ -799,8 +797,9 @@ def inequality_suite(config: FockConfig, alphas=(1.0, 2.0, 4.0), rng=None, n_ran
     f_test = _small_test_displacement(basis, rng)
     report["conjugation_residuals"] = _conjugation_residuals(ops, f_test, rng)
 
-    # (c) two-sided kinetic/number bound with the explicit constant
+    # (c) two-sided kinetic/number bound; (d) resolvent norms ||(1+p^2)^{1/2} R^{1/2} Q0||
     a5 = {}
+    res_norms = []
     for alpha in alphas:
         ops_a = assemble(config.with_alpha(alpha))
         for eps in (0.25, 0.5):
@@ -819,14 +818,8 @@ def inequality_suite(config: FockConfig, alphas=(1.0, 2.0, 4.0), rng=None, n_ran
                 return_eigenvectors=False,
             )
             a5[(alpha, eps)] = float(val[0])
+        res_norms.append(_weighted_resolvent_norm(ops_a, discrete_pekar(ops_a)))
     report["two_sided_bound_min_eigs"] = a5
-
-    # (d) resolvent norms ||(1+p^2)^{1/2} R^{1/2} Q0|| over the alpha grid
-    res_norms = []
-    for alpha in alphas:
-        ops_a = assemble(config.with_alpha(alpha))
-        pek = discrete_pekar(ops_a)
-        res_norms.append(_weighted_resolvent_norm(ops_a, pek))
     report["resolvent_norms"] = dict(zip(map(float, alphas), res_norms))
     diffs = np.abs(np.diff(res_norms))
     report["resolvent_spread_nonincreasing"] = bool(
@@ -909,18 +902,24 @@ def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
 
 
 def _weighted_resolvent_norm(ops: FockOperatorSet, pek: DiscretePekar) -> float:
-    """||(1+p^2)^{1/2} R^{1/2} Q0|| with R the reduced resolvent of h_tilde - E."""
+    """||(1+p^2)^{1/2} R^{1/2} Q0|| with R the reduced resolvent of h_tilde - E.
+
+    Exact tensor factorisation: h_tilde = h_e x 1 + 1 x alpha^-2 N + ||f||^2
+    (h_e = -Lap + V_f), Q0 = q_e x q_p with q_p the non-vacuum occupation
+    coordinates, weight w x 1. As q_e* q_e = 1 whether or not phi is an exact
+    eigenvector, Q0* h_tilde Q0 = U diag(eps) U* x 1 + 1 x diag(alpha^-2 n), so
+    R is diagonal in U x 1 and the norm is max over shells n >= 1 of
+    sqrt(lambda_max(D_n G D_n)), G = (w q_e U)* (w q_e U), D_n =
+    diag(max(eps + alpha^-2 n + ||f||^2 - E, 1e-14)^-1/2): one (sites-1)-sized
+    problem per shell, never a product-space matrix.
+    """
     basis = ops.basis
-    h_t = ops.h_tilde(pek.f).toarray()
-    m = basis.n_occ
     q_e = _orthonormal_complement(pek.phi)
-    q_p = _orthonormal_complement(basis.vacuum_occ())
-    q = np.kron(q_e, q_p)
-    h_red = q.conj().T @ h_t @ q
-    e_p = pek.energy
-    vals, vecs = np.linalg.eigh(h_red)
-    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(np.maximum(vals - e_p, 1e-14))) @ vecs.conj().T
-    w = basis.electron_momentum_weight(0.5)
-    w_full = np.kron(w, np.eye(m))
-    mat = w_full @ q @ inv_sqrt
-    return float(np.linalg.norm(mat, ord=2))
+    h_e = basis.kinetic_electron + np.diag(ops.mean_field_potential(pek.f))
+    eps, u = eigh(q_e.conj().T @ h_e @ q_e)
+    b = basis.electron_momentum_weight(0.5) @ q_e @ u
+    gram = b.conj().T @ b
+    shells = np.unique(basis.occ_totals[1:])[:, None]
+    gaps = eps + ops.alpha**-2 * shells + basis.mode_norm_sq(pek.f) - pek.energy
+    d = 1.0 / np.sqrt(np.maximum(gaps, 1e-14))  # one row per shell: the diagonal of D_n
+    return float(np.sqrt(np.linalg.eigvalsh(d[:, :, None] * gram * d[:, None, :])[:, -1].max()))

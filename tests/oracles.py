@@ -6,7 +6,9 @@ pair sums. Slow but trustworthy.
 """
 
 import numpy as np
+from scipy.linalg import eigh
 
+from polaron_lab.fock_sim import _orthonormal_complement
 from polaron_lab.radial_oracle import radial_ground_state as _radial_ground_state
 from polaron_lab.radial_oracle import (  # noqa: F401  (re-exported for direct validation)
     radial_newton_potential,
@@ -78,3 +80,22 @@ def radial_ground_state(g, r_cut=None, **kwargs):
 def displaced_oscillator_ground_energy(omega, coupling):
     """Ground energy of omega*n + coupling*(a + a^dagger): -coupling^2/omega."""
     return -(coupling**2) / omega
+
+
+def dense_weighted_resolvent_norm(ops, pek):
+    """||(1+p^2)^{1/2} R^{1/2} Q0|| by dense product-space algebra.
+
+    Builds h_tilde, Q0 = q_e x q_p and the weight on the full product space,
+    takes R^{1/2} from an eigendecomposition of Q0* h_tilde Q0 (eigenvalues
+    minus E floored at 1e-14) and returns the spectral norm. Cubic in the
+    Fock dimension; only for checking the factorised evaluation.
+    """
+    basis = ops.basis
+    h_t = ops.h_tilde(pek.f).toarray()
+    q_e = _orthonormal_complement(pek.phi)
+    q_p = _orthonormal_complement(basis.vacuum_occ())
+    q = np.kron(q_e, q_p)
+    vals, vecs = eigh(q.conj().T @ h_t @ q)
+    inv_sqrt = (vecs / np.sqrt(np.maximum(vals - pek.energy, 1e-14))) @ vecs.conj().T
+    w_full = np.kron(basis.electron_momentum_weight(0.5), np.eye(basis.n_occ))
+    return float(np.linalg.norm(w_full @ q @ inv_sqrt, ord=2))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
-from polaron_lab.errors import SizingError
+from polaron_lab.errors import ConvergenceError, SizingError
 from polaron_lab import fock_sim as fs
 from polaron_lab import lp_dynamics as lp
 from polaron_lab.spectral_core import FormFactor, WaveField
 
-from oracles import displaced_oscillator_ground_energy
+from oracles import dense_weighted_resolvent_norm, displaced_oscillator_ground_energy
 
 
 IDENTITIES = fs.FockConfig(
@@ -22,6 +23,9 @@ IDENTITIES = fs.FockConfig(
 SWEEP = fs.FockConfig(
     n_sites=8, box_length=2.0, mode_numbers=(1, -1, 2, -2), v0=3e-3, n_max=6, alpha=1.0
 )
+# the quick-preset fock_id block and the lemma-suite verb at 8 sites, box 8 (dimension 672)
+QUICK_LEMMAS = fs.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=2, alpha=1.0)
+BENCH_LEMMAS = fs.FockConfig(8, 8.0, (1, -1, 2, -2, 3, -3), v0=0.05, n_max=3, alpha=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +142,44 @@ class TestWeyl:
             fs.weyl_apply(ops_id.basis, big, ops_id.basis.vacuum_occ())
 
 
+@st.composite
+def weyl_problems(draw):
+    """A small occupation basis, a random vector on its shells <= n_max - 3 and a small g.
+
+    The mean phonon number of g stays below 2.5e-5, so the displaced vector
+    keeps less than 1e-12 of its weight on the saturated shell.
+    """
+    pairs = draw(st.integers(1, 3))
+    basis = fs.FockBasis(
+        fs.FockConfig(
+            n_sites=draw(st.sampled_from((2, 4, 8))),
+            box_length=draw(st.floats(2.0, 8.0)),
+            mode_numbers=tuple(m for k in range(1, pairs + 1) for m in (k, -k)),
+            v0=0.1,
+            n_max=draw(st.integers(3, 6)),
+            alpha=1.0,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(basis.n_occ) + 1j * rng.standard_normal(basis.n_occ)
+    x *= basis.occ_totals <= basis.config.n_max - 3
+    g = rng.standard_normal(2 * pairs) + 1j * rng.standard_normal(2 * pairs)
+    g *= np.sqrt(draw(st.floats(0.0, 2.5e-5)) / basis.mode_norm_sq(g))
+    return basis, x / np.linalg.norm(x), g
+
+
+class TestWeylProperties:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(weyl_problems())
+    def test_unitary_and_inverted_by_negative_displacement(self, problem):
+        basis, x, g = problem
+        out, leakage = fs.weyl_apply(basis, g, x, guard=False)
+        assert leakage < 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        back, _ = fs.weyl_apply(basis, -g, out, guard=False)
+        assert np.linalg.norm(back - x) < 1e-10
+
+
 class TestGroundState:
     def test_variational_ordering(self, ops_id, pekar_id):
         e_f, psi = fs.ground_state(ops_id)
@@ -161,6 +203,10 @@ class TestDiscretePekar:
         assert np.allclose(np.abs(pek.phi), 1 / np.sqrt(8))
         assert np.all(pek.f == 0)
         assert pek.energy == pytest.approx(0.0, abs=1e-12)
+
+    def test_exhausted_iterations_raise(self, ops_id):
+        with pytest.raises(ConvergenceError):
+            fs.discrete_pekar(ops_id, max_iter=1)
 
     def test_energy_is_product_expectation(self, ops_id, pekar_id):
         u0 = np.kron(pekar_id.phi, pekar_id.eta)
@@ -457,6 +503,37 @@ class TestInequalities:
         for key, val in rep["two_sided_bound_min_eigs"].items():
             assert val >= -1e-10, key
         assert rep["resolvent_spread_nonincreasing"]
+
+    def test_resolvent_norm_matches_dense_reference(self):
+        for config in (QUICK_LEMMAS, BENCH_LEMMAS):
+            for alpha in (1.0, 2.0, 4.0):
+                ops = fs.assemble(config.with_alpha(alpha))
+                pek = fs.discrete_pekar(ops)
+                dense = dense_weighted_resolvent_norm(ops, pek)
+                assert fs._weighted_resolvent_norm(ops, pek) == pytest.approx(dense, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from((4, 8)),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.floats(0.0, 0.3),
+        st.floats(0.5, 6.0),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 2.0),
+    )
+    def test_resolvent_norm_matches_dense_reference_off_the_pekar_point(
+        self, sites, pairs, n_max, v0, alpha, seed, lift
+    ):
+        # a random orbital and a raised E: the factorisation must not rely on phi
+        # being an eigenvector of h_e, and gaps below the 1e-14 floor get clamped
+        modes = tuple(m for k in range(1, pairs + 1) for m in (k, -k))
+        ops = fs.assemble(fs.FockConfig(sites, float(sites), modes, v0, n_max, alpha))
+        pek = fs.discrete_pekar(ops)
+        phi = np.random.default_rng(seed).standard_normal((sites, 2)) @ [1.0, 1j]
+        pek = dataclasses.replace(pek, phi=phi / np.linalg.norm(phi), energy=pek.energy + lift)
+        dense = dense_weighted_resolvent_norm(ops, pek)
+        assert fs._weighted_resolvent_norm(ops, pek) == pytest.approx(dense, rel=1e-12)
 
     def test_zero_factor_degenerate_case(self, rng):
         cfg = fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2, alpha=1.0)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from polaron_lab.errors import ConvergenceError, SchemaError
 from polaron_lab import fock_sim, pekar, runner
 from polaron_lab.cli import main as cli_main
+
+from oracles import dense_weighted_resolvent_norm
 
 
 class TestValidation:
@@ -253,6 +256,27 @@ class TestCli:
         assert code == 3
         assert "exceeds budget" in capsys.readouterr().err
 
+    def test_success_exit_code(self, tmp_path):
+        code = cli_main(
+            [
+                "lemma-suite",
+                "--sites", "8", "--box", "8.0", "--modes", "4", "--nmax", "2",
+                "--alpha-grid", "1,2", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "done"
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["annihilator_bounds_hold"] is True
+        with open(tmp_path / "resolvent_norms.csv") as fh:
+            rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+        assert [r["alpha"] for r in rows] == [1.0, 2.0]
+        base = fock_sim.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=2, alpha=1.0)
+        for row in rows:
+            ops = fock_sim.assemble(base.with_alpha(row["alpha"]))
+            dense = dense_weighted_resolvent_norm(ops, fock_sim.discrete_pekar(ops))
+            assert row["norm"] == pytest.approx(dense, rel=1e-12)
+
     def test_projectors_verb(self, tmp_path):
         code = cli_main(
             [
@@ -265,18 +289,6 @@ class TestCli:
         assert code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["idempotency"] < 1e-12
-
-    def test_lemma_suite_verb(self, tmp_path):
-        code = cli_main(
-            [
-                "lemma-suite",
-                "--sites", "8", "--box", "8.0", "--modes", "4", "--nmax", "2",
-                "--alpha-grid", "1,2", "--out", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["annihilator_bounds_hold"] is True
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
