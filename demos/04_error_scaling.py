@@ -13,7 +13,7 @@ for two classes of initial data:
 import numpy as np
 
 from polaron_lab import FockConfig, error_sweep_coherent, error_sweep_stationary
-from polaron_lab.fock_sim import FockBasis
+from polaron_lab.fock_sim import FockBasis, _coherent_initial_data
 
 config = FockConfig(
     n_sites=8, box_length=2.0, mode_numbers=(1, -1, 2, -2), v0=3e-3, n_max=6, alpha=1.0
@@ -28,16 +28,8 @@ print(f"  fitted slope {stationary['slope']:.3f} (R^2 = {stationary['r_squared']
 print(f"  bound constant C^ = {stationary['c_hat']:.3e} "
       f"(margin at larger alpha: {stationary['bound_margin']:+.2e})")
 
-basis = FockBasis(config)
-rng = np.random.default_rng(42)
-x = basis.x - 1.0
-phi0 = np.exp(-(x**2) / (2 * 0.25**2)).astype(complex)
-phi0 /= np.linalg.norm(phi0)
-g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-for i, j in enumerate(basis.conjugate_mode_index):
-    if j > i:
-        g[j] = np.conj(g[i])
-g *= np.sqrt(4e-3 / basis.mode_norm_sq(g))
+# a centred Gaussian orbital (width L/8) and a random displacement with ||g||^2 = 4e-3
+phi0, g = _coherent_initial_data(FockBasis(config), np.random.default_rng(42))
 
 coherent = error_sweep_coherent(config, alphas, 5.0, phi0, g, dt=2e-3)
 print("\ndisplaced coherent data (non-minimizer orbital):")

@@ -59,8 +59,6 @@ from .lp_dynamics import (
     df_error_integral,
     evolve,
     initial_state,
-    phase_update,
-    potential_from_phonons,
     stationary_label,
     step,
 )

@@ -406,19 +406,7 @@ def check_error_scaling_coherent(
     gate = _Gate()
     start = time.perf_counter()
     base = _fock_config(p)
-    basis = fs.FockBasis(base)
-    x = basis.x - base.box_length / 2
-    phi0 = np.exp(-(x**2) / (2 * (base.box_length / 8) ** 2)).astype(complex)
-    phi0 /= np.linalg.norm(phi0)
-    g = rng.standard_normal(len(base.mode_numbers)) + 1j * rng.standard_normal(
-        len(base.mode_numbers)
-    )
-    for i, j in enumerate(basis.conjugate_mode_index):
-        if j > i:
-            g[j] = np.conj(g[i])
-        elif j == i:
-            g[i] = g[i].real
-    g *= np.sqrt(4e-3 / basis.mode_norm_sq(g))
+    phi0, g = fs._coherent_initial_data(fs.FockBasis(base), rng)
     rep = fs.error_sweep_coherent(
         base, list(p["alphas"]), p["t_final"], phi0, g, dt=p["dt"], n_samples=p["samples"]
     )

@@ -4,7 +4,7 @@ Verbs map one-to-one onto runner scenarios:
 
     polaron-lab pekar --grid 64 --box 16 --g 1.0 --tol 1e-6 --out dir/
     polaron-lab lp-evolve --init dir/pekar.json --alpha 4 --T 10 --dt 1e-3 \\
-        --rep both --observables norm,energy,fidelity --out run.csv
+        --rep both --out run.csv
     polaron-lab fock --sites 16 --modes 6 --nmax 3 --alpha-grid 1,2,4,8 --T 5 \\
         --experiment theorem1 --out dir/
     polaron-lab npolaron --N 2 --U 0.5 --mode product --out dir/
@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, dest="T")
     p.add_argument("--dt", type=float)
     p.add_argument("--rep", choices=("both", "oscillator", "quadrature"))
-    p.add_argument("--observables")
     p.add_argument("--sample-interval", type=float, dest="sample_interval")
     _add_common(p)
 

@@ -615,6 +615,29 @@ def fit_loglog(alphas, sups):
     return float(slope), float(intercept), r2
 
 
+def _sweep_summary(alphas, rows, sups) -> dict:
+    """Log-log fit of the per-alpha sup errors and the bound form err <= C t / alpha^2.
+
+    C (``c_hat``) is fitted at the first alpha; ``bound_margin`` is the least slack of the
+    bound over the other alphas' samples. Both are 0 where there is nothing to fit: no
+    sample after t = 0, or a single alpha.
+    """
+    slope, intercept, r2 = fit_loglog(alphas, sups)
+    a0 = alphas[0]
+    c_hat = max((err * a0**2 / t for (t, a, err) in rows if a == a0 and t > 0), default=0.0)
+    others = [(t, a, err) for (t, a, err) in rows if a != a0 and t > 0]
+    margin = min(c_hat * t / a**2 - err for (t, a, err) in others) if others else 0.0
+    return {
+        "alphas": [float(a) for a in alphas],
+        "sup_errors": sups,
+        "slope": slope,
+        "intercept": intercept,
+        "r_squared": r2,
+        "c_hat": float(c_hat),
+        "bound_margin": float(margin),
+    }
+
+
 def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples: int = 26):
     """Stability of the stationary product state: err(t) = ||psi_t - e^{-iEt} u0||^2.
 
@@ -638,23 +661,9 @@ def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples
         errs = 2.0 * (1.0 - overlaps.real)
         rows.extend((float(t), float(alpha), float(err)) for t, err in zip(times, errs))
         sups.append(float(max(np.max(errs), 0.0)))
-    slope, intercept, r2 = fit_loglog(alphas, sups)
-    # bound form err <= C t / alpha^2 with C fitted at the smallest alpha
-    a0 = alphas[0]
-    base = [r for r in rows if r[1] == a0 and r[0] > 0]
-    c_hat = max(err * a0**2 / t for (t, _, err) in base)
-    margin = min(
-        c_hat * t / a**2 - err for (t, a, err) in rows if t > 0 and a != a0
-    ) if len(alphas) > 1 else 0.0
     return {
         "rows": rows,
-        "alphas": list(map(float, alphas)),
-        "sup_errors": sups,
-        "slope": slope,
-        "intercept": intercept,
-        "r_squared": r2,
-        "c_hat": float(c_hat),
-        "bound_margin": float(margin),
+        **_sweep_summary(alphas, rows, sups),
         "leakage_max": float(max(leakages)),
         "residual_max": float(max(residuals)),
     }
@@ -724,14 +733,9 @@ def error_sweep_coherent(
             errs.append(err)
             rows.append((float(t), float(alpha), err))
         sups.append(max(errs))
-    slope, intercept, r2 = fit_loglog(alphas, sups)
     return {
         "rows": rows,
-        "alphas": list(map(float, alphas)),
-        "sup_errors": sups,
-        "slope": slope,
-        "intercept": intercept,
-        "r_squared": r2,
+        **_sweep_summary(alphas, rows, sups),
         "leakage_max": float(leak_max),
     }
 
@@ -828,14 +832,30 @@ def inequality_suite(config: FockConfig, alphas=(1.0, 2.0, 4.0), rng=None, n_ran
     return report
 
 
-def _small_test_displacement(basis: FockBasis, rng, scale: float = 5e-4):
+def _symmetric_draw(basis: FockBasis, rng) -> np.ndarray:
+    """Gaussian mode profile with f(-k) = conj(f(k)), so the potential it induces is real."""
     f = rng.standard_normal(len(basis.k_modes)) + 1j * rng.standard_normal(len(basis.k_modes))
-    # keep f(-k) = conj(f(k)) so the induced potential is real
     for i, j in enumerate(basis.conjugate_mode_index):
         if j > i:
             f[j] = np.conj(f[i])
         elif j == i:
             f[i] = f[i].real
+    return f
+
+
+def _coherent_initial_data(basis: FockBasis, rng) -> tuple:
+    """(phi0, g) of the coherent sweep: a centred Gaussian ring orbital of width L/8
+    (l2-normalized) and a random symmetric displacement with ||g||^2 = 4e-3."""
+    x = basis.x - basis.config.box_length / 2
+    phi0 = np.exp(-(x**2) / (2 * (basis.config.box_length / 8) ** 2)).astype(complex)
+    phi0 /= np.linalg.norm(phi0)
+    g = _symmetric_draw(basis, rng)
+    g *= np.sqrt(4e-3 / basis.mode_norm_sq(g))
+    return phi0, g
+
+
+def _small_test_displacement(basis: FockBasis, rng, scale: float = 5e-4):
+    f = _symmetric_draw(basis, rng)
     return scale * f / np.sqrt(basis.mode_norm_sq(f))
 
 

@@ -31,12 +31,18 @@ step returns a new state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError
-from .spectral_core import FormFactor, Grid, WaveField
+from .spectral_core import (
+    FormFactor,
+    Grid,
+    WaveField,
+    _density_displacement,
+    mode_inner,
+    mode_norm_sq,
+)
 
 __all__ = [
     "LPConfig",
@@ -49,8 +55,6 @@ __all__ = [
     "step",
     "evolve",
     "df_energy",
-    "potential_from_phonons",
-    "phase_update",
     "df_error_integral",
 ]
 
@@ -86,21 +90,9 @@ class LPConfig:
             return self.alpha**-2
         return self.omega0
 
-    @cached_property
-    def _mode_phase(self) -> np.ndarray:
-        """e^{ikx} tables are not stored; this caches w_k for inner products."""
-        return np.full(self.grid.shape, self.grid.mode_weight)
-
-    def mode_inner(self, f, g) -> complex:
-        return complex(np.vdot(f, g) * self.grid.mode_weight)
-
-    def mode_norm_sq(self, f) -> float:
-        return float(np.sum(np.abs(f) ** 2) * self.grid.mode_weight)
-
     def displacement_profile(self, phi_values: np.ndarray) -> np.ndarray:
         """f(k) = v(k) rhohat(k) for the given orbital values."""
-        rho_hat = np.fft.fftn(np.abs(phi_values) ** 2) * self.grid.cell_volume
-        return self.form.values * rho_hat
+        return _density_displacement(np.abs(phi_values) ** 2, self.form)
 
     def potential_of_label(self, z: np.ndarray) -> np.ndarray:
         """V(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx} (real array)."""
@@ -156,7 +148,7 @@ class OscillatorRep:
         vdot_hat = scale * (-1j * cfg.frequency) * (z - zc)
         return cls(v_hat, vdot_hat)
 
-    def label(self, cfg: LPConfig) -> np.ndarray:
+    def label(self, cfg: LPConfig, t: float) -> np.ndarray:
         scale = (2.0 * np.pi) ** cfg.grid.dim * cfg.coupling * cfg.form.values
         c_hat = self.v_hat + 1j * self.vdot_hat / cfg.frequency
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,9 +226,7 @@ class LPState:
     a_phase: complex = 1.0 + 0.0j
 
     def label(self) -> np.ndarray:
-        if isinstance(self.rep, QuadratureRep):
-            return self.rep.label(self.cfg, self.t)
-        return self.rep.label(self.cfg)
+        return self.rep.label(self.cfg, self.t)
 
     def potential(self) -> np.ndarray:
         return self.rep.potential(self.cfg, self.t)
@@ -273,7 +263,7 @@ def initial_state(
         if v0dot is None:
             v0dot = np.zeros(cfg.grid.shape)
         osc = OscillatorRep.from_fields(cfg, v0, v0dot)
-        z0 = osc.label(cfg)
+        z0 = osc.label(cfg, 0.0)
     if rep in ("quadrature", "quad"):
         phonons = QuadratureRep.from_label(cfg, z0)
     elif rep in ("oscillator", "osc"):
@@ -295,18 +285,9 @@ def df_energy(state: LPState) -> float:
     )
     return (
         kinetic
-        + cfg.frequency * cfg.mode_norm_sq(z)
-        + cfg.coupling * 2.0 * cfg.mode_inner(z, f).real
+        + cfg.frequency * mode_norm_sq(cfg.grid, z)
+        + cfg.coupling * 2.0 * mode_inner(cfg.grid, z, f).real
     )
-
-
-def potential_from_phonons(state_or_rep, cfg: LPConfig | None = None, t: float | None = None):
-    """Position-space potential generated by the phonon representation."""
-    if isinstance(state_or_rep, LPState):
-        return WaveField(state_or_rep.cfg.grid, state_or_rep.potential())
-    if cfg is None or t is None:
-        raise ValueError("bare representations need cfg and t")
-    return WaveField(cfg.grid, state_or_rep.potential(cfg, t))
 
 
 def step(state: LPState, dt: float, gauge: str = "standard") -> LPState:
@@ -323,11 +304,7 @@ def step(state: LPState, dt: float, gauge: str = "standard") -> LPState:
 
     rep_mid = state.rep.stepped(cfg, state.t, dt / 2.0, f_before)
     t_mid = state.t + dt / 2.0
-    v_mid = (
-        rep_mid.potential(cfg, t_mid)
-        if isinstance(rep_mid, QuadratureRep)
-        else rep_mid.potential(cfg, t_mid)
-    )
+    v_mid = rep_mid.potential(cfg, t_mid)
 
     kick = np.exp(-0.5j * dt * v_mid)
     drift = np.exp(-1j * dt * grid.k_sq)
@@ -341,9 +318,9 @@ def step(state: LPState, dt: float, gauge: str = "standard") -> LPState:
     f_after = cfg.displacement_profile(phi_new)
     rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
 
-    z_mid = rep_mid.label(cfg, t_mid) if isinstance(rep_mid, QuadratureRep) else rep_mid.label(cfg)
+    z_mid = rep_mid.label(cfg, t_mid)
     f_mid = 0.5 * (f_before + f_after)
-    field_expectation = 2.0 * cfg.mode_inner(z_mid, f_mid).real
+    field_expectation = 2.0 * mode_inner(grid, z_mid, f_mid).real
     a_new = state.a_phase * np.exp(1j * dt * cfg.coupling * field_expectation)
 
     phi_field = WaveField(grid, phi_new)
@@ -362,11 +339,6 @@ def step(state: LPState, dt: float, gauge: str = "standard") -> LPState:
         raise ValueError(f"unknown gauge {gauge!r}")
 
     return LPState(cfg=cfg, t=state.t + dt, phi=phi_field, rep=rep_new, a_phase=complex(a_new))
-
-
-def phase_update(state: LPState, dt: float) -> complex:
-    """Global phase after one step (midpoint rule), |a| = 1 by construction."""
-    return step(state, dt).a_phase
 
 
 def evolve(state: LPState, t_final: float, dt: float, sample_interval: float | None = None):

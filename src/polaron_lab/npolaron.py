@@ -25,9 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConvergenceError, SizingError
-from .pekar import minimize_pekar
-from .spectral_core import FormFactor, Grid, WaveField
+from .errors import BlowUpError, SizingError
+from .pekar import _sphere_minimize, minimize_pekar
+from .spectral_core import (
+    FormFactor,
+    Grid,
+    WaveField,
+    _density_displacement,
+    _density_potential,
+    _fourier_multiply,
+    mode_norm_sq,
+)
 
 __all__ = [
     "PTConfig",
@@ -94,10 +102,6 @@ class PTEnergy:
         return -0.5 * self.hartree
 
 
-def _pair_axes(grid: Grid):
-    return tuple(range(2 * grid.dim))
-
-
 def _pair_kinetic_multiplier(grid: Grid) -> np.ndarray:
     d = grid.dim
     k1 = grid.k_sq.reshape(grid.shape + (1,) * d)
@@ -135,9 +139,30 @@ def _pair_norm(grid: Grid, pair: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(pair) ** 2) * grid.cell_volume**2))
 
 
-def _mean_field(grid: Grid, form: FormFactor, rho: np.ndarray) -> np.ndarray:
-    vhat = -form.kernel_multiplier * (np.fft.fftn(rho) * grid.cell_volume)
-    return (np.fft.ifftn(vhat) / grid.cell_volume).real
+def _pair_apply(pair: np.ndarray, cfg: PTConfig, ksq2: np.ndarray, kernel: np.ndarray) -> tuple:
+    """(PTEnergy, H pair) for a normalized pair state.
+
+    H = -Lap_1 - Lap_2 + kernel + V(x_1) + V(x_2) with ``kernel`` = U K(x_1 - x_2) and
+    V = -K * rho the mean field of the one-body density; the energy is
+    <pair, (-Lap_1 - Lap_2 + kernel) pair> - D(rho)/2, whose sphere gradient is H pair.
+    """
+    grid = cfg.grid
+    d = grid.dim
+    dv2 = grid.cell_volume**2
+    rho = _one_body_density(grid, pair)
+    v = _density_potential(rho, cfg.form)
+    v_sum = v.reshape(grid.shape + (1,) * d) + v.reshape((1,) * d + grid.shape)
+    kin = _fourier_multiply(pair, ksq2)
+    kinetic = float(np.real(np.vdot(pair, kin)) * dv2)
+    repulsion = float(np.sum(kernel * np.abs(pair) ** 2) * dv2)
+    hartree = float(-np.sum(rho * v) * grid.cell_volume)
+    energy = PTEnergy(
+        total=kinetic + repulsion - 0.5 * hartree,
+        kinetic=kinetic,
+        repulsion=repulsion,
+        hartree=hartree,
+    )
+    return energy, kin + (kernel + v_sum) * pair
 
 
 def pt_energy(candidate, cfg: PTConfig) -> PTEnergy:
@@ -156,7 +181,7 @@ def pt_energy(candidate, cfg: PTConfig) -> PTEnergy:
             np.sum(grid.k_sq * np.abs(spec) ** 2) * grid.mode_weight / (2 * np.pi) ** grid.dim
         )
         rho_orb = orbital.density()
-        v_orb = _mean_field(grid, form, rho_orb)
+        v_orb = _density_potential(rho_orb, form)
         d_orb = float(-np.sum(rho_orb * v_orb) * grid.cell_volume)
         kinetic = n * t_orb
         repulsion = 0.5 * n * (n - 1) * u * d_orb
@@ -167,26 +192,11 @@ def pt_energy(candidate, cfg: PTConfig) -> PTEnergy:
             repulsion=repulsion,
             hartree=hartree,
         )
-    pair = np.asarray(candidate, dtype=complex)
+    pair = np.asarray(candidate)
     if pair.shape != grid.shape + grid.shape:
         raise SizingError(f"pair state must have shape {grid.shape + grid.shape}")
-    nrm = _pair_norm(grid, pair)
-    pair = pair / nrm
-    dv2 = grid.cell_volume**2
-    spec = np.fft.fftn(pair)
-    ksq2 = _pair_kinetic_multiplier(grid)
-    kinetic = float(np.sum(ksq2 * np.abs(spec) ** 2) / np.sum(np.abs(spec) ** 2))
-    kernel = _pair_kernel(grid, cfg.form)
-    repulsion = float(u * np.sum(kernel * np.abs(pair) ** 2) * dv2)
-    rho = _one_body_density(grid, pair)
-    v = _mean_field(grid, form, rho)
-    hartree = float(-np.sum(rho * v) * grid.cell_volume)
-    return PTEnergy(
-        total=kinetic + repulsion - 0.5 * hartree,
-        kinetic=kinetic,
-        repulsion=repulsion,
-        hartree=hartree,
-    )
+    pair = pair / _pair_norm(grid, pair)
+    return _pair_apply(pair, cfg, _pair_kinetic_multiplier(grid), u * _pair_kernel(grid, form))[0]
 
 
 @dataclass(frozen=True)
@@ -240,9 +250,8 @@ def _minimize_product(cfg: PTConfig, tol: float, rng, e_single: float) -> PTSolu
     orbital = sol.phi0
     rho = n * orbital.density()
     en = pt_energy(orbital, cfg)
-    f = form.values * (np.fft.fftn(rho) * grid.cell_volume)
-    fsq = float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
-    mu = -fsq
+    f = _density_displacement(rho, form)
+    mu = -mode_norm_sq(grid, f)
     lam = en.total + mu
     # residual of the N-body stationarity through the orbital equation
     residual = sol.residual * n
@@ -260,88 +269,55 @@ def _minimize_product(cfg: PTConfig, tol: float, rng, e_single: float) -> PTSolu
     )
 
 
-def _minimize_pair(cfg: PTConfig, tol: float, max_iter: int, rng, e_single: float) -> PTSolution:
-    """Imaginary-time (preconditioned, monotone BB) minimization over the pair state."""
+def _minimize_pair(cfg: PTConfig, tol: float, max_iter: int, e_single: float) -> PTSolution:
+    """Minimization over the real, non-negative, exchange-symmetric pair state.
+
+    Same sphere minimizer as the single orbital, with the pair kinetic preconditioner.
+    """
     grid, form = cfg.grid, cfg.form
-    u_rep = cfg.repulsion
     d = grid.dim
-    dv = grid.cell_volume
     ksq2 = _pair_kinetic_multiplier(grid)
-    kernel = u_rep * _pair_kernel(grid, form)
-    axes = _pair_axes(grid)
+    kernel = cfg.repulsion * _pair_kernel(grid, form)
 
     mesh = np.meshgrid(*([grid.x_axis_centered] * d), indexing="ij")
     r2 = sum(c**2 for c in mesh)
     sigma = max(1.5, 3 * grid.dx)
     seed = np.exp(-r2 / (4 * sigma**2))
-    pair = np.multiply.outer(seed, seed).astype(complex)
+    pair = np.multiply.outer(seed, seed)
     pair /= _pair_norm(grid, pair)
 
     def evaluate(p):
-        rho = _one_body_density(grid, p)
-        v = _mean_field(grid, form, rho)
-        v_sum = v.reshape(grid.shape + (1,) * d) + v.reshape((1,) * d + grid.shape)
-        spec = np.fft.fftn(p)
-        kin = float(np.sum(ksq2 * np.abs(spec) ** 2)) * dv**2 / grid.size**2
-        rep = float(np.sum(kernel * np.abs(p) ** 2) * dv**2)
-        dval = float(-np.sum(rho * v) * dv)
-        energy = kin + rep - 0.5 * dval
-        hpsi = np.fft.ifftn(ksq2 * spec) + (kernel + v_sum) * p
-        return energy, hpsi
+        energy, hpair = _pair_apply(p, cfg, ksq2, kernel)
+        return energy.total, hpair
 
-    energy, hpsi = evaluate(pair)
-    tau = 0.4
-    prev_s = prev_y = None
-    residual = np.inf
-    shift0 = 0.5
-    for _ in range(max_iter):
-        lam2 = float(np.real(np.sum(np.conj(pair) * hpsi)) * dv**2)
-        grad = hpsi - lam2 * pair
-        residual = float(np.sqrt(np.sum(np.abs(grad) ** 2) * dv**2))
-        if residual < tol:
-            break
-        shift = max(abs(lam2), shift0)
-        direction = np.fft.ifftn(np.fft.fftn(grad) / (ksq2 + shift))
-        if prev_s is not None:
-            sy = float(np.real(np.sum(np.conj(prev_s) * prev_y)) * dv**2)
-            ss = float(np.real(np.sum(np.conj(prev_s) * prev_s)) * dv**2)
-            if sy > 1e-300:
-                tau = min(max(ss / sy, 1e-4), 50.0)
-        accepted = False
-        for _bt in range(40):
-            cand = np.abs(pair - tau * direction)
-            cand = 0.5 * (cand + _exchange(cand, d))  # enforce symmetry
-            cand /= _pair_norm(grid, cand)
-            e_new, h_new = evaluate(cand)
-            if e_new <= energy + 1e-15 * max(1.0, abs(energy)):
-                prev_s = cand - pair
-                pair = cand.astype(complex)
-                lam_new = float(np.real(np.sum(np.conj(pair) * h_new)) * dv**2)
-                prev_y = np.fft.ifftn(np.fft.fftn((h_new - lam_new * pair) - grad) / (ksq2 + shift))
-                energy, hpsi = e_new, h_new
-                accepted = True
-                break
-            tau *= 0.4
-        if not accepted:
-            raise ConvergenceError("pair line search collapsed", residual=residual)
-    else:
-        raise ConvergenceError(
-            f"pair minimization did not reach {tol} in {max_iter} iterations",
-            residual=residual,
-        )
+    def project(cand, it):
+        cand = np.abs(cand)
+        cand = 0.5 * (cand + _exchange(cand, d))
+        return cand / _pair_norm(grid, cand)
 
+    pair, residual, history = _sphere_minimize(
+        pair,
+        evaluate,
+        ksq2,
+        project,
+        weight=grid.cell_volume**2,
+        tol=tol,
+        max_iter=max_iter,
+        tau=0.4,
+        tau_max=50.0,
+        shift_floor=0.5,
+    )
+    energy = history[-1]
     rho = _one_body_density(grid, pair)
-    f = form.values * (np.fft.fftn(rho) * dv)
-    fsq = float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
-    mu = -fsq
-    lam2 = energy + mu
+    f = _density_displacement(rho, form)
+    mu = -mode_norm_sq(grid, f)
     return PTSolution(
         cfg=cfg,
         orbital=None,
         pair=pair,
         rho=rho,
         e_n=energy,
-        lam=lam2,
+        lam=energy + mu,
         mu=mu,
         f=f,
         residual=residual,
@@ -363,7 +339,7 @@ def minimize_pt(
         e_single = single_polaron_energy(cfg.grid, cfg.form, tol)
     if cfg.statistics == "boson_product":
         return _minimize_product(cfg, tol, rng, e_single)
-    return _minimize_pair(cfg, tol, max_iter, rng, e_single)
+    return _minimize_pair(cfg, tol, max_iter, e_single)
 
 
 def binding_scan(
@@ -408,20 +384,19 @@ class PairState:
         return self.alpha**-2
 
 
-def _pair_step(state: PairState, dt: float) -> PairState:
-    """Strang step for the pair NLS coupled to the exact phonon-mode rotation."""
+def _pair_step(state: PairState, dt: float, drift: np.ndarray, kernel: np.ndarray) -> PairState:
+    """Strang step for the pair NLS coupled to the exact phonon-mode rotation.
+
+    ``drift`` is exp(-i dt (k_1^2 + k_2^2)) and ``kernel`` is U K(x_1 - x_2) on the pair lattice.
+    """
     cfg = state.cfg
     grid = cfg.grid
     d = grid.dim
-    dv = grid.cell_volume
     lam_c, om = state.coupling, state.frequency
     form = cfg.form
-    ksq2 = _pair_kinetic_multiplier(grid)
-    kernel = cfg.repulsion * _pair_kernel(grid, form)
 
     def displacement(pair):
-        rho = _one_body_density(grid, pair)
-        return form.values * (np.fft.fftn(rho) * dv)
+        return _density_displacement(_one_body_density(grid, pair), form)
 
     def z_step(z, f, h):
         z_p = -(lam_c / om) * f
@@ -433,7 +408,7 @@ def _pair_step(state: PairState, dt: float) -> PairState:
     v_sum = v.reshape(grid.shape + (1,) * d) + v.reshape((1,) * d + grid.shape)
     kick = np.exp(-0.5j * dt * (v_sum + kernel))
     new_pair = kick * state.pair
-    new_pair = np.fft.ifftn(np.exp(-1j * dt * ksq2) * np.fft.fftn(new_pair))
+    new_pair = np.fft.ifftn(drift * np.fft.fftn(new_pair))
     new_pair = kick * new_pair
     if not np.all(np.isfinite(new_pair)):
         raise BlowUpError("pair state became non-finite", last_valid_time=state.t)
@@ -469,15 +444,15 @@ def dfn_evolve(
     pair0 = np.asarray(pair0, dtype=complex)
     pair0 = pair0 / _pair_norm(grid, pair0)
     if z0 is None:
-        rho = _one_body_density(grid, pair0)
-        f = cfg.form.values * (np.fft.fftn(rho) * grid.cell_volume)
-        z0 = -alpha * f
+        z0 = -alpha * _density_displacement(_one_body_density(grid, pair0), cfg.form)
     state = PairState(cfg=cfg, alpha=alpha, t=0.0, pair=pair0, z=np.asarray(z0, dtype=complex))
     n_steps = int(round(t_final / dt))
     stride = max(1, int(round((sample_interval or t_final) / dt)))
+    drift = np.exp(-1j * dt * _pair_kinetic_multiplier(grid))
+    kernel = cfg.repulsion * _pair_kernel(grid, cfg.form)
     samples = [state]
     for i in range(1, n_steps + 1):
-        state = _pair_step(state, dt)
+        state = _pair_step(state, dt, drift, kernel)
         if i % stride == 0 or i == n_steps:
             samples.append(state)
     return samples

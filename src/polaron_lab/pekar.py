@@ -34,6 +34,9 @@ from .spectral_core import (
     Grid,
     WaveField,
     _coulomb_form,
+    _density_displacement,
+    _density_potential,
+    _fourier_multiply,
     hartree_energy,
     kinetic_energy,
     mode_norm_sq,
@@ -75,25 +78,13 @@ def pekar_energy(phi: WaveField, g: float, form: FormFactor | None = None) -> Pe
     return PekarEnergy(total=t - g * d, kinetic=t, hartree=d, g=g)
 
 
-def _fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """ifft(multiplier * fft(values)) for a real multiplier even in k, as all of them here.
-
-    A real field takes the real transforms on the half spectrum, a complex one the full ones.
-    """
-    axes = tuple(range(values.ndim))
-    if np.iscomplexobj(values):
-        return np.fft.ifftn(multiplier * np.fft.fftn(values, axes=axes), axes=axes)
-    half = multiplier[..., : values.shape[-1] // 2 + 1]
-    return np.fft.irfftn(half * np.fft.rfftn(values, axes=axes), s=values.shape, axes=axes)
-
-
 def _mean_field_apply(values: np.ndarray, g: float, form: FormFactor, v=None) -> tuple:
     """(E, H_mf values, V) for H_mf = -Lap + 2 g V, V = -(K * |values|^2) unless ``v`` is given.
 
     E = <phi, -Lap phi> - g D(|phi|^2) is the energy functional at a normalized phi.
     """
     if v is None:
-        v = -_fourier_multiply(np.abs(values) ** 2, form.kernel_multiplier).real
+        v = _density_potential(np.abs(values) ** 2, form)
     kin = _fourier_multiply(values, form.grid.k_sq)
     dv = form.grid.cell_volume
     t = float(np.real(np.vdot(values, kin)) * dv)
@@ -112,8 +103,7 @@ def coherent_displacement(phi: WaveField, form: FormFactor | None = None) -> np.
     """Stationary phonon displacement profile f(k) = v(k) rhohat(k)."""
     if form is None:
         form = _coulomb_form(phi.grid, "isolated")
-    rho = WaveField(phi.grid, phi.density())
-    return form.values * rho.spectrum()
+    return _density_displacement(phi.density(), form)
 
 
 @dataclass(frozen=True)
@@ -186,6 +176,60 @@ def _spectral_gap(phi: WaveField, g: float, form: FormFactor, rng) -> tuple:
     return float(vals[0]), float(vals[1] - vals[0])
 
 
+def _sphere_minimize(
+    x, evaluate, k_sq, project, weight, tol, max_iter, tau, tau_max, shift_floor
+) -> tuple:
+    """Projected, preconditioned gradient descent on the unit sphere; returns (x, residual, history).
+
+    ``evaluate(x)`` returns (E(x), H x), where lam = <x, H x> makes H x - lam x the sphere
+    gradient; ``project(cand, it)`` maps a trial point at iteration ``it`` back onto the
+    admissible part of the sphere; ``weight`` is the cell measure of the inner products (dv,
+    or dv^2 for a pair state). The direction is preconditioned by 1/(k_sq + max(|lam|,
+    shift_floor)); the step starts at ``tau``, then takes the Barzilai-Borwein length
+    (Barzilai & Borwein, IMA J. Numer. Anal. 1988) capped at ``tau_max``, and backtracks
+    until the energy does not rise. Raises ConvergenceError when the line search collapses
+    or ``max_iter`` runs out.
+    """
+    energy, hx = evaluate(x)
+    history = [energy]
+    prev_step = prev_dgrad = None
+    residual = np.inf
+    for it in range(max_iter):
+        lam = float(np.vdot(x, hx) * weight)
+        grad = hx - lam * x
+        residual = float(np.sqrt(np.sum(grad**2) * weight))
+        if residual < tol:
+            return x, residual, history
+        shift = max(abs(lam), shift_floor)
+        inverse_kinetic = 1.0 / (k_sq + shift)
+        direction = _fourier_multiply(grad, inverse_kinetic)
+        if prev_step is not None:
+            sy = float(np.vdot(prev_step, prev_dgrad) * weight)
+            ss = float(np.vdot(prev_step, prev_step) * weight)
+            if sy > 1e-300:
+                tau = min(max(ss / sy, 1e-4), tau_max)
+        for _ in range(40):
+            cand = project(x - tau * direction, it)
+            e_new, h_new = evaluate(cand)
+            if e_new <= energy + 1e-15 * max(1.0, abs(energy)):
+                break
+            tau *= 0.4
+        else:
+            raise ConvergenceError(
+                "line search collapsed without reaching tolerance", residual=residual
+            )
+        prev_step = cand - x
+        x = cand
+        lam_new = float(np.vdot(x, h_new) * weight)
+        prev_dgrad = _fourier_multiply((h_new - lam_new * x) - grad, inverse_kinetic)
+        energy, hx = e_new, h_new
+        history.append(energy)
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations (residual {residual:.3e})",
+        residual=residual,
+    )
+
+
 def minimize_pekar(
     grid: Grid,
     g: float,
@@ -227,66 +271,29 @@ def minimize_pekar(
             flags=("free case",),
         )
 
-    phi = _gaussian_seed(grid, g, rng).values.real
-    ksq = grid.k_sq
     dv = grid.cell_volume
 
-    def precondition(vec, shift):
-        return _fourier_multiply(vec, 1.0 / (ksq + shift))
-
-    energy, hphi, _ = _mean_field_apply(phi, g, form)
-    history = [energy]
-    tau = 0.5 / max(g, 1.0)
-    prev_step = prev_dgrad = None
-    residual = np.inf
-    lam = 0.0
-
-    # Projected gradient flow on the sphere: imaginary-time direction,
-    # kinetic-preconditioned, Barzilai-Borwein step with a monotone safeguard.
-    for it in range(max_iter):
-        lam = float(np.vdot(phi, hphi) * dv)
-        grad = hphi - lam * phi
-        residual = float(np.sqrt(np.sum(grad**2) * dv))
-        if residual < tol:
-            break
-        shift = max(abs(lam), 0.05)
-        direction = precondition(grad, shift)
-        if prev_step is not None:
-            sy = float(np.vdot(prev_step, prev_dgrad) * dv)
-            ss = float(np.vdot(prev_step, prev_step) * dv)
-            if sy > 1e-300:
-                tau = min(max(ss / sy, 1e-4), 100.0)
-        accepted = False
-        for _ in range(40):
-            cand = phi - tau * direction
-            neg_mass = float(np.sqrt(np.sum(np.clip(cand, None, 0.0) ** 2)))
-            if it > 30 and neg_mass > 0.05 * float(np.sqrt(np.sum(cand**2))):
-                raise ProjectionError(
-                    "iterate developed persistent sign changes under positivity projection"
-                )
-            cand = np.abs(cand)  # ground state is positive; removes phase drift
-            cand /= np.sqrt(np.sum(cand**2) * dv)
-            e_new, h_new, _ = _mean_field_apply(cand, g, form)
-            if e_new <= energy + 1e-15 * max(1.0, abs(energy)):
-                prev_step = cand - phi
-                phi = cand
-                lam_new = float(np.vdot(phi, h_new) * dv)
-                prev_dgrad = precondition((h_new - lam_new * phi) - grad, shift)
-                energy, hphi = e_new, h_new
-                history.append(energy)
-                accepted = True
-                break
-            tau *= 0.4
-        if not accepted:
-            raise ConvergenceError(
-                "line search collapsed without reaching tolerance", residual=residual
+    def project(cand, it):
+        neg_mass = float(np.sqrt(np.sum(np.clip(cand, None, 0.0) ** 2)))
+        if it > 30 and neg_mass > 0.05 * float(np.sqrt(np.sum(cand**2))):
+            raise ProjectionError(
+                "iterate developed persistent sign changes under positivity projection"
             )
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {residual:.3e})",
-            residual=residual,
-        )
+        cand = np.abs(cand)  # ground state is positive; removes phase drift
+        return cand / np.sqrt(np.sum(cand**2) * dv)
 
+    phi, _, history = _sphere_minimize(
+        _gaussian_seed(grid, g, rng).values.real,
+        lambda x: _mean_field_apply(x, g, form)[:2],
+        grid.k_sq,
+        project,
+        weight=dv,
+        tol=tol,
+        max_iter=max_iter,
+        tau=0.5 / max(g, 1.0),
+        tau_max=100.0,
+        shift_floor=0.05,
+    )
     phi = _recenter(grid, phi)
     residual, lam = _residual(phi, g, form)
     phi = WaveField(grid, phi)

@@ -38,7 +38,6 @@ _SCHEMAS = {
         "T": (float, 10.0),
         "dt": (float, 1e-3),
         "rep": (str, "both"),
-        "observables": (str, "norm,energy,fidelity"),
         "sample_interval": (float, 0.1),
     },
     "fock": {
@@ -90,7 +89,6 @@ class RunConfig:
     params: dict
     seed: int = 0
     out_dir: Path | None = None
-    fmt: str = "csv"
 
 
 @dataclass
@@ -145,6 +143,14 @@ def validate_config(raw: dict) -> RunConfig:
                 f"parameter {key!r} must be one of {choices}, got {resolved.get(key)!r}",
                 keys=(key,),
             )
+    if scenario == "fock":
+        # a sweep needs t = 0 and at least one later sample to measure an error at
+        bad = [k for k, ok in (("samples", resolved["samples"] >= 2), ("T", resolved["T"] > 0)) if not ok]
+        if bad:
+            raise SchemaError(
+                f"sweep parameters out of range (need samples >= 2 and T > 0): {bad}",
+                keys=tuple(bad),
+            )
     seed = int(raw.get("seed", 0))
     out_dir = raw.get("out")
     return RunConfig(
@@ -152,7 +158,6 @@ def validate_config(raw: dict) -> RunConfig:
         params=resolved,
         seed=seed,
         out_dir=Path(out_dir) if out_dir else None,
-        fmt=str(raw.get("format", "csv")),
     )
 
 
@@ -372,23 +377,11 @@ def _run_fock(config: RunConfig, record: RunRecord):
             ["t", "alpha", "err"],
         )
         record.summary = {k: rep[k] for k in ("alphas", "sup_errors", "slope", "intercept", "r_squared", "leakage_max")}
-        record.summary["c_hat"] = rep.get("c_hat")
-        record.summary["bound_margin"] = rep.get("bound_margin")
-        record.summary["residuals"] = rep.get("residual_max", 0.0)
+        record.summary["c_hat"] = rep["c_hat"]
+        record.summary["bound_margin"] = rep["bound_margin"]
+        record.summary["residuals"] = rep["residual_max"]
     elif experiment == "theorem2":
-        basis = fs.FockBasis(base)
-        x = basis.x - basis.config.box_length / 2
-        phi0 = np.exp(-(x**2) / (2 * (basis.config.box_length / 8) ** 2)).astype(complex)
-        phi0 /= np.linalg.norm(phi0)
-        g = rng.standard_normal(len(base.mode_numbers)) + 1j * rng.standard_normal(
-            len(base.mode_numbers)
-        )
-        for i, j in enumerate(basis.conjugate_mode_index):
-            if j > i:
-                g[j] = np.conj(g[i])
-            elif j == i:
-                g[i] = g[i].real
-        g *= np.sqrt(4e-3 / basis.mode_norm_sq(g))
+        phi0, g = fs._coherent_initial_data(fs.FockBasis(base), rng)
         rep = fs.error_sweep_coherent(
             base, alphas, p["T"], phi0, g, dt=p["dt"], n_samples=p["samples"]
         )
@@ -437,7 +430,7 @@ def _sweep_parallel(single_alpha_fn, alphas):
     """Run per-alpha sweep points (optionally in a worker pool) and merge."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from .fock_sim import fit_loglog
+    from .fock_sim import _sweep_summary
 
     workers = min(max_workers(), len(alphas))
     if workers > 1:
@@ -445,37 +438,14 @@ def _sweep_parallel(single_alpha_fn, alphas):
             pieces = list(pool.map(single_alpha_fn, alphas))
     else:
         pieces = [single_alpha_fn(a) for a in alphas]
-    rows = []
-    sups = []
-    leak = 0.0
-    resid = 0.0
-    for piece in pieces:
-        rows.extend(piece["rows"])
-        sups.extend(piece["sup_errors"])
-        leak = max(leak, piece["leakage_max"])
-        resid = max(resid, piece.get("residual_max", 0.0))
-    rows.sort(key=lambda r: (r[1], r[0]))
-    slope, intercept, r2 = fit_loglog(alphas, sups) if len(alphas) > 1 else (0.0, 0.0, 1.0)
-    out = {
+    rows = sorted((r for piece in pieces for r in piece["rows"]), key=lambda r: (r[1], r[0]))
+    sups = [s for piece in pieces for s in piece["sup_errors"]]
+    return {
         "rows": rows,
-        "alphas": [float(a) for a in alphas],
-        "sup_errors": sups,
-        "slope": slope,
-        "intercept": intercept,
-        "r_squared": r2,
-        "leakage_max": leak,
-        "residual_max": resid,
+        **_sweep_summary(alphas, rows, sups),
+        "leakage_max": max(piece["leakage_max"] for piece in pieces),
+        "residual_max": max(piece["residual_max"] for piece in pieces),
     }
-    a0 = alphas[0]
-    base_rows = [r for r in rows if r[1] == a0 and r[0] > 0]
-    if base_rows:
-        c_hat = max(err * a0**2 / t for (t, _, err) in base_rows)
-        others = [r for r in rows if r[1] != a0 and r[0] > 0]
-        out["c_hat"] = float(c_hat)
-        out["bound_margin"] = (
-            float(min(c_hat * t / a**2 - err for (t, a, err) in others)) if others else 0.0
-        )
-    return out
 
 
 def _run_npolaron(config: RunConfig, record: RunRecord):

@@ -50,7 +50,6 @@ __all__ = [
     "cutoff_filter",
     "cv_constant",
     "kinetic_energy",
-    "apply_kinetic",
 ]
 
 
@@ -232,10 +231,6 @@ def mode_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
 
 
-def mode_sum_field(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Position-space values of sum_k w_k coeffs(k) e^{ikx} (a plain dk-integral)."""
-    return np.fft.ifftn(coeffs) * (grid.mode_weight * grid.size)
-
 
 @dataclass(frozen=True)
 class FormFactor:
@@ -330,12 +325,33 @@ def _coulomb_form(grid: Grid, kernel: str) -> FormFactor:
     raise UnsupportedKernelError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
 
 
+def _fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """ifft(multiplier * fft(values)) for a real multiplier even in k, as all of them here.
+
+    A real field takes the real transforms on the half spectrum, a complex one the full ones.
+    The transforms run over every axis, so a pair state on grid.shape * 2 takes a pair multiplier.
+    """
+    axes = tuple(range(values.ndim))
+    if np.iscomplexobj(values):
+        return np.fft.ifftn(multiplier * np.fft.fftn(values, axes=axes), axes=axes)
+    half = multiplier[..., : values.shape[-1] // 2 + 1]
+    return np.fft.irfftn(half * np.fft.rfftn(values, axes=axes), s=values.shape, axes=axes)
+
+
+def _density_potential(rho: np.ndarray, form: FormFactor) -> np.ndarray:
+    """V = -(K * rho) as a real array, for a real density array on ``form.grid``."""
+    return -_fourier_multiply(rho, form.kernel_multiplier).real
+
+
+def _density_displacement(rho: np.ndarray, form: FormFactor) -> np.ndarray:
+    """Phonon displacement f(k) = v(k) rhohat(k) of a density array on ``form.grid``."""
+    return form.values * (np.fft.fftn(rho) * form.grid.cell_volume)
+
+
 def kernel_potential(rho: WaveField, form: FormFactor) -> WaveField:
     """Attractive potential V = -(K * rho) for the kernel induced by ``form``."""
     rho.grid.require_same(form.grid)
-    vhat = -form.kernel_multiplier * rho.spectrum()
-    out = WaveField.from_spectrum(rho.grid, vhat)
-    return WaveField(rho.grid, out.values.real)
+    return WaveField(rho.grid, _density_potential(rho.values.real, form))
 
 
 def coulomb_potential(rho: WaveField, kernel: str = "periodic") -> WaveField:
@@ -448,7 +464,3 @@ def kinetic_energy(psi: WaveField) -> float:
         np.sum(g.k_sq * np.abs(spec) ** 2) * g.mode_weight / (2.0 * np.pi) ** g.dim
     )
 
-
-def apply_kinetic(psi: WaveField) -> WaveField:
-    """-Laplacian psi via the spectral multiplier k^2."""
-    return WaveField.from_spectrum(psi.grid, psi.grid.k_sq * psi.spectrum())

@@ -440,15 +440,7 @@ class TestSweeps:
             assert abs(errs[0] - errs[1]) < 1e-10
 
     def test_coherent_trend_and_separation(self, rng):
-        basis = fs.FockBasis(SWEEP)
-        x = basis.x - 1.0
-        phi0 = np.exp(-(x**2) / (2 * 0.25**2)).astype(complex)
-        phi0 /= np.linalg.norm(phi0)
-        g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        for i, j in enumerate(basis.conjugate_mode_index):
-            if j > i:
-                g[j] = np.conj(g[i])
-        g *= np.sqrt(4e-3 / basis.mode_norm_sq(g))
+        phi0, g = fs._coherent_initial_data(fs.FockBasis(SWEEP), rng)
         coh = fs.error_sweep_coherent(SWEEP, [1.0, 2.0, 4.0, 8.0], 5.0, phi0, g, dt=2e-3)
         stat = fs.error_sweep_stationary(SWEEP, [1.0, 2.0, 4.0, 8.0], 5.0, n_samples=51)
         assert coh["slope"] <= -0.8

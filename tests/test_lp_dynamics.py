@@ -108,7 +108,7 @@ class TestRepresentations:
         z = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         z = np.where(ring_cfg.form.values > 0, z, 0.0)
         osc = lp.OscillatorRep.from_label(ring_cfg, z)
-        assert np.max(np.abs(osc.label(ring_cfg) - z)) < 1e-12
+        assert np.max(np.abs(osc.label(ring_cfg, 0.0) - z)) < 1e-12
 
     def test_initial_data_rule_round_trip(self, ring_cfg, rng):
         z = 0.3 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
@@ -210,7 +210,7 @@ class TestIntegrator:
             lp.step(state, 1e-2)
 
     def test_phase_update_unit_modulus(self, ring_state):
-        a = lp.phase_update(ring_state, 1e-2)
+        a = lp.step(ring_state, 1e-2).a_phase
         assert abs(abs(a) - 1) < 1e-12
 
 

@@ -126,6 +126,18 @@ class TestMinimization:
         assert sol.rho.min() >= -1e-14
         assert sol.e_n == pytest.approx(sol.lam - sol.mu, rel=1e-12)
 
+    def test_pair_path_reduces_to_product_at_zero_repulsion(self, grid1d, form1d):
+        # at U = 0 the pair Hamiltonian is a sum of one-body terms, so the pair
+        # minimizer must land on u x u with u the product path's orbital: the
+        # two callers of the shared sphere minimizer agree
+        full = npl.minimize_pt(
+            npl.PTConfig(2, 0.0, grid1d, statistics="full_two_body", form=form1d), tol=1e-9
+        )
+        prod = npl.minimize_pt(npl.PTConfig(2, 0.0, grid1d, form=form1d), tol=1e-9)
+        assert full.e_n == pytest.approx(prod.e_n, rel=1e-10)
+        svals = np.linalg.svd(full.pair, compute_uv=False)
+        assert 1 - svals[0] ** 2 / np.sum(svals**2) < 1e-10
+
     def test_product_bound_below_by_full(self, pair_solution_1d):
         cfg, sol_full = pair_solution_1d
         prod = npl.minimize_pt(

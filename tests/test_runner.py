@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -164,6 +165,23 @@ class TestWorkerPool:
         assert a == b
         assert results[0].summary["slope"] == results[1].summary["slope"]
 
+    def test_single_alpha_fit_matches_fit_loglog(self):
+        # a one-point sweep has no slope; its intercept is log(sup err), as fit_loglog says
+        cfg = runner.validate_config(
+            {
+                "scenario": "fock",
+                "params": {
+                    "sites": 8, "box": 2.0, "modes": 2, "nmax": 3, "v0": 3e-3,
+                    "alpha_grid": "2", "T": 0.5, "samples": 4, "experiment": "theorem1",
+                },
+            }
+        )
+        summary = runner.run(cfg).summary
+        assert (summary["slope"], summary["intercept"], summary["r_squared"]) == (
+            fock_sim.fit_loglog([2.0], summary["sup_errors"])
+        )
+        assert summary["intercept"] == pytest.approx(math.log(summary["sup_errors"][0]))
+
     def test_theorem2_scenario_summary_keys(self, tmp_path):
         cfg = runner.validate_config(
             {
@@ -276,6 +294,24 @@ class TestCli:
             ops = fock_sim.assemble(base.with_alpha(row["alpha"]))
             dense = dense_weighted_resolvent_norm(ops, fock_sim.discrete_pekar(ops))
             assert row["norm"] == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("experiment", ["theorem1", "theorem2"])
+    @pytest.mark.parametrize("key, value", [("samples", "1"), ("T", "0")])
+    def test_sweep_without_a_later_sample_is_a_schema_error(
+        self, tmp_path, capsys, experiment, key, value
+    ):
+        # one sample, or T = 0, leaves no t > 0 point to measure an error at
+        params = {"--T": "0.5", "--samples": "4", f"--{key}": value}
+        code = cli_main(
+            [
+                "fock",
+                "--sites", "8", "--box", "2.0", "--modes", "2", "--nmax", "2",
+                "--alpha-grid", "1,2", "--experiment", experiment, "--out", str(tmp_path),
+                *[item for pair in params.items() for item in pair],
+            ]
+        )
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
 
     def test_projectors_verb(self, tmp_path):
         code = cli_main(
