@@ -40,6 +40,7 @@ from .spectral_core import (
     Grid,
     WaveField,
     _density_displacement,
+    kinetic_energy,
     mode_inner,
     mode_norm_sq,
 )
@@ -278,19 +279,48 @@ def df_energy(state: LPState) -> float:
     cfg = state.cfg
     z = state.label()
     f = state.displacement()
-    kinetic = float(
-        np.sum(cfg.grid.k_sq * np.abs(state.phi.spectrum()) ** 2)
-        * cfg.grid.mode_weight
-        / (2.0 * np.pi) ** cfg.grid.dim
-    )
     return (
-        kinetic
+        kinetic_energy(state.phi)
         + cfg.frequency * mode_norm_sq(cfg.grid, z)
         + cfg.coupling * 2.0 * mode_inner(cfg.grid, z, f).real
     )
 
 
-def step(state: LPState, dt: float, gauge: str = "standard") -> LPState:
+def _strang_step(cfg: LPConfig, rep, t, values, a_phase, dt, drift, displacement, lift):
+    """Phonon half step, kick-drift-kick, phonon half step, then the phase update.
+
+    The one splitting behind both the one-electron flow (``step``) and the pair
+    flow (``npolaron.dfn_evolve``). ``values`` is the electron field on its own
+    lattice, ``drift`` the kinetic multiplier exp(-i dt k^2) there,
+    ``displacement`` maps values to f(k), and ``lift`` carries the one-body
+    potential onto the field's lattice. Returns (values, rep, a_phase) at t + dt.
+    """
+    f_before = displacement(values)
+    rep_mid = rep.stepped(cfg, t, dt / 2.0, f_before)
+    t_mid = t + dt / 2.0
+    kick = np.exp(-0.5j * dt * lift(rep_mid.potential(cfg, t_mid)))
+    new = kick * values
+    new = np.fft.ifftn(drift * np.fft.fftn(new))
+    # kept apart from the transform: numpy would multiply into the ifftn temporary in
+    # place, which swaps the complex product's operands and changes its rounding
+    new = kick * new
+    if not np.all(np.isfinite(new)):
+        raise BlowUpError("electron field became non-finite", last_valid_time=t)
+
+    f_after = displacement(new)
+    rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
+    z_mid = rep_mid.label(cfg, t_mid)
+    field_expectation = 2.0 * mode_inner(cfg.grid, z_mid, 0.5 * (f_before + f_after)).real
+    a_new = a_phase * np.exp(1j * dt * cfg.coupling * field_expectation)
+    return new, rep_new, complex(a_new)
+
+
+def _one_body(v: np.ndarray) -> np.ndarray:
+    """The one-electron lift: the potential already lives on the field's lattice."""
+    return v
+
+
+def step(state: LPState, dt: float) -> LPState:
     """One symmetric step: phonon half, electron kick-drift-kick, phonon half.
 
     Second order in dt, exactly time-reversible (step(step(s, dt), -dt) == s),
@@ -298,62 +328,40 @@ def step(state: LPState, dt: float, gauge: str = "standard") -> LPState:
     driven-oscillator solution.
     """
     cfg = state.cfg
-    grid = cfg.grid
-    phi = state.phi.values
-    f_before = cfg.displacement_profile(phi)
+    drift = np.exp(-1j * dt * cfg.grid.k_sq)
+    phi, rep, a_phase = _strang_step(
+        cfg, state.rep, state.t, state.phi.values, state.a_phase, dt,
+        drift, cfg.displacement_profile, _one_body,
+    )
+    return LPState(cfg=cfg, t=state.t + dt, phi=WaveField(cfg.grid, phi), rep=rep, a_phase=a_phase)
 
-    rep_mid = state.rep.stepped(cfg, state.t, dt / 2.0, f_before)
-    t_mid = state.t + dt / 2.0
-    v_mid = rep_mid.potential(cfg, t_mid)
 
-    kick = np.exp(-0.5j * dt * v_mid)
-    drift = np.exp(-1j * dt * grid.k_sq)
-    phi_new = kick * phi
-    phi_new = np.fft.ifftn(drift * np.fft.fftn(phi_new))
-    phi_new = kick * phi_new
+def _step_count(t: float, t_final: float, dt: float) -> int:
+    """Number of dt steps from t to t_final; ValueError unless a whole number >= 0."""
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
+    n_steps = int(round((t_final - t) / dt))
+    if n_steps < 0:
+        raise ValueError(f"t_final {t_final} lies behind t {t} in the direction of dt {dt}")
+    if not abs(t + n_steps * dt - t_final) <= 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError("t_final must be an integer number of steps away")
+    return n_steps
 
-    if not np.all(np.isfinite(phi_new)):
-        raise BlowUpError("electron field became non-finite", last_valid_time=state.t)
 
-    f_after = cfg.displacement_profile(phi_new)
-    rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
-
-    z_mid = rep_mid.label(cfg, t_mid)
-    f_mid = 0.5 * (f_before + f_after)
-    field_expectation = 2.0 * mode_inner(grid, z_mid, f_mid).real
-    a_new = state.a_phase * np.exp(1j * dt * cfg.coupling * field_expectation)
-
-    phi_field = WaveField(grid, phi_new)
-    if gauge == "subtract_mean":
-        # remove the instantaneous mean-field level from phi, compensate in a;
-        # the physical product a * phi x eta is gauge invariant
-        spec = phi_field.spectrum()
-        t_kin = float(
-            np.sum(grid.k_sq * np.abs(spec) ** 2) * grid.mode_weight / (2 * np.pi) ** grid.dim
-        )
-        lam_mid = t_kin + float(np.sum(np.abs(phi_new) ** 2 * v_mid) * grid.cell_volume)
-        theta = dt * lam_mid
-        phi_field = WaveField(grid, np.exp(1j * theta) * phi_new)
-        a_new = a_new * np.exp(-1j * theta)
-    elif gauge != "standard":
-        raise ValueError(f"unknown gauge {gauge!r}")
-
-    return LPState(cfg=cfg, t=state.t + dt, phi=phi_field, rep=rep_new, a_phase=complex(a_new))
+def _march(state, t_final: float, dt: float, advance, sample_interval: float | None = None):
+    """Yield ``state``, then every sampled ``advance(state, dt)`` up to t_final (always the last)."""
+    n_steps = _step_count(state.t, t_final, dt)
+    stride = max(1, int(round((sample_interval or t_final) / dt)))
+    yield state
+    for i in range(1, n_steps + 1):
+        state = advance(state, dt)
+        if i % stride == 0 or i == n_steps:
+            yield state
 
 
 def evolve(state: LPState, t_final: float, dt: float, sample_interval: float | None = None):
     """March to t_final, returning sampled states (always includes first/last)."""
-    samples = [state]
-    n_steps = int(round((t_final - state.t) / dt))
-    if abs(state.t + n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be an integer number of steps away")
-    stride = max(1, int(round((sample_interval or t_final) / dt)))
-    current = state
-    for i in range(1, n_steps + 1):
-        current = step(current, dt)
-        if i % stride == 0 or i == n_steps:
-            samples.append(current)
-    return samples
+    return list(_march(state, t_final, dt, step, sample_interval))
 
 
 def df_error_integral(states, defect) -> float:

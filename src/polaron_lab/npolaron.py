@@ -21,11 +21,12 @@ Identities carried by a solution: f(k) = v(k) rhohat(k), mu = -||f||^2 =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlowUpError, SizingError
+from .errors import SizingError
+from .lp_dynamics import LPConfig, QuadratureRep, _march, _strang_step, stationary_label
 from .pekar import _sphere_minimize, minimize_pekar
 from .spectral_core import (
     FormFactor,
@@ -34,6 +35,7 @@ from .spectral_core import (
     _density_displacement,
     _density_potential,
     _fourier_multiply,
+    kinetic_energy,
     mode_norm_sq,
 )
 
@@ -176,10 +178,7 @@ def pt_energy(candidate, cfg: PTConfig) -> PTEnergy:
     n, u = cfg.n_particles, cfg.repulsion
     if isinstance(candidate, WaveField):
         orbital = candidate.normalized()
-        spec = orbital.spectrum()
-        t_orb = float(
-            np.sum(grid.k_sq * np.abs(spec) ** 2) * grid.mode_weight / (2 * np.pi) ** grid.dim
-        )
+        t_orb = kinetic_energy(orbital)
         rho_orb = orbital.density()
         v_orb = _density_potential(rho_orb, form)
         d_orb = float(-np.sum(rho_orb * v_orb) * grid.cell_volume)
@@ -366,62 +365,34 @@ def binding_scan(
 
 @dataclass(frozen=True)
 class PairState:
-    """Two-electron state coupled to the phonon label (strong-coupling units)."""
+    """Two-electron state coupled to the phonon field (strong-coupling units).
+
+    ``phonons`` is the one-body LPConfig the phonon representation ``rep``
+    lives on; its (lam_c, omega) are (1/alpha, 1/alpha^2).
+    """
 
     cfg: PTConfig
-    alpha: float
+    phonons: LPConfig
     t: float
     pair: np.ndarray
-    z: np.ndarray
+    rep: QuadratureRep
     a_phase: complex = 1.0 + 0.0j
 
     @property
+    def alpha(self) -> float:
+        return self.phonons.alpha
+
+    @property
     def coupling(self) -> float:
-        return 1.0 / self.alpha
+        return self.phonons.coupling
 
     @property
     def frequency(self) -> float:
-        return self.alpha**-2
+        return self.phonons.frequency
 
-
-def _pair_step(state: PairState, dt: float, drift: np.ndarray, kernel: np.ndarray) -> PairState:
-    """Strang step for the pair NLS coupled to the exact phonon-mode rotation.
-
-    ``drift`` is exp(-i dt (k_1^2 + k_2^2)) and ``kernel`` is U K(x_1 - x_2) on the pair lattice.
-    """
-    cfg = state.cfg
-    grid = cfg.grid
-    d = grid.dim
-    lam_c, om = state.coupling, state.frequency
-    form = cfg.form
-
-    def displacement(pair):
-        return _density_displacement(_one_body_density(grid, pair), form)
-
-    def z_step(z, f, h):
-        z_p = -(lam_c / om) * f
-        return z_p + np.exp(-1j * om * h) * (z - z_p)
-
-    f0 = displacement(state.pair)
-    z_mid = z_step(state.z, f0, dt / 2)
-    v = 2.0 * lam_c * (np.fft.ifftn(form.values * z_mid) * grid.mode_weight * grid.size).real
-    v_sum = v.reshape(grid.shape + (1,) * d) + v.reshape((1,) * d + grid.shape)
-    kick = np.exp(-0.5j * dt * (v_sum + kernel))
-    new_pair = kick * state.pair
-    new_pair = np.fft.ifftn(drift * np.fft.fftn(new_pair))
-    new_pair = kick * new_pair
-    if not np.all(np.isfinite(new_pair)):
-        raise BlowUpError("pair state became non-finite", last_valid_time=state.t)
-    f1 = displacement(new_pair)
-    z_new = z_step(z_mid, f1, dt / 2)
-    f_mid = 0.5 * (f0 + f1)
-    expectation = 2.0 * float(
-        np.real(np.vdot(z_mid, f_mid)) * grid.mode_weight
-    )
-    a_new = state.a_phase * np.exp(1j * dt * lam_c * expectation)
-    return PairState(
-        cfg=cfg, alpha=state.alpha, t=state.t + dt, pair=new_pair, z=z_new, a_phase=complex(a_new)
-    )
+    @property
+    def z(self) -> np.ndarray:
+        return self.rep.label(self.phonons, self.t)
 
 
 def dfn_evolve(
@@ -435,24 +406,35 @@ def dfn_evolve(
 ):
     """Evolve the two-electron product-state dynamics; returns sampled PairStates.
 
+    The pair runs the one-electron Strang step with the pair drift, the
+    one-body-density displacement and the lift V -> V x 1 + 1 x V + U K(x_1 - x_2).
     Defaults to the stationary phonon data z = -alpha f(pair0) when z0 is not
     given, so a converged minimizer is a fixed point up to integrator error.
     """
     if cfg.statistics != "full_two_body":
         raise SizingError("dfn_evolve runs on the full_two_body configuration")
-    grid = cfg.grid
+    grid, form = cfg.grid, cfg.form
+    d = grid.dim
+    phonons = LPConfig(grid, form, alpha)
     pair0 = np.asarray(pair0, dtype=complex)
     pair0 = pair0 / _pair_norm(grid, pair0)
+
+    def displacement(pair):
+        return _density_displacement(_one_body_density(grid, pair), form)
+
     if z0 is None:
-        z0 = -alpha * _density_displacement(_one_body_density(grid, pair0), cfg.form)
-    state = PairState(cfg=cfg, alpha=alpha, t=0.0, pair=pair0, z=np.asarray(z0, dtype=complex))
-    n_steps = int(round(t_final / dt))
-    stride = max(1, int(round((sample_interval or t_final) / dt)))
+        z0 = stationary_label(phonons, displacement(pair0))
     drift = np.exp(-1j * dt * _pair_kinetic_multiplier(grid))
-    kernel = cfg.repulsion * _pair_kernel(grid, cfg.form)
-    samples = [state]
-    for i in range(1, n_steps + 1):
-        state = _pair_step(state, dt, drift, kernel)
-        if i % stride == 0 or i == n_steps:
-            samples.append(state)
-    return samples
+    kernel = cfg.repulsion * _pair_kernel(grid, form)
+
+    def lift(v):
+        return v.reshape(grid.shape + (1,) * d) + v.reshape((1,) * d + grid.shape) + kernel
+
+    def advance(state, dt):
+        pair, rep, a_phase = _strang_step(
+            phonons, state.rep, state.t, state.pair, state.a_phase, dt, drift, displacement, lift
+        )
+        return replace(state, t=state.t + dt, pair=pair, rep=rep, a_phase=a_phase)
+
+    state = PairState(cfg, phonons, 0.0, pair0, QuadratureRep.from_label(phonons, z0))
+    return list(_march(state, t_final, dt, advance, sample_interval))

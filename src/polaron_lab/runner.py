@@ -143,6 +143,15 @@ def validate_config(raw: dict) -> RunConfig:
                 f"parameter {key!r} must be one of {choices}, got {resolved.get(key)!r}",
                 keys=(key,),
             )
+    if scenario == "lp-evolve":
+        from .lp_dynamics import _step_count
+
+        try:
+            _step_count(0.0, resolved["T"], resolved["dt"])
+        except ValueError as exc:
+            raise SchemaError(
+                f"'T' and 'dt' must give T = n dt with a whole n >= 0: {exc}", keys=("T", "dt")
+            ) from None
     if scenario == "fock":
         # a sweep needs t = 0 and at least one later sample to measure an error at
         bad = [k for k, ok in (("samples", resolved["samples"] >= 2), ("T", resolved["T"] > 0)) if not ok]
@@ -284,43 +293,33 @@ def _run_lp_evolve(config: RunConfig, record: RunRecord):
     cfg = lp.LPConfig(sol.phi0.grid, sol.form, alpha=p["alpha"])
     z0 = lp.stationary_label(cfg, sol.f)
     reps = {"both": ("quadrature", "oscillator")}.get(p["rep"], (p["rep"],))
-    states = {
-        rep: lp.initial_state(cfg, sol.phi0, z0=z0, rep=rep) for rep in reps
-    }
-    dt = p["dt"]
-    n_steps = int(round(p["T"] / dt))
-    stride = max(1, int(round(p["sample_interval"] / dt)))
-    rows = []
-    e0 = lp.df_energy(next(iter(states.values())))
     phi_ref = sol.phi0.values
 
-    def sample(step_index):
-        primary = states[reps[0]]
-        t = primary.t
+    def observe(primary, *other):
         overlap = complex(
             np.vdot(primary.phi.values, phi_ref) * cfg.grid.cell_volume
         )
         rep_gap = 0.0
-        if len(states) == 2:
-            a, b = (states[r] for r in reps)
-            rep_gap = float(np.max(np.abs(a.potential() - b.potential())))
-        rows.append(
-            {
-                "t": t,
-                "norm_defect": abs(primary.phi.norm() - 1.0),
-                "energy": lp.df_energy(primary),
-                "infidelity": 1.0 - abs(overlap),
-                "phase_arg": float(np.angle(primary.a_phase)),
-                "rep_gap": rep_gap,
-            }
-        )
+        for b in other:
+            rep_gap = float(np.max(np.abs(primary.potential() - b.potential())))
+        return {
+            "t": primary.t,
+            "norm_defect": abs(primary.phi.norm() - 1.0),
+            "energy": lp.df_energy(primary),
+            "infidelity": 1.0 - abs(overlap),
+            "phase_arg": float(np.angle(primary.a_phase)),
+            "rep_gap": rep_gap,
+        }
 
-    sample(0)
-    for i in range(1, n_steps + 1):
-        for rep in reps:
-            states[rep] = lp.step(states[rep], dt)
-        if i % stride == 0 or i == n_steps:
-            sample(i)
+    marches = [
+        lp._march(lp.initial_state(cfg, sol.phi0, z0=z0, rep=rep), p["T"], p["dt"], lp.step,
+                  p["sample_interval"])
+        for rep in reps
+    ]
+    # map, not a loop over zip: zip keeps the last sampled states alive while the
+    # marches step on, map releases them once observed
+    rows = list(map(observe, *marches))
+    e0 = rows[0]["energy"]
     record.tables["observables"] = (
         rows,
         ["t", "norm_defect", "energy", "infidelity", "phase_arg", "rep_gap"],

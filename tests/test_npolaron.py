@@ -2,10 +2,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaron_lab.cli import main as cli_main
 from polaron_lab.errors import SizingError
 from polaron_lab.spectral_core import FormFactor, Grid, WaveField
+from polaron_lab import lp_dynamics as lp
 from polaron_lab import npolaron as npl
 from polaron_lab.pekar import minimize_pekar
 
@@ -205,6 +208,62 @@ class TestDynamics:
         # product test via the Schmidt rank: top singular value carries all weight
         svals = np.linalg.svd(final, compute_uv=False)
         assert 1 - svals[0] ** 2 / np.sum(svals**2) < 1e-6
+
+    def test_zero_repulsion_is_tensor_square_of_one_electron_flow(self, grid1d, form1d, rng):
+        # at U = 0 the pair from u x u with label z0 carries the one-electron flow
+        # with form sqrt(2) v and label z0 / sqrt(2): f_pair = sqrt(2) f_single and
+        # both see one potential, so pair = u(t) x u(t), z = sqrt(2) z_single, a = a_single^2
+        u = WaveField(
+            grid1d, np.exp(-grid1d.x_axis_centered**2 / 6 + 0.3j * grid1d.x_axis_centered)
+        ).normalized()
+        z0 = 0.2 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        cfg = npl.PTConfig(2, 0.0, grid1d, statistics="full_two_body", form=form1d)
+        root2 = FormFactor(
+            grid1d, np.sqrt(2.0) * form1d.values, cutoff=form1d.cutoff, variant=form1d.variant
+        )
+        single_cfg = lp.LPConfig(grid1d, root2, alpha=2.0)
+        for t_final, dt in ((1.0, 1e-3), (2.0, 1e-2)):
+            pair = npl.dfn_evolve(
+                cfg, np.multiply.outer(u.values, u.values), 2.0, t_final, dt, z0=z0
+            )[-1]
+            single = lp.evolve(lp.initial_state(single_cfg, u, z0=z0 / np.sqrt(2.0)), t_final, dt)[-1]
+            phi = single.phi.values
+            assert np.max(np.abs(pair.pair - np.multiply.outer(phi, phi))) < 1e-12
+            assert np.max(np.abs(pair.z - np.sqrt(2.0) * single.label())) < 1e-12
+            assert abs(pair.a_phase - single.a_phase**2) < 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([4, 8, 16]),
+        st.floats(4.0, 16.0),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 1.0),
+        st.floats(0.5, 4.0),
+        st.floats(1e-3, 5e-2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_step_back_is_inverse_and_keeps_norm(self, n, box, v0, repulsion, alpha, dt, seed):
+        grid = Grid(1, n, box)
+        form = FormFactor.toy(grid, v0, cutoff=6.0)
+        cfg = npl.PTConfig(2, repulsion, grid, statistics="full_two_body", form=form)
+        rng = np.random.default_rng(seed)
+        pair0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        pair0 = (pair0 + pair0.T) / npl._pair_norm(grid, pair0 + pair0.T)
+        z0 = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        forward = npl.dfn_evolve(cfg, pair0, alpha, dt, dt, z0=z0)[-1]
+        # the flow is autonomous: restarting at t = 0 from the stepped pair and label
+        # and stepping -dt is the backward step
+        back = npl.dfn_evolve(cfg, forward.pair, alpha, -dt, -dt, z0=forward.z)[-1]
+        assert abs(npl._pair_norm(grid, forward.pair) - 1.0) < 1e-12
+        assert np.max(np.abs(back.pair - pair0)) < 1e-10
+        assert np.max(np.abs(back.z - z0)) < 1e-10
+        assert abs(forward.a_phase * back.a_phase - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("t_final, dt", [(1.0005, 1e-3), (1.0, 0.0), (-1.0, 1e-3)])
+    def test_rejects_step_counts_that_miss_t_final(self, pair_solution_1d, t_final, dt):
+        cfg, sol = pair_solution_1d
+        with pytest.raises(ValueError):
+            npl.dfn_evolve(cfg, sol.pair, alpha=2.0, t_final=t_final, dt=dt)
 
     def test_energy_conserved(self, pair_solution_1d, rng):
         cfg, sol = pair_solution_1d

@@ -2,10 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from polaron_lab.errors import ConvergenceError, SchemaError
-from polaron_lab import fock_sim, pekar, runner
+from polaron_lab import fock_sim, lp_dynamics as lp, pekar, runner
 from polaron_lab.cli import main as cli_main
 
 from oracles import dense_weighted_resolvent_norm
@@ -32,6 +33,15 @@ class TestValidation:
         cfg = runner.validate_config({"scenario": "pekar", "params": {"grid": "32"}})
         assert cfg.params["grid"] == 32
         assert cfg.params["box"] == 16.0
+
+    def test_lp_evolve_step_lattice(self):
+        params = {"init": "ground/pekar.json", "T": 0.1, "dt": 1e-3}
+        assert runner.validate_config({"scenario": "lp-evolve", "params": params}).params["T"] == 0.1
+        with pytest.raises(SchemaError) as err:
+            runner.validate_config(
+                {"scenario": "lp-evolve", "params": {**params, "T": 1.0005}}
+            )
+        assert err.value.keys == ("T", "dt")
 
     def test_choice_enforcement(self):
         with pytest.raises(SchemaError) as err:
@@ -248,6 +258,30 @@ class TestPlotData:
             runner.emit_plotdata(record, tmp_path)
 
 
+class TestLpEvolve:
+    def test_rows_are_the_evolve_samples_of_both_representations(
+        self, tmp_path, pekar_rescaled_small
+    ):
+        pekar.save_solution(tmp_path, pekar_rescaled_small)
+        params = {"init": str(tmp_path / "pekar.json"), "alpha": 2.0, "T": 0.02, "dt": 1e-3,
+                  "sample_interval": 0.01}
+        record = runner.run(runner.validate_config({"scenario": "lp-evolve", "params": params}))
+        rows = record.tables["observables"][0]
+        sol = pekar.load_solution(tmp_path)
+        cfg = lp.LPConfig(sol.phi0.grid, sol.form, alpha=2.0)
+        z0 = lp.stationary_label(cfg, sol.f)
+        quad, osc = (
+            lp.evolve(lp.initial_state(cfg, sol.phi0, z0=z0, rep=rep), 0.02, 1e-3, 0.01)
+            for rep in ("quadrature", "oscillator")
+        )
+        assert len(rows) == len(quad) == 3
+        for row, a, b in zip(rows, quad, osc):
+            assert row["t"] == a.t
+            assert row["energy"] == lp.df_energy(a)
+            assert row["rep_gap"] == float(np.max(np.abs(a.potential() - b.potential())))
+        assert record.passed
+
+
 class TestCli:
     def test_schema_error_exit_code(self, capsys):
         assert cli_main(["fock", "--modes", "3", "--out", "/tmp/x"]) == 2
@@ -312,6 +346,24 @@ class TestCli:
         )
         assert code == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--dt", "0"], ["--dt=-1e-2"], ["--T", "-1"], ["--T", "0.0105", "--dt", "1e-3"]]
+    )
+    def test_lp_evolve_steps_that_miss_T_are_a_schema_error(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        # dt = 0, steps away from T, or T off the step lattice: refused before any set-up
+        def load_forbidden(*args, **kwargs):
+            raise AssertionError("ground state loaded before T and dt were checked")
+
+        monkeypatch.setattr(pekar, "load_solution", load_forbidden)
+        code = cli_main(
+            ["lp-evolve", "--init", str(tmp_path / "pekar.json"), *flags, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'T'" in err and "'dt'" in err
 
     def test_projectors_verb(self, tmp_path):
         code = cli_main(
