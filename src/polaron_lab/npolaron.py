@@ -21,7 +21,7 @@ Identities carried by a solution: f(k) = v(k) rhohat(k), mu = -||f||^2 =
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -377,6 +377,17 @@ class PairState:
     pair: np.ndarray
     rep: QuadratureRep
     a_phase: complex = 1.0 + 0.0j
+    # f = v rhohat of the pair's one-body density: handed on by the step that made
+    # the pair, computed from it otherwise
+    _f: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        f = _pair_displacement(self.cfg, self.pair) if self._f is None else self._f
+        f.flags.writeable = False
+        object.__setattr__(self, "_f", f)
+
+    def displacement(self) -> np.ndarray:
+        return self._f
 
     @property
     def alpha(self) -> float:
@@ -393,6 +404,11 @@ class PairState:
     @property
     def z(self) -> np.ndarray:
         return self.rep.label(self.phonons, self.t)
+
+
+def _pair_displacement(cfg: PTConfig, pair: np.ndarray) -> np.ndarray:
+    """f = v rhohat of the pair's one-body density."""
+    return _density_displacement(_one_body_density(cfg.grid, pair), cfg.form)
 
 
 def dfn_evolve(
@@ -418,23 +434,24 @@ def dfn_evolve(
     phonons = LPConfig(grid, form, alpha)
     pair0 = np.asarray(pair0, dtype=complex)
     pair0 = pair0 / _pair_norm(grid, pair0)
-
-    def displacement(pair):
-        return _density_displacement(_one_body_density(grid, pair), form)
-
+    f0 = _pair_displacement(cfg, pair0)
     if z0 is None:
-        z0 = stationary_label(phonons, displacement(pair0))
+        z0 = stationary_label(phonons, f0)
     drift = np.exp(-1j * dt * _pair_kinetic_multiplier(grid))
     kernel = cfg.repulsion * _pair_kernel(grid, form)
 
     def lift(v):
         return v.reshape(grid.shape + (1,) * d) + v.reshape((1,) * d + grid.shape) + kernel
 
-    def advance(state, dt):
-        pair, rep, a_phase = _strang_step(
-            phonons, state.rep, state.t, state.pair, state.a_phase, dt, drift, displacement, lift
-        )
-        return replace(state, t=state.t + dt, pair=pair, rep=rep, a_phase=a_phase)
+    def displacement(pair):
+        return _pair_displacement(cfg, pair)
 
-    state = PairState(cfg, phonons, 0.0, pair0, QuadratureRep.from_label(phonons, z0))
+    def advance(state, dt):
+        pair, rep, a_phase, f = _strang_step(
+            phonons, state.rep, state.t, state.pair, state.displacement(), state.a_phase, dt,
+            drift, displacement, lift,
+        )
+        return replace(state, t=state.t + dt, pair=pair, rep=rep, a_phase=a_phase, _f=f)
+
+    state = PairState(cfg, phonons, 0.0, pair0, QuadratureRep.from_label(phonons, z0), _f=f0)
     return list(_march(state, t_final, dt, advance, sample_interval))

@@ -1,9 +1,10 @@
 """Reproducible experiment orchestration: config validation, dispatch, persistence.
 
-Every run writes a manifest (config echo, code version, status, wall time)
-before any results, then observable tables as CSV (17 significant digits) and
-a JSON summary whose scalars are recomputable from the tables. Identical
-(config, seed) pairs produce byte-identical CSVs; all randomness flows from
+Every run writes a manifest (config echo, code version, Python/numpy/scipy
+versions, thread settings, status, wall time) before any results, then
+observable tables as CSV (17 significant digits) and a JSON summary whose
+scalars are recomputable from the tables. Identical (config, seed) pairs
+produce byte-identical CSVs at one thread setting; all randomness flows from
 the single seeded generator.
 """
 
@@ -12,14 +13,22 @@ from __future__ import annotations
 import csv
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import SchemaError
+
+# environment variables that set a thread count: BLAS reductions sum in a
+# thread-dependent order, so the last digits of a run depend on them
+_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "POLARON_LAB_THREADS"
+)
 
 SCENARIOS = ("pekar", "lp-evolve", "fock", "npolaron", "lemma-suite", "full-acceptance")
 
@@ -152,6 +161,12 @@ def validate_config(raw: dict) -> RunConfig:
             raise SchemaError(
                 f"'T' and 'dt' must give T = n dt with a whole n >= 0: {exc}", keys=("T", "dt")
             ) from None
+        interval = resolved["sample_interval"]
+        if not 0 < interval < np.inf:
+            raise SchemaError(
+                f"'sample_interval' must be positive and finite, got {interval!r}",
+                keys=("sample_interval",),
+            )
     if scenario == "fock":
         # a sweep needs t = 0 and at least one later sample to measure an error at
         bad = [k for k, ok in (("samples", resolved["samples"] >= 2), ("T", resolved["T"] > 0)) if not ok]
@@ -221,6 +236,12 @@ def run(config: RunConfig) -> RunRecord:
         "params": config.params,
         "seed": config.seed,
         "code_version": __version__,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "thread_settings": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
         "status": "running",
         "wall_time_s": None,
     }

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
@@ -140,6 +141,44 @@ class TestWeyl:
         big = np.full(6, 10.0, dtype=complex)
         with pytest.raises(SizingError):
             fs.weyl_apply(ops_id.basis, big, ops_id.basis.vacuum_occ())
+
+
+@st.composite
+def momentum_configs(draw):
+    """A small FockConfig: mode set {+-1} plus up to three more pairs, dimension <= 1320."""
+    pairs = {1} | draw(st.sets(st.integers(2, 4), max_size=3))
+    config = fs.FockConfig(
+        n_sites=draw(st.sampled_from((4, 8))),
+        box_length=draw(st.floats(2.0, 16.0)),
+        mode_numbers=tuple(m for k in sorted(pairs) for m in (k, -k)),
+        v0=draw(st.floats(0.05, 1.0)),
+        n_max=draw(st.integers(1, 3)),
+        alpha=draw(st.floats(0.5, 4.0)),
+    )
+    assert fs.FockBasis(config).dim_total <= 1500
+    return config
+
+
+class TestMomentumConservation:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(momentum_configs())
+    def test_translation_commutes_with_hamiltonian(self, config):
+        # T = shift (x) e^{-i sum_j n_j k_j dx}: the electron moves by one site and the
+        # phonons carry the momentum back, so T conserves total momentum and [T, H] = 0
+        ops = fs.assemble(config)
+        basis = ops.basis
+        shift = sp.csr_matrix(np.roll(np.eye(config.n_sites), 1, axis=0))
+        total = basis.occ @ basis.k_modes * basis.grid.dx
+
+        def commutator_norm(sign):
+            t = sp.kron(shift, sp.diags(np.exp(sign * 1j * total)), format="csr")
+            return spla.norm(t @ ops.hamiltonian - ops.hamiltonian @ t)
+
+        h_norm = spla.norm(ops.hamiltonian)
+        assert commutator_norm(-1) <= 1e-12 * h_norm
+        # the conjugate phase rotates the +-1 coupling by e^{-+2 i k_1 dx}, sin(2 k_1 dx) != 0
+        # on 4 or 8 sites: the commutator is of the coupling's size, so the check above bites
+        assert commutator_norm(+1) > 0.5 * spla.norm(ops.field_g) / config.alpha
 
 
 @st.composite

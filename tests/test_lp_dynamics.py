@@ -212,6 +212,57 @@ class TestIntegrator:
         assert np.max(np.abs(back.label() - state.label())) < 1e-10
         assert abs(back.a_phase - state.a_phase) < 1e-10
 
+    @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
+    def test_carried_displacement_is_the_orbital_s(self, pekar_lp, rep):
+        # each step hands its f_after on as the next f_before; it must be the f of phi
+        sol, cfg, z0 = pekar_lp
+        state = lp.initial_state(cfg, sol.phi0, z0=(1.0 + 0.2j) * z0, rep=rep)
+        for _ in range(5):
+            state = lp.step(state, 1e-2)
+            assert np.array_equal(state.displacement(), cfg.displacement_profile(state.phi.values))
+
+    @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
+    def test_step_does_four_transforms(self, ring_state, rep, monkeypatch):
+        # drift fftn/ifftn, the potential's ifftn and f_after's fftn; f_before is carried
+        calls = []
+
+        def counted(transform):
+            def wrapper(*args, **kwargs):
+                calls.append(transform.__name__)
+                return transform(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        state = lp.initial_state(ring_state.cfg, ring_state.phi, z0=ring_state.label(), rep=rep)
+        calls.clear()
+        for _ in range(3):
+            state = lp.step(state, 1e-2)
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
+    def test_drift_follows_dt_on_one_config(self, ring_state, rep):
+        # one config stepped at dt, dt/2 and -dt against a fresh config per step
+        cfg = lp.LPConfig(ring_state.cfg.grid, ring_state.cfg.form, alpha=2.0)
+        shared = lp.initial_state(cfg, ring_state.phi, z0=ring_state.label(), rep=rep)
+        fresh = shared
+        for dt in (1e-2, 5e-3, -1e-2):
+            shared = lp.step(shared, dt)
+            new_cfg = lp.LPConfig(cfg.grid, cfg.form, alpha=2.0)
+            fresh = lp.step(
+                lp.LPState(new_cfg, fresh.t, fresh.phi, fresh.rep, fresh.a_phase), dt
+            )
+            assert shared.t == fresh.t
+            assert np.array_equal(shared.phi.values, fresh.phi.values)
+            assert np.array_equal(shared.label(), fresh.label())
+            assert shared.a_phase == fresh.a_phase
+
+    @pytest.mark.parametrize("t_final, dt", [(0.1, 1e-2), (-0.1, -1e-2)])
+    def test_samples_at_the_interval_in_both_directions(self, ring_state, t_final, dt):
+        times = [s.t for s in lp.evolve(ring_state, t_final, dt, sample_interval=0.05)]
+        assert times == pytest.approx([0.0, t_final / 2, t_final])
+
     def test_blow_up_detection(self, ring_cfg):
         bad = WaveField(ring_cfg.grid, np.full(32, np.nan, dtype=complex))
         state = lp.LPState(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polaron_lab.cli import main as cli_main
 from polaron_lab.errors import SizingError
-from polaron_lab.spectral_core import FormFactor, Grid, WaveField
+from polaron_lab.spectral_core import FormFactor, Grid, WaveField, _density_displacement
 from polaron_lab import lp_dynamics as lp
 from polaron_lab import npolaron as npl
 from polaron_lab.pekar import minimize_pekar
@@ -259,7 +259,18 @@ class TestDynamics:
         assert np.max(np.abs(back.z - z0)) < 1e-10
         assert abs(forward.a_phase * back.a_phase - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("t_final, dt", [(1.0005, 1e-3), (1.0, 0.0), (-1.0, 1e-3)])
+    def test_carried_displacement_is_the_pair_s(self, pair_solution_1d):
+        cfg, sol = pair_solution_1d
+        pair0 = sol.pair * np.exp(0.2j * np.add.outer(cfg.grid.x_axis, cfg.grid.x_axis))
+        samples = npl.dfn_evolve(cfg, pair0, alpha=2.0, t_final=5e-2, dt=1e-2, sample_interval=1e-2)
+        assert len(samples) == 6
+        for state in samples:
+            rho = npl._one_body_density(cfg.grid, state.pair)
+            assert np.array_equal(state.displacement(), _density_displacement(rho, cfg.form))
+
+    @pytest.mark.parametrize(
+        "t_final, dt", [(1.0005, 1e-3), (1.0, 0.0), (-1.0, 1e-3), (np.inf, 1e-3)]
+    )
     def test_rejects_step_counts_that_miss_t_final(self, pair_solution_1d, t_final, dt):
         cfg, sol = pair_solution_1d
         with pytest.raises(ValueError):

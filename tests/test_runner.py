@@ -50,7 +50,9 @@ class TestValidation:
 
 
 class TestRun:
-    def test_pekar_scenario_writes_manifest_and_tables(self, tmp_path):
+    def test_pekar_scenario_writes_manifest_and_tables(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = runner.validate_config(
             {
                 "scenario": "pekar",
@@ -64,6 +66,13 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "done"
         assert manifest["seed"] == 5
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert set(manifest["thread_settings"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "POLARON_LAB_THREADS"
+        }
+        assert manifest["thread_settings"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert manifest["thread_settings"]["MKL_NUM_THREADS"] is None
         assert (out / "energy_history.csv").exists()
         assert (out / "summary.json").exists()
         assert record.summary["E_P"] < 0
@@ -348,7 +357,9 @@ class TestCli:
         assert repr(key) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [["--dt", "0"], ["--dt=-1e-2"], ["--T", "-1"], ["--T", "0.0105", "--dt", "1e-3"]]
+        "flags",
+        [["--dt", "0"], ["--dt=-1e-2"], ["--T", "-1"], ["--T", "0.0105", "--dt", "1e-3"],
+         ["--T", "inf"]],
     )
     def test_lp_evolve_steps_that_miss_T_are_a_schema_error(
         self, tmp_path, monkeypatch, capsys, flags
@@ -364,6 +375,21 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "'T'" in err and "'dt'" in err
+
+    @pytest.mark.parametrize("interval", ["-1", "0"])
+    def test_lp_evolve_non_positive_sample_interval_is_a_schema_error(
+        self, tmp_path, monkeypatch, capsys, interval
+    ):
+        def load_forbidden(*args, **kwargs):
+            raise AssertionError("ground state loaded before sample_interval was checked")
+
+        monkeypatch.setattr(pekar, "load_solution", load_forbidden)
+        code = cli_main(
+            ["lp-evolve", "--init", str(tmp_path / "pekar.json"), "--T", "0.05",
+             f"--sample-interval={interval}", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "'sample_interval'" in capsys.readouterr().err
 
     def test_projectors_verb(self, tmp_path):
         code = cli_main(
