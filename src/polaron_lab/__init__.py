@@ -66,7 +66,6 @@ from .fock_sim import (
     FockBasis,
     FockConfig,
     FockOperatorSet,
-    FockVector,
     assemble,
     coherent_state,
     discrete_pekar,

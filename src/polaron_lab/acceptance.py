@@ -331,7 +331,7 @@ def check_fock_identities(preset: str = "desk", seed: int = 0) -> CheckResult:
     gate.check("resolvent_spread_nonincreasing", suite["resolvent_spread_nonincreasing"])
 
     e_f, gs = fs.ground_state(ops)
-    rq = float(np.real(np.vdot(gs.coefficients, ops.hamiltonian @ gs.coefficients)))
+    rq = float(np.real(np.vdot(gs, ops.hamiltonian @ gs)))
     gate.check("variational_ordering", rq <= pek.energy)
     elapsed = time.perf_counter() - start
     gate.check("runtime", elapsed < p["budget_s"])

@@ -34,7 +34,6 @@ from .spectral_core import Grid
 __all__ = [
     "FockConfig",
     "FockBasis",
-    "FockVector",
     "FockOperatorSet",
     "assemble",
     "weyl_apply",
@@ -175,11 +174,6 @@ class FockBasis:
         vec[0] = 1.0  # the all-zero occupation sorts first
         return vec
 
-    def boundary_weight(self, occ_vec: np.ndarray) -> float:
-        """Probability sitting on the saturated shell sum(n) = n_max."""
-        mask = self.occ_totals == self.config.n_max
-        return float(np.sum(np.abs(occ_vec[mask]) ** 2))
-
     # --- electron-space operators ---------------------------------------
     def _spectral_matrix(self, multiplier: np.ndarray) -> np.ndarray:
         """Dense ring operator ifft(multiplier * fft(.)) built column by column."""
@@ -219,18 +213,6 @@ class FockBasis:
         return complex(self.weight * np.vdot(f, g))
 
 
-@dataclass
-class FockVector:
-    basis: FockBasis
-    coefficients: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def normalized(self) -> "FockVector":
-        return FockVector(self.basis, self.coefficients / self.norm())
-
-
 def _kron(a, b):
     return sp.kron(sp.csr_matrix(a), sp.csr_matrix(b), format="csr")
 
@@ -268,9 +250,6 @@ class FockOperatorSet:
 
     def field_of(self, f_values: np.ndarray):
         return _kron(self.eye_e, self.basis.field_occ(f_values))
-
-    def product_vector(self, psi_e: np.ndarray, eta_occ: np.ndarray) -> np.ndarray:
-        return np.kron(psi_e, eta_occ)
 
     def mean_field_potential(self, f_values: np.ndarray) -> np.ndarray:
         """V(x) = -2 Re sum_j w v_j f_j e^{i k_j x} (the z = -alpha f potential)."""
@@ -360,7 +339,10 @@ def coherent_state(basis: FockBasis, label: np.ndarray, guard: bool = True):
 
 
 def ground_state(ops: FockOperatorSet, tol: float = 1e-10, rng=None):
-    """Lowest eigenpair of the assembled Hamiltonian (residual-checked)."""
+    """Lowest eigenpair ``(e0, psi)`` of the assembled Hamiltonian (residual-checked).
+
+    ``psi`` is the complex coefficient vector on the product basis.
+    """
     h = ops.hamiltonian
     if rng is None:
         rng = np.random.default_rng(7)
@@ -375,7 +357,7 @@ def ground_state(ops: FockOperatorSet, tol: float = 1e-10, rng=None):
     residual = float(np.linalg.norm(h @ psi - e0 * psi))
     if residual > 1e-8:
         raise ConvergenceError("ground-state residual above 1e-8", residual=residual)
-    return e0, FockVector(ops.basis, psi.astype(complex))
+    return e0, psi.astype(complex)
 
 
 class Propagator:
@@ -550,10 +532,7 @@ def projector_identities(ops: FockOperatorSet, pekar: DiscretePekar, rng, n_vect
         three_vs_two = max(three_vs_two, float(np.linalg.norm(tx - px)))
         # P(u)^perp = P_phi^perp x P_eta^perp
         perp = x - px
-        m = _split(basis, perp.copy())
-        m = m - np.outer(phi, phi.conj() @ m)
-        m = m - np.outer(m @ eta.conj(), eta)
-        complement = max(complement, float(np.linalg.norm(perp - m.ravel())))
+        complement = max(complement, float(np.linalg.norm(perp - _q0_apply(basis, phi, eta, perp))))
     # Q0 delta_H psi0 = alpha^-1 Q0 a*(G) psi0 with psi0 = phi x vac
     psi0 = np.kron(phi, basis.vacuum_occ())
     dh = ops.delta_h(pekar.f)

@@ -201,6 +201,9 @@ class OscillatorRep:
     def potential(self, cfg: LPConfig, t: float) -> np.ndarray:
         return (np.fft.ifftn(self.v_hat) / cfg.grid.cell_volume).real
 
+    def _label_and_potential(self, cfg: LPConfig, t: float):
+        return self.label(cfg, t), self.potential(cfg, t)
+
     def vdot_field(self, cfg: LPConfig) -> np.ndarray:
         return (np.fft.ifftn(self.vdot_hat) / cfg.grid.cell_volume).real
 
@@ -233,7 +236,11 @@ class QuadratureRep:
         return np.exp(-1j * cfg.frequency * t) * (self.z0 + self.j)
 
     def potential(self, cfg: LPConfig, t: float) -> np.ndarray:
-        return cfg.potential_of_label(self.label(cfg, t))
+        return self._label_and_potential(cfg, t)[1]
+
+    def _label_and_potential(self, cfg: LPConfig, t: float):
+        z = self.label(cfg, t)
+        return z, cfg.potential_of_label(z)
 
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
         om, lam = cfg.frequency, cfg.coupling
@@ -341,7 +348,8 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     """
     rep_mid = rep.stepped(cfg, t, dt / 2.0, f_before)
     t_mid = t + dt / 2.0
-    kick = np.exp(-0.5j * dt * lift(rep_mid.potential(cfg, t_mid)))
+    z_mid, v_mid = rep_mid._label_and_potential(cfg, t_mid)
+    kick = np.exp(-0.5j * dt * lift(v_mid))
     new = kick * values
     new = np.fft.ifftn(drift * np.fft.fftn(new))
     # kept apart from the transform: numpy would multiply into the ifftn temporary in
@@ -352,7 +360,6 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
 
     f_after = displacement(new)
     rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
-    z_mid = rep_mid.label(cfg, t_mid)
     field_expectation = 2.0 * mode_inner(cfg.grid, z_mid, 0.5 * (f_before + f_after)).real
     a_new = a_phase * np.exp(1j * dt * cfg.coupling * field_expectation)
     return new, rep_new, complex(a_new), f_after

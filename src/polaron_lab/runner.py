@@ -22,17 +22,17 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import SchemaError
+from .errors import GridMismatchError, SchemaError
+from .spectral_core import Grid
 
 # environment variables that set a thread count: BLAS reductions sum in a
 # thread-dependent order, so the last digits of a run depend on them
-_THREAD_VARIABLES = (
-    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "POLARON_LAB_THREADS"
-)
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SCENARIOS = ("pekar", "lp-evolve", "fock", "npolaron", "lemma-suite", "full-acceptance")
 
-# scenario -> {key: (type, default)}; None default means required
+# scenario -> {key: (type, default)}; None default means required. With _CHOICES this is
+# the one declaration of each verb's parameters: the CLI makes its flags from it
 _SCHEMAS = {
     "pekar": {
         "grid": (int, 64),
@@ -109,7 +109,11 @@ class RunRecord:
 
 
 def validate_config(raw: dict) -> RunConfig:
-    """Schema-check a raw key-value tree; raises SchemaError naming bad keys."""
+    """Schema-check a raw key-value tree; raises SchemaError naming bad keys.
+
+    Every parameter check is here, so a bad value is refused before ``run``
+    writes the manifest.
+    """
     if not isinstance(raw, dict):
         raise SchemaError("configuration must be a key-value tree", keys=())
     scenario = raw.get("scenario")
@@ -167,6 +171,30 @@ def validate_config(raw: dict) -> RunConfig:
                 f"'sample_interval' must be positive and finite, got {interval!r}",
                 keys=("sample_interval",),
             )
+    points = "grid" if "grid" in resolved else "sites"
+    if points in resolved:
+        # the grid's own check; its rules for points and box do not depend on the dimension
+        try:
+            Grid(1, resolved[points], resolved["box"])
+        except GridMismatchError as exc:
+            raise SchemaError(
+                f"{points!r} and 'box' must make a grid: {exc}", keys=(points, "box")
+            ) from None
+    if scenario == "npolaron":
+        _float_list(resolved["u_grid"], "u_grid")
+    if scenario in ("fock", "lemma-suite"):
+        alphas = _float_list(resolved["alpha_grid"], "alpha_grid")
+        checks = (
+            ("modes", resolved["modes"] % 2 == 0),  # pairs +-m
+            ("nmax", resolved["nmax"] >= 0),
+            ("alpha_grid", all(a > 0 for a in alphas)),
+        )
+        bad = [k for k, ok in checks if not ok]
+        if bad:
+            raise SchemaError(
+                f"Fock parameters out of range (need even modes, nmax >= 0, every alpha > 0): {bad}",
+                keys=tuple(bad),
+            )
     if scenario == "fock":
         # a sweep needs t = 0 and at least one later sample to measure an error at
         bad = [k for k, ok in (("samples", resolved["samples"] >= 2), ("T", resolved["T"] > 0)) if not ok]
@@ -185,12 +213,15 @@ def validate_config(raw: dict) -> RunConfig:
     )
 
 
-def max_workers() -> int:
-    """Worker cap from POLARON_LAB_THREADS (defaults to 1: fully deterministic)."""
+def _float_list(text, key: str) -> list:
+    """The numbers of a comma list such as '1,2,4'; SchemaError naming ``key`` unless one or more."""
     try:
-        return max(1, int(os.environ.get("POLARON_LAB_THREADS", "1")))
+        values = [float(v) for v in str(text).split(",") if v]
     except ValueError:
-        return 1
+        values = []
+    if not values:
+        raise SchemaError(f"{key!r} must be a comma list of numbers, got {text!r}", keys=(key,))
+    return values
 
 
 def _fmt(value) -> str:
@@ -211,21 +242,28 @@ def write_csv(path: Path, rows, header) -> Path:
     return path
 
 
-def _write_summary(path: Path, summary: dict):
-    def sanitize(obj):
-        if isinstance(obj, dict):
-            return {str(k): sanitize(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [sanitize(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            obj = obj.item()
-        if isinstance(obj, float) and not np.isfinite(obj):
-            return None
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        return obj
+def _jsonable(obj):
+    """``obj`` as plain JSON data: numpy scalars as Python ones, non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
 
-    path.write_text(json.dumps(sanitize(summary), indent=2, sort_keys=True))
+
+def json_text(summary: dict) -> str:
+    """The JSON text of a summary or manifest, as written to disk and printed by the CLI."""
+    return json.dumps(_jsonable(summary), indent=2, sort_keys=True)
+
+
+def _write_summary(path: Path, summary: dict):
+    path.write_text(json_text(summary))
 
 
 def run(config: RunConfig) -> RunRecord:
@@ -275,7 +313,6 @@ def run(config: RunConfig) -> RunRecord:
 
 def _run_pekar(config: RunConfig, record: RunRecord):
     from .pekar import minimize_pekar, pekar_energy, save_solution
-    from .spectral_core import Grid
 
     p = config.params
     rng = np.random.default_rng(config.seed)
@@ -364,8 +401,7 @@ def _run_lp_evolve(config: RunConfig, record: RunRecord):
 
 
 def _mode_numbers(count: int):
-    if count % 2:
-        raise SchemaError("modes must be even (pairs +-m)", keys=("modes",))
+    """Pairs +-1, +-2, ... of ``count`` (even, as validation ensures) phonon modes."""
     out = []
     for m in range(1, count // 2 + 1):
         out.extend([m, -m])
@@ -377,7 +413,7 @@ def _run_fock(config: RunConfig, record: RunRecord):
 
     p = config.params
     rng = np.random.default_rng(config.seed)
-    alphas = [float(a) for a in str(p["alpha_grid"]).split(",") if a]
+    alphas = _float_list(p["alpha_grid"], "alpha_grid")
     base = fs.FockConfig(
         n_sites=p["sites"],
         box_length=p["box"],
@@ -387,24 +423,17 @@ def _run_fock(config: RunConfig, record: RunRecord):
         alpha=alphas[0],
     )
     experiment = p["experiment"]
-    if experiment == "theorem1":
-        rep = _sweep_parallel(
-            lambda a: fs.error_sweep_stationary(base, [a], p["T"], n_samples=p["samples"]),
-            alphas,
-        )
-        record.tables["errors"] = (
-            [{"t": t, "alpha": a, "err": e} for (t, a, e) in rep["rows"]],
-            ["t", "alpha", "err"],
-        )
-        record.summary = {k: rep[k] for k in ("alphas", "sup_errors", "slope", "intercept", "r_squared", "leakage_max")}
-        record.summary["c_hat"] = rep["c_hat"]
-        record.summary["bound_margin"] = rep["bound_margin"]
-        record.summary["residuals"] = rep["residual_max"]
-    elif experiment == "theorem2":
-        phi0, g = fs._coherent_initial_data(fs.FockBasis(base), rng)
-        rep = fs.error_sweep_coherent(
-            base, alphas, p["T"], phi0, g, dt=p["dt"], n_samples=p["samples"]
-        )
+    if experiment in ("theorem1", "theorem2"):
+        if experiment == "theorem1":
+            rep = fs.error_sweep_stationary(base, alphas, p["T"], n_samples=p["samples"])
+            extra = {k: rep[k] for k in ("c_hat", "bound_margin")}
+            extra["residuals"] = rep["residual_max"]
+        else:
+            phi0, g = fs._coherent_initial_data(fs.FockBasis(base), rng)
+            rep = fs.error_sweep_coherent(
+                base, alphas, p["T"], phi0, g, dt=p["dt"], n_samples=p["samples"]
+            )
+            extra = {"residuals": 0.0}  # no product-state residual in this experiment
         record.tables["errors"] = (
             [{"t": t, "alpha": a, "err": e} for (t, a, e) in rep["rows"]],
             ["t", "alpha", "err"],
@@ -413,7 +442,7 @@ def _run_fock(config: RunConfig, record: RunRecord):
             k: rep[k]
             for k in ("alphas", "sup_errors", "slope", "intercept", "r_squared", "leakage_max")
         }
-        record.summary["residuals"] = 0.0  # no product-state residual in this experiment
+        record.summary.update(extra)
     elif experiment == "lemmas":
         rep = fs.inequality_suite(base, alphas=tuple(alphas), rng=rng)
         record.summary = {
@@ -446,31 +475,8 @@ def _run_fock(config: RunConfig, record: RunRecord):
     record.summary["experiment"] = experiment
 
 
-def _sweep_parallel(single_alpha_fn, alphas):
-    """Run per-alpha sweep points (optionally in a worker pool) and merge."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .fock_sim import _sweep_summary
-
-    workers = min(max_workers(), len(alphas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(single_alpha_fn, alphas))
-    else:
-        pieces = [single_alpha_fn(a) for a in alphas]
-    rows = sorted((r for piece in pieces for r in piece["rows"]), key=lambda r: (r[1], r[0]))
-    sups = [s for piece in pieces for s in piece["sup_errors"]]
-    return {
-        "rows": rows,
-        **_sweep_summary(alphas, rows, sups),
-        "leakage_max": max(piece["leakage_max"] for piece in pieces),
-        "residual_max": max(piece["residual_max"] for piece in pieces),
-    }
-
-
 def _run_npolaron(config: RunConfig, record: RunRecord):
     from . import npolaron as npl
-    from .spectral_core import Grid
 
     p = config.params
     grid = Grid(3, p["grid"], p["box"])
@@ -487,7 +493,7 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
         "U": p["U"],
         "N": p["N"],
     }
-    u_values = [float(u) for u in str(p["u_grid"]).split(",") if u]
+    u_values = _float_list(p["u_grid"], "u_grid")
     scan = npl.binding_scan(grid, u_values, n_particles=p["N"], form=cfg.form, e_single=e_single)
     record.tables["binding"] = (
         scan,
@@ -498,19 +504,10 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
 
 
 def _run_lemma_suite(config: RunConfig, record: RunRecord):
-    merged = dict(config.params)
-    merged.update({"experiment": "lemmas", "T": 1.0, "dt": 1e-2, "samples": 3})
-    inner = RunConfig(
-        scenario="fock", params=_fill_defaults("fock", merged), seed=config.seed, out_dir=None
+    inner = validate_config(
+        {"scenario": "fock", "params": {**config.params, "experiment": "lemmas"}, "seed": config.seed}
     )
     _run_fock(inner, record)
-
-
-def _fill_defaults(scenario, partial):
-    out = {}
-    for key, (typ, default) in _SCHEMAS[scenario].items():
-        out[key] = typ(partial[key]) if key in partial else default
-    return out
 
 
 def _run_full_acceptance(config: RunConfig, record: RunRecord):

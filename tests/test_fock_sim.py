@@ -222,12 +222,12 @@ class TestWeylProperties:
 class TestGroundState:
     def test_variational_ordering(self, ops_id, pekar_id):
         e_f, psi = fs.ground_state(ops_id)
-        rq = np.real(np.vdot(psi.coefficients, ops_id.hamiltonian @ psi.coefficients))
+        rq = np.real(np.vdot(psi, ops_id.hamiltonian @ psi))
         assert rq <= pekar_id.energy
 
     def test_residual_contract(self, ops_id):
         e0, psi = fs.ground_state(ops_id)
-        r = np.linalg.norm(ops_id.hamiltonian @ psi.coefficients - e0 * psi.coefficients)
+        r = np.linalg.norm(ops_id.hamiltonian @ psi - e0 * psi)
         assert r < 1e-8
 
 
@@ -296,8 +296,8 @@ class TestPropagation:
 
     def test_eigenvector_phase(self, ops_id):
         e0, psi = fs.ground_state(ops_id)
-        out = fs.propagate(ops_id, psi.coefficients, 0.7)
-        assert np.max(np.abs(out - np.exp(-1j * e0 * 0.7) * psi.coefficients)) < 1e-10
+        out = fs.propagate(ops_id, psi, 0.7)
+        assert np.max(np.abs(out - np.exp(-1j * e0 * 0.7) * psi)) < 1e-10
 
     def test_matches_dense_eigh_reference(self, propagation_problem):
         ops, x = propagation_problem

@@ -241,6 +241,21 @@ class TestIntegrator:
             state = lp.step(state, 1e-2)
         assert len(calls) == 12
 
+    def test_step_builds_the_mid_step_label_once(self, ring_state, monkeypatch):
+        # the kick's potential and the phase update share one QuadratureRep.label call
+        calls = []
+        label = lp.QuadratureRep.label
+
+        def counted(self, cfg, t):
+            calls.append(t)
+            return label(self, cfg, t)
+
+        monkeypatch.setattr(lp.QuadratureRep, "label", counted)
+        state = ring_state
+        for _ in range(5):
+            state = lp.step(state, 1e-2)
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
     def test_drift_follows_dt_on_one_config(self, ring_state, rep):
         # one config stepped at dt, dt/2 and -dt against a fresh config per step

@@ -1,13 +1,15 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polaron_lab.errors import ConvergenceError, SchemaError
 from polaron_lab import fock_sim, lp_dynamics as lp, pekar, runner
-from polaron_lab.cli import main as cli_main
+from polaron_lab.cli import _assemble_raw, build_parser, main as cli_main
 
 from oracles import dense_weighted_resolvent_norm
 
@@ -69,7 +71,7 @@ class TestRun:
         assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
         assert manifest["versions"]["numpy"] == np.__version__
         assert set(manifest["thread_settings"]) == {
-            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "POLARON_LAB_THREADS"
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
         }
         assert manifest["thread_settings"]["OPENBLAS_NUM_THREADS"] == "1"
         assert manifest["thread_settings"]["MKL_NUM_THREADS"] is None
@@ -159,8 +161,9 @@ class TestRun:
         assert float(text) == 1.0 / 3.0
 
 
-class TestWorkerPool:
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
+class TestFockVerb:
+    def test_theorem1_is_the_stationary_sweep(self, tmp_path):
+        # the verb's rows and fit are error_sweep_stationary's, bit for bit
         params = {
             "sites": 8,
             "box": 2.0,
@@ -172,17 +175,19 @@ class TestWorkerPool:
             "samples": 4,
             "experiment": "theorem1",
         }
-        results = []
-        for threads, label in (("1", "serial"), ("4", "pooled")):
-            monkeypatch.setenv("POLARON_LAB_THREADS", threads)
-            cfg = runner.validate_config(
-                {"scenario": "fock", "params": params, "out": str(tmp_path / label), "seed": 2}
-            )
-            results.append(runner.run(cfg))
-        a = (tmp_path / "serial" / "errors.csv").read_bytes()
-        b = (tmp_path / "pooled" / "errors.csv").read_bytes()
-        assert a == b
-        assert results[0].summary["slope"] == results[1].summary["slope"]
+        cfg = runner.validate_config(
+            {"scenario": "fock", "params": params, "out": str(tmp_path), "seed": 2}
+        )
+        summary = runner.run(cfg).summary
+        base = fock_sim.FockConfig(8, 2.0, (1, -1), v0=3e-3, n_max=3, alpha=1.0)
+        rep = fock_sim.error_sweep_stationary(base, [1.0, 2.0], 0.5, n_samples=4)
+        with open(tmp_path / "errors.csv") as fh:
+            rows = [(float(r["t"]), float(r["alpha"]), float(r["err"])) for r in csv.DictReader(fh)]
+        assert rows == rep["rows"]
+        for key in ("alphas", "sup_errors", "slope", "intercept", "r_squared", "leakage_max",
+                    "c_hat", "bound_margin"):
+            assert summary[key] == rep[key]
+        assert summary["residuals"] == rep["residual_max"]
 
     def test_single_alpha_fit_matches_fit_loglog(self):
         # a one-point sweep has no slope; its intercept is log(sup err), as fit_loglog says
@@ -292,8 +297,32 @@ class TestLpEvolve:
 
 
 class TestCli:
-    def test_schema_error_exit_code(self, capsys):
-        assert cli_main(["fock", "--modes", "3", "--out", "/tmp/x"]) == 2
+    def test_schema_error_exit_code(self, tmp_path, capsys):
+        assert cli_main(["fock", "--modes", "3", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["fock", "--modes", "3"], "modes"),
+            (["lemma-suite", "--modes", "3"], "modes"),
+            (["fock", "--alpha-grid", "1,x"], "alpha_grid"),
+            (["lemma-suite", "--alpha-grid", "1,x"], "alpha_grid"),
+            (["npolaron", "--u-grid", "0,y"], "u_grid"),
+            (["fock", "--alpha-grid", "0,1"], "alpha_grid"),
+            (["fock", "--alpha-grid", ","], "alpha_grid"),
+            (["fock", "--nmax", "-1"], "nmax"),
+            (["pekar", "--grid", "12"], "grid"),
+            (["npolaron", "--grid", "12"], "grid"),
+            (["fock", "--sites", "6"], "sites"),
+        ],
+    )
+    def test_malformed_parameters_are_refused_before_the_manifest(
+        self, tmp_path, capsys, argv, key
+    ):
+        assert cli_main([*argv, "--out", str(tmp_path)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_solver_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def no_convergence(*args, **kwargs):
@@ -417,3 +446,15 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["g"] == 2.0  # flag beats config file
         assert manifest["params"]["grid"] == 16
+
+
+class TestReadme:
+    def test_command_lines_pass_validation(self):
+        # every documented command line parses and validates against the schema, unrun
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("polaron-lab ")]
+        assert commands
+        for command in commands:
+            runner.validate_config(_assemble_raw(build_parser().parse_args(command[1:])))
