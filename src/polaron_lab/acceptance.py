@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .radial_oracle import radial_ground_state
+from .runner import _BINDING_HEADER, _error_table
 
 PRESETS = {
     "desk": {
@@ -141,7 +142,7 @@ class CheckResult:
     failures: list = field(default_factory=list)
     expected_defects: dict = field(default_factory=dict)
     elapsed: float = 0.0
-    tables: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)  # name -> (rows, header), as <check>_<name>.csv
 
     def headline(self) -> str:
         keys = list(self.details)[:4]
@@ -388,7 +389,7 @@ def check_error_scaling_stationary(preset: str = "desk", seed: int = 0) -> Check
             "bound_margin>=0": rep["bound_margin"]
         },
         elapsed=elapsed,
-        tables={"errors": rep["rows"]},
+        tables={"errors": _error_table(rep["rows"])},
     )
 
 
@@ -431,7 +432,7 @@ def check_error_scaling_coherent(
         },
         failures=gate.failures,
         elapsed=elapsed,
-        tables={"errors": rep["rows"]},
+        tables={"errors": _error_table(rep["rows"])},
     )
 
 
@@ -479,7 +480,7 @@ def check_npolaron(preset: str = "desk", seed: int = 0) -> CheckResult:
         },
         failures=gate.failures,
         elapsed=elapsed,
-        tables={"binding": rows},
+        tables={"binding": (rows, _BINDING_HEADER)},
     )
 
 

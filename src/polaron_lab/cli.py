@@ -70,11 +70,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _assemble_raw(args) -> dict:
     raw = {"scenario": args.scenario, "params": {}}
     if args.config:
-        raw.update(json.loads(Path(args.config).read_text()))
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise SchemaError(
+                f"'config' {args.config} is not readable JSON: {exc}", keys=("config",)
+            ) from None
+        if not isinstance(loaded, dict):
+            raise SchemaError(f"'config' {args.config} holds no JSON object", keys=("config",))
+        raw.update(loaded)
         raw["scenario"] = args.scenario
-    for key, value in vars(args).items():
-        if key in _SCHEMAS[args.scenario] and value is not None:
-            raw.setdefault("params", {})[key] = value
+    flags = {k: v for k, v in vars(args).items() if k in _SCHEMAS[args.scenario] and v is not None}
+    if isinstance(raw.get("params"), dict):  # validate_config refuses any other params
+        raw["params"].update(flags)
     if args.out:
         raw["out"] = args.out
     if args.seed is not None:

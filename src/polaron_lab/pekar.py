@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from . import io as snapshot_io
 from .errors import ConvergenceError, ProjectionError
 from .spectral_core import (
     FormFactor,
@@ -390,9 +389,11 @@ def scaling_check(
 
 
 def save_solution(directory, sol: PekarSolution, tag: str = "pekar") -> Path:
+    """Write ``<tag>.json`` (scalars, box, form name and cutoff) beside ``<tag>.npz``
+    (phi0 and v(k), as held); returns the ``.json`` path, which ``lp-evolve --init`` takes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    snapshot_io.save_field(directory / f"{tag}_phi0.plfb", sol.phi0, extra={"g": sol.g})
+    np.savez(directory / f"{tag}.npz", phi0=sol.phi0.values, v=sol.form.values)
     meta = {
         "lambda": sol.lam,
         "mu": sol.mu,
@@ -402,6 +403,8 @@ def save_solution(directory, sol: PekarSolution, tag: str = "pekar") -> Path:
         "gap": sol.gap,
         "kernel": sol.kernel,
         "flags": list(sol.flags),
+        "box": sol.phi0.grid.box_length,
+        "cutoff": sol.form.cutoff if np.isfinite(sol.form.cutoff) else None,  # JSON has no inf
     }
     out = directory / f"{tag}.json"
     out.write_text(json.dumps(meta, indent=2, sort_keys=True))
@@ -409,15 +412,20 @@ def save_solution(directory, sol: PekarSolution, tag: str = "pekar") -> Path:
 
 
 def load_solution(directory, tag: str = "pekar") -> PekarSolution:
+    """What ``save_solution`` wrote, bit for bit; ConvergenceError if the stored field's
+    residual exceeds the stored residual by more than 1e-6 relative."""
     directory = Path(directory)
     meta = json.loads((directory / f"{tag}.json").read_text())
-    phi0 = snapshot_io.load_field(directory / f"{tag}_phi0.plfb").normalized()
-    kernel = meta.get("kernel", "coulomb_d3_isolated")
-    if "isolated" in kernel:
-        form = FormFactor.coulomb_d3_isolated(phi0.grid)
-    else:
-        form = FormFactor.coulomb_d3(phi0.grid)
-    f = coherent_displacement(phi0, form)
+    with np.load(directory / f"{tag}.npz") as arrays:
+        values, v = arrays["phi0"], arrays["v"]
+    grid = Grid(values.ndim, values.shape[0], meta["box"])
+    phi0 = WaveField(grid, values)
+    form = FormFactor(grid, v, np.inf if meta["cutoff"] is None else meta["cutoff"], meta["kernel"])
+    residual = _residual(phi0.values, meta["g"], form)[0]
+    if not residual <= meta["residual"] * (1.0 + 1e-6):
+        raise ConvergenceError(
+            f"{directory / tag}: residual {residual:.6e} > stored {meta['residual']:.6e}", residual
+        )
     return PekarSolution(
         phi0=phi0,
         lam=meta["lambda"],
@@ -425,9 +433,9 @@ def load_solution(directory, tag: str = "pekar") -> PekarSolution:
         e_p=meta["E_P"],
         g=meta["g"],
         residual=meta["residual"],
-        f=f,
+        f=coherent_displacement(phi0, form),
         form=form,
-        gap=meta.get("gap"),
+        gap=meta["gap"],
         energy_history=(meta["E_P"],),
-        flags=tuple(meta.get("flags", ())),
+        flags=tuple(meta["flags"]),
     )

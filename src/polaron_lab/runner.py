@@ -17,6 +17,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 import scipy
@@ -124,7 +125,9 @@ def validate_config(raw: dict) -> RunConfig:
             f"unknown scenario {scenario!r}; choose from {SCENARIOS}", keys=("scenario",)
         )
     schema = _SCHEMAS[scenario]
-    params = dict(raw.get("params", {}))
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        raise SchemaError(f"'params' must be a key-value tree, got {params!r}", keys=("params",))
     bad = [k for k in params if k not in schema]
     if bad:
         raise SchemaError(
@@ -136,8 +139,11 @@ def validate_config(raw: dict) -> RunConfig:
     wrong_type = []
     for key, (typ, default) in schema.items():
         if key in params:
+            value = params[key]
             try:
-                resolved[key] = typ(params[key])
+                if typ is bool and not isinstance(value, bool):  # bool("false") would be True
+                    raise TypeError
+                resolved[key] = typ(value)
             except (TypeError, ValueError):
                 wrong_type.append(key)
         elif default is None:
@@ -185,14 +191,15 @@ def validate_config(raw: dict) -> RunConfig:
     if scenario in ("fock", "lemma-suite"):
         alphas = _float_list(resolved["alpha_grid"], "alpha_grid")
         checks = (
-            ("modes", resolved["modes"] % 2 == 0),  # pairs +-m
+            ("modes", resolved["modes"] >= 2 and resolved["modes"] % 2 == 0),  # pairs +-m
             ("nmax", resolved["nmax"] >= 0),
             ("alpha_grid", all(a > 0 for a in alphas)),
         )
         bad = [k for k, ok in checks if not ok]
         if bad:
             raise SchemaError(
-                f"Fock parameters out of range (need even modes, nmax >= 0, every alpha > 0): {bad}",
+                "Fock parameters out of range "
+                f"(need even modes >= 2, nmax >= 0, every alpha > 0): {bad}",
                 keys=tuple(bad),
             )
     if scenario == "fock":
@@ -225,9 +232,7 @@ def _float_list(text, key: str) -> list:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
 
@@ -347,7 +352,15 @@ def _run_lp_evolve(config: RunConfig, record: RunRecord):
     init = Path(p["init"])
     tag = init.stem if init.suffix == ".json" else "pekar"
     directory = init.parent if init.suffix == ".json" else init
-    sol = load_solution(directory, tag=tag)
+    try:
+        sol = load_solution(directory, tag=tag)
+    except (
+        OSError, EOFError, ValueError, KeyError, TypeError, BadZipFile, GridMismatchError
+    ) as exc:
+        raise SchemaError(
+            f"'init' {init} holds no readable ground state ({type(exc).__name__}: {exc}); run "
+            f"the pekar verb to write {tag}.json and {tag}.npz", keys=("init",)
+        ) from None
     cfg = lp.LPConfig(sol.phi0.grid, sol.form, alpha=p["alpha"])
     z0 = lp.stationary_label(cfg, sol.f)
     reps = {"both": ("quadrature", "oscillator")}.get(p["rep"], (p["rep"],))
@@ -400,6 +413,15 @@ def _run_lp_evolve(config: RunConfig, record: RunRecord):
     record.passed = conserved and (not stationary_init or final["infidelity"] < 1e-6)
 
 
+_BINDING_HEADER = ["U", "E_N", "N_E_single", "bound", "rms_radius"]
+
+
+def _error_table(rows) -> tuple:
+    """The (rows, header) table of an error sweep's (t, alpha, err) rows."""
+    header = ["t", "alpha", "err"]
+    return [dict(zip(header, row)) for row in rows], header
+
+
 def _mode_numbers(count: int):
     """Pairs +-1, +-2, ... of ``count`` (even, as validation ensures) phonon modes."""
     out = []
@@ -434,10 +456,7 @@ def _run_fock(config: RunConfig, record: RunRecord):
                 base, alphas, p["T"], phi0, g, dt=p["dt"], n_samples=p["samples"]
             )
             extra = {"residuals": 0.0}  # no product-state residual in this experiment
-        record.tables["errors"] = (
-            [{"t": t, "alpha": a, "err": e} for (t, a, e) in rep["rows"]],
-            ["t", "alpha", "err"],
-        )
+        record.tables["errors"] = _error_table(rep["rows"])
         record.summary = {
             k: rep[k]
             for k in ("alphas", "sup_errors", "slope", "intercept", "r_squared", "leakage_max")
@@ -495,10 +514,7 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
     }
     u_values = _float_list(p["u_grid"], "u_grid")
     scan = npl.binding_scan(grid, u_values, n_particles=p["N"], form=cfg.form, e_single=e_single)
-    record.tables["binding"] = (
-        scan,
-        ["U", "E_N", "N_E_single", "bound", "rms_radius"],
-    )
+    record.tables["binding"] = (scan, _BINDING_HEADER)
     energies = [r["E_N"] for r in scan]
     record.passed = all(a <= b + 1e-10 for a, b in zip(energies, energies[1:]))
 
@@ -519,17 +535,12 @@ def _run_full_acceptance(config: RunConfig, record: RunRecord):
         include_determinism=config.params["determinism"],
         out_dir=config.out_dir,
     )
-    rows = []
-    for res in results:
-        rows.append(
-            {
-                "check": res.name,
-                "status": res.status,
-                "detail": res.headline(),
-            }
-        )
     # wall times live in the summary, never in the byte-compared tables
+    rows = [{"check": res.name, "status": res.status, "detail": res.headline()} for res in results]
     record.tables["acceptance"] = (rows, ["check", "status", "detail"])
+    for res in results:
+        for name, table in res.tables.items():
+            record.tables[f"{res.name}_{name}"] = table
     record.summary = {
         res.name: {
             "status": res.status,
@@ -538,7 +549,7 @@ def _run_full_acceptance(config: RunConfig, record: RunRecord):
         }
         for res in results
     }
-    record.passed = all(res.status in ("pass", "expected-defect") for res in results)
+    record.passed = all(res.status == "pass" for res in results)
 
 
 def _is_scalar(v):

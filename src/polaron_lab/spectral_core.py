@@ -136,15 +136,12 @@ class Grid:
         out.flags.writeable = False
         return out
 
-    def compatible(self, other: "Grid") -> bool:
-        return (
+    def require_same(self, other: "Grid"):
+        if not (
             self.dim == other.dim
             and self.points_per_axis == other.points_per_axis
             and np.isclose(self.box_length, other.box_length, rtol=1e-14, atol=0.0)
-        )
-
-    def require_same(self, other: "Grid"):
-        if not self.compatible(other):
+        ):
             raise GridMismatchError(f"incompatible grids: {self} vs {other}")
 
 

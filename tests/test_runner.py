@@ -45,6 +45,25 @@ class TestValidation:
             )
         assert err.value.keys == ("T", "dt")
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_bool_keys_take_only_booleans(self, value):
+        params = {"preset": "quick", "determinism": value}
+        with pytest.raises(SchemaError) as err:
+            runner.validate_config({"scenario": "full-acceptance", "params": params})
+        assert err.value.keys == ("determinism",)
+        params["determinism"] = False
+        cfg = runner.validate_config({"scenario": "full-acceptance", "params": params})
+        assert cfg.params["determinism"] is False
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"scenario": "pekar", "params": [["grid", 16]]}, "params"),
+        ({"scenario": "pekar", "params": None}, "params"),
+    ])
+    def test_malformed_tree_is_a_schema_error(self, raw, key):
+        with pytest.raises(SchemaError) as err:
+            runner.validate_config(raw)
+        assert err.value.keys == (key,)
+
     def test_choice_enforcement(self):
         with pytest.raises(SchemaError) as err:
             runner.validate_config({"scenario": "fock", "params": {"experiment": "bogus"}})
@@ -159,6 +178,25 @@ class TestRun:
         text = path.read_text().splitlines()[1]
         assert text == format(1.0 / 3.0, ".17g")
         assert float(text) == 1.0 / 3.0
+
+    def test_full_acceptance_writes_every_table_at_full_precision(self, tmp_path):
+        # the determinism double run compares these files, not only four-digit headlines
+        params = {"preset": "quick", "determinism": False}
+        record = runner.run(runner.validate_config(
+            {"scenario": "full-acceptance", "params": params, "out": str(tmp_path)}
+        ))
+        assert record.passed
+        names = ("error-scaling-stationary_errors", "error-scaling-coherent_errors",
+                 "npolaron-binding_binding")
+        for name in names:
+            rows, header = record.tables[name]
+            with open(tmp_path / f"{name}.csv") as fh:
+                written = list(csv.DictReader(fh))
+            assert len(written) == len(rows) > 0
+            for row, back in zip(rows, written):
+                for key in header:
+                    if isinstance(row[key], float):
+                        assert float(back[key]) == row[key]
 
 
 class TestFockVerb:
@@ -276,12 +314,13 @@ class TestLpEvolve:
     def test_rows_are_the_evolve_samples_of_both_representations(
         self, tmp_path, pekar_rescaled_small
     ):
-        pekar.save_solution(tmp_path, pekar_rescaled_small)
+        # the saved ground state evolves bit for bit as the one in memory
+        sol = pekar_rescaled_small
+        pekar.save_solution(tmp_path, sol)
         params = {"init": str(tmp_path / "pekar.json"), "alpha": 2.0, "T": 0.02, "dt": 1e-3,
                   "sample_interval": 0.01}
         record = runner.run(runner.validate_config({"scenario": "lp-evolve", "params": params}))
         rows = record.tables["observables"][0]
-        sol = pekar.load_solution(tmp_path)
         cfg = lp.LPConfig(sol.phi0.grid, sol.form, alpha=2.0)
         z0 = lp.stationary_label(cfg, sol.f)
         quad, osc = (
@@ -290,10 +329,33 @@ class TestLpEvolve:
         )
         assert len(rows) == len(quad) == 3
         for row, a, b in zip(rows, quad, osc):
-            assert row["t"] == a.t
-            assert row["energy"] == lp.df_energy(a)
-            assert row["rep_gap"] == float(np.max(np.abs(a.potential() - b.potential())))
+            overlap = complex(np.vdot(a.phi.values, sol.phi0.values) * cfg.grid.cell_volume)
+            assert row == {
+                "t": a.t,
+                "norm_defect": abs(a.phi.norm() - 1.0),
+                "energy": lp.df_energy(a),
+                "infidelity": 1.0 - abs(overlap),
+                "phase_arg": float(np.angle(a.a_phase)),
+                "rep_gap": float(np.max(np.abs(a.potential() - b.potential()))),
+            }
         assert record.passed
+
+    @pytest.mark.parametrize("case", ["missing", "older-format", "garbage"])
+    def test_unreadable_init_is_a_schema_error(self, tmp_path, capsys, case):
+        init = tmp_path / "ground" / "pekar.json"
+        if case != "missing":
+            init.parent.mkdir()
+            init.write_text(json.dumps({"E_P": -0.02, "g": 0.5, "residual": 1e-9}))
+        if case == "garbage":
+            (init.parent / "pekar.npz").write_bytes(b"not an archive")
+        out = tmp_path / "run"
+        code = cli_main(["lp-evolve", "--init", str(init), "--T", "0.01", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'init'" in err
+        if case != "garbage":
+            assert "run the pekar verb" in err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"
 
 
 class TestCli:
@@ -315,6 +377,8 @@ class TestCli:
             (["pekar", "--grid", "12"], "grid"),
             (["npolaron", "--grid", "12"], "grid"),
             (["fock", "--sites", "6"], "sites"),
+            (["fock", "--modes", "0"], "modes"),
+            (["lemma-suite", "--modes", "0"], "modes"),
         ],
     )
     def test_malformed_parameters_are_refused_before_the_manifest(
@@ -432,6 +496,20 @@ class TestCli:
         assert code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["idempotency"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", "[1, 2]", '{"params": [1, 2]}', '{"params": 3}']
+    )
+    def test_malformed_config_file_is_a_schema_error(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:  # None: the file does not exist
+            cfg_path.write_text(content)
+        out = tmp_path / "out"
+        code = cli_main(["pekar", "--config", str(cfg_path), "--grid", "16", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'config'" in err or "'params'" in err
+        assert not (out / "manifest.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
