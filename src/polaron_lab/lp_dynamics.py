@@ -32,13 +32,15 @@ half-step potential's ifftn and the fftn of f = v rhohat at the step's end.
 The state carries that f, so the next step starts from it instead of
 transforming phi again. The step's multipliers are built once per config
 (the oscillator's scale, label divisor and fixed-point factor) or once per
-(config, dt) (the drift exp(-i dt k^2); only the last dt is kept). Two cheaper
-forms are not used, because both change the last bits of the seeded CSVs and
-save little (one thread, 32^3): the potential Re ifftn(c) as irfftn of the
-Hermitian-symmetrised half spectrum took 0.79-1.0 ms against 0.74-0.85 ms for
-ifftn(c).real (rfftn for f would need the full lattice filled back in and
-saves as little), and the kick as cos + i sin instead of the complex exp
-saves 0.16-0.3 ms of a 6-7 ms step.
+(config, dt) (the drift exp(-i dt k^2); only the last dt is kept). The
+transforms are spectral_core's grid transforms, numpy's bits on scipy's n-d
+kernel on a 3d grid. Two cheaper forms are not used, because both change the
+last bits of the seeded CSVs and save little (one thread, 32^3, medians on a
+shared 2-vCPU host where a step takes 7-9 ms): the potential Re ifftn(c) as
+irfftn of the Hermitian-symmetrised half spectrum took 0.93 ms against
+0.75 ms for ifftn(c).real (rfftn for f would need the full lattice filled
+back in and saves as little), and the kick as cos + i sin instead of the
+complex exp saves about 0.2 ms of a step.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ from .spectral_core import (
     Grid,
     WaveField,
     _density_displacement,
+    _fftn,
+    _ifftn,
     kinetic_energy,
     mode_inner,
     mode_norm_sq,
@@ -112,7 +116,7 @@ class LPConfig:
     def potential_of_label(self, z: np.ndarray) -> np.ndarray:
         """V(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx} (real array)."""
         coeffs = self.form.values * z
-        summed = np.fft.ifftn(coeffs) * (self.grid.mode_weight * self.grid.size)
+        summed = _ifftn(coeffs) * (self.grid.mode_weight * self.grid.size)
         return 2.0 * self.coupling * summed.real
 
     def _drift(self, dt: float) -> np.ndarray:
@@ -183,7 +187,7 @@ class OscillatorRep:
     @classmethod
     def from_fields(cls, cfg: LPConfig, v: np.ndarray, vdot: np.ndarray):
         dv = cfg.grid.cell_volume
-        return cls(np.fft.fftn(v) * dv, np.fft.fftn(vdot) * dv)
+        return cls(_fftn(v) * dv, _fftn(vdot) * dv)
 
     @classmethod
     def from_label(cls, cfg: LPConfig, z: np.ndarray):
@@ -199,13 +203,13 @@ class OscillatorRep:
         return np.where(carries, c_hat / divisor, 0.0)
 
     def potential(self, cfg: LPConfig, t: float) -> np.ndarray:
-        return (np.fft.ifftn(self.v_hat) / cfg.grid.cell_volume).real
+        return (_ifftn(self.v_hat) / cfg.grid.cell_volume).real
 
     def _label_and_potential(self, cfg: LPConfig, t: float):
         return self.label(cfg, t), self.potential(cfg, t)
 
     def vdot_field(self, cfg: LPConfig) -> np.ndarray:
-        return (np.fft.ifftn(self.vdot_hat) / cfg.grid.cell_volume).real
+        return (_ifftn(self.vdot_hat) / cfg.grid.cell_volume).real
 
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
         """Exact mode rotation around the driven fixed point, drive frozen."""
@@ -351,7 +355,7 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     z_mid, v_mid = rep_mid._label_and_potential(cfg, t_mid)
     kick = np.exp(-0.5j * dt * lift(v_mid))
     new = kick * values
-    new = np.fft.ifftn(drift * np.fft.fftn(new))
+    new = _ifftn(drift * _fftn(new))
     # kept apart from the transform: numpy would multiply into the ifftn temporary in
     # place, which swaps the complex product's operands and changes its rounding
     new = kick * new

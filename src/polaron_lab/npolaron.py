@@ -35,6 +35,7 @@ from .spectral_core import (
     _density_displacement,
     _density_potential,
     _fourier_multiply,
+    _ifftn,
     kinetic_energy,
     mode_norm_sq,
 )
@@ -53,6 +54,12 @@ __all__ = [
 
 _STATISTICS = ("boson_product", "full_two_body")
 _PAIR_BUDGET_SITES = 4096  # 16^3-equivalent single-particle grid
+
+
+def _default_form(grid: Grid) -> FormFactor:
+    if grid.dim == 3:
+        return FormFactor.coulomb_d3_isolated(grid)
+    return FormFactor.toy(grid, 0.1)
 
 
 @dataclass(frozen=True)
@@ -78,12 +85,7 @@ class PTConfig:
                     f"pair grid {self.grid.size} sites exceeds the {_PAIR_BUDGET_SITES}-site budget"
                 )
         if self.form is None:
-            default = (
-                FormFactor.coulomb_d3_isolated(self.grid)
-                if self.grid.dim == 3
-                else FormFactor.toy(self.grid, 0.1)
-            )
-            object.__setattr__(self, "form", default)
+            object.__setattr__(self, "form", _default_form(self.grid))
         self.grid.require_same(self.form.grid)
 
     @property
@@ -113,7 +115,7 @@ def _pair_kinetic_multiplier(grid: Grid) -> np.ndarray:
 
 def _pair_kernel(grid: Grid, form: FormFactor) -> np.ndarray:
     """K(x1 - x2) on the pair lattice (periodic difference indexing)."""
-    k_real = (np.fft.ifftn(form.kernel_multiplier) / grid.cell_volume).real
+    k_real = (_ifftn(form.kernel_multiplier) / grid.cell_volume).real
     n = grid.points_per_axis
     idx = np.arange(n)
     diff = [
@@ -221,6 +223,25 @@ def single_polaron_energy(grid: Grid, form: FormFactor, tol: float = 1e-7) -> fl
     return minimize_pekar(grid, g=0.5, tol=tol, form=form, compute_gap=False).e_p
 
 
+def _orbital_solver(grid: Grid, form: FormFactor, tol: float):
+    """g -> minimize_pekar at (grid, form, tol) from default_rng(0), without the gap.
+
+    Each distinct g is solved once per solver: the product orbital at U = 1 is the single
+    polaron (g_eff = 1/2 for every N), and a verb's own U may recur in its scan. The
+    solutions live as long as the solver, which lives as long as the call that made it.
+    """
+    solved = {}
+
+    def solve(g):
+        if g not in solved:
+            solved[g] = minimize_pekar(
+                grid, g=g, tol=tol, form=form, rng=np.random.default_rng(0), compute_gap=False
+            )
+        return solved[g]
+
+    return solve
+
+
 def _binding_diagnostic(cfg: PTConfig, e_n: float, rho: np.ndarray, e_single: float) -> dict:
     grid = cfg.grid
     n_single = cfg.n_particles * e_single
@@ -241,11 +262,10 @@ def _binding_diagnostic(cfg: PTConfig, e_n: float, rho: np.ndarray, e_single: fl
     }
 
 
-def _minimize_product(cfg: PTConfig, tol: float, rng, e_single: float) -> PTSolution:
+def _product_solution(cfg: PTConfig, sol, e_single: float) -> PTSolution:
+    """The product state of ``sol``, the orbital minimizer's solution at cfg's g_eff."""
     grid, form = cfg.grid, cfg.form
     n = cfg.n_particles
-    g_eff = cfg.effective_orbital_coupling
-    sol = minimize_pekar(grid, g=g_eff, tol=tol, form=form, rng=rng, compute_gap=False)
     orbital = sol.phi0
     rho = n * orbital.density()
     en = pt_energy(orbital, cfg)
@@ -337,20 +357,46 @@ def minimize_pt(
     if e_single is None:
         e_single = single_polaron_energy(cfg.grid, cfg.form, tol)
     if cfg.statistics == "boson_product":
-        return _minimize_product(cfg, tol, rng, e_single)
+        sol = minimize_pekar(
+            cfg.grid, g=cfg.effective_orbital_coupling, tol=tol, form=cfg.form, rng=rng,
+            compute_gap=False,
+        )
+        return _product_solution(cfg, sol, e_single)
     return _minimize_pair(cfg, tol, max_iter, e_single)
 
 
 def binding_scan(
     grid: Grid, u_values, n_particles: int = 2, tol: float = 1e-7, form=None, e_single=None
 ):
-    """E_N over a repulsion grid plus the binding diagnostic per point (one E_1 solve)."""
+    """E_N over a repulsion grid plus the binding diagnostic per point.
+
+    Each distinct orbital coupling is solved once, E_1's (when ``e_single`` is not given)
+    included; the rows equal those of a ``minimize_pt`` at each U.
+    """
+    form = _default_form(grid) if form is None else form
+    solve = _orbital_solver(grid, form, tol)
+    if e_single is None:
+        e_single = solve(0.5).e_p
+    return _scan_rows(grid, u_values, n_particles, form, solve, e_single)
+
+
+def _binding_study(cfg: PTConfig, u_values, tol: float = 1e-7) -> tuple:
+    """(minimize_pt(cfg), binding_scan over u_values at cfg's N and form), as those return
+    them, with each distinct orbital coupling solved once across both."""
+    solve = _orbital_solver(cfg.grid, cfg.form, tol)
+    e_single = solve(0.5).e_p
+    if cfg.statistics == "boson_product":
+        sol = _product_solution(cfg, solve(cfg.effective_orbital_coupling), e_single)
+    else:
+        sol = minimize_pt(cfg, tol=tol, e_single=e_single)
+    return sol, _scan_rows(cfg.grid, u_values, cfg.n_particles, cfg.form, solve, e_single)
+
+
+def _scan_rows(grid: Grid, u_values, n_particles: int, form: FormFactor, solve, e_single):
     rows = []
     for u in u_values:
         cfg = PTConfig(n_particles, float(u), grid, form=form)
-        if e_single is None:
-            e_single = single_polaron_energy(grid, cfg.form, tol)
-        sol = minimize_pt(cfg, tol=tol, e_single=e_single)
+        sol = _product_solution(cfg, solve(cfg.effective_orbital_coupling), e_single)
         rows.append(
             {
                 "U": float(u),

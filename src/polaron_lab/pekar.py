@@ -155,7 +155,11 @@ def _residual(values: np.ndarray, g: float, form: FormFactor) -> tuple:
 
 
 def _spectral_gap(phi: WaveField, g: float, form: FormFactor, rng) -> tuple:
-    """Two lowest eigenvalues of -Lap + 2gV (matrix-free, kinetic-preconditioned)."""
+    """(lowest eigenvalue, gap, converged) of -Lap + 2gV (matrix-free, kinetic-preconditioned).
+
+    ``converged`` is whether both final lobpcg residual norms reach its tolerance; at its
+    iteration cap lobpcg returns its best iterate with no more than a warning.
+    """
     grid = phi.grid
     values = phi.values.real
     v = _mean_field_apply(values, g, form)[2]
@@ -170,9 +174,12 @@ def _spectral_gap(phi: WaveField, g: float, form: FormFactor, rng) -> tuple:
     op = LinearOperator((grid.size, grid.size), matvec=matvec, dtype=float)
     m = LinearOperator((grid.size, grid.size), matvec=precond, dtype=float)
     block = np.stack([values.ravel(), rng.standard_normal(grid.size)], axis=1)
-    vals, _ = lobpcg(op, block, M=m, tol=1e-8, maxiter=400, largest=False)
+    tol = 1e-8
+    vals, _, residual_norms = lobpcg(
+        op, block, M=m, tol=tol, maxiter=400, largest=False, retResidualNormsHistory=True
+    )
     vals = np.sort(vals)
-    return float(vals[0]), float(vals[1] - vals[0])
+    return float(vals[0]), float(vals[1] - vals[0]), bool(np.max(residual_norms[-1]) <= tol)
 
 
 def _sphere_minimize(
@@ -307,7 +314,9 @@ def minimize_pekar(
         flags = ("delocalized",)
     gap = None
     if compute_gap:
-        lam_lanczos, gap = _spectral_gap(phi, g, form, rng)
+        lam_lanczos, gap, gap_converged = _spectral_gap(phi, g, form, rng)
+        if not gap_converged:
+            flags += ("gap_unconverged",)
         if abs(lam_lanczos - lam) > 1e-5 * max(1.0, abs(lam)):
             raise ConvergenceError(
                 f"converged state is not the lowest mean-field eigenvector "

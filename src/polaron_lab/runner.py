@@ -143,8 +143,8 @@ def validate_config(raw: dict) -> RunConfig:
             try:
                 if typ is bool and not isinstance(value, bool):  # bool("false") would be True
                     raise TypeError
-                resolved[key] = typ(value)
-            except (TypeError, ValueError):
+                resolved[key] = _integer(value) if typ is int else typ(value)
+            except (TypeError, ValueError, OverflowError):
                 wrong_type.append(key)
         elif default is None:
             missing.append(key)
@@ -210,7 +210,14 @@ def validate_config(raw: dict) -> RunConfig:
                 f"sweep parameters out of range (need samples >= 2 and T > 0): {bad}",
                 keys=tuple(bad),
             )
-    seed = int(raw.get("seed", 0))
+    try:
+        seed = _integer(raw.get("seed", 0))
+        if seed < 0:  # numpy's generators take no negative seed
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(
+            f"'seed' must be a non-negative integer, got {raw.get('seed')!r}", keys=("seed",)
+        ) from None
     out_dir = raw.get("out")
     return RunConfig(
         scenario=scenario,
@@ -218,6 +225,17 @@ def validate_config(raw: dict) -> RunConfig:
         seed=seed,
         out_dir=Path(out_dir) if out_dir else None,
     )
+
+
+def _integer(value) -> int:
+    """``value`` as an int when it is an integer, an integral number or an integer string (as
+    CLI flags arrive); a boolean or a non-integral number raises, where int() would truncate."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    out = int(value)
+    if not isinstance(value, str) and out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
 
 
 def _float_list(text, key: str) -> list:
@@ -501,8 +519,7 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
     grid = Grid(3, p["grid"], p["box"])
     statistics = "boson_product" if p["mode"] == "product" else "full_two_body"
     cfg = npl.PTConfig(p["N"], p["U"], grid, statistics=statistics)
-    e_single = npl.single_polaron_energy(grid, cfg.form)
-    sol = npl.minimize_pt(cfg, e_single=e_single)
+    sol, scan = npl._binding_study(cfg, _float_list(p["u_grid"], "u_grid"))
     record.summary = {
         "E_N": sol.e_n,
         "lambda": sol.lam,
@@ -512,8 +529,6 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
         "U": p["U"],
         "N": p["N"],
     }
-    u_values = _float_list(p["u_grid"], "u_grid")
-    scan = npl.binding_scan(grid, u_values, n_particles=p["N"], form=cfg.form, e_single=e_single)
     record.tables["binding"] = (scan, _BINDING_HEADER)
     energies = [r["E_N"] for r in scan]
     record.passed = all(a <= b + 1e-10 for a, b in zip(energies, energies[1:]))

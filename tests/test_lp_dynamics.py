@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from polaron_lab.errors import BlowUpError
 from polaron_lab.spectral_core import FormFactor, Grid, WaveField
 from polaron_lab import lp_dynamics as lp
+from polaron_lab import spectral_core as sc
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +224,8 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
     def test_step_does_four_transforms(self, ring_state, rep, monkeypatch):
-        # drift fftn/ifftn, the potential's ifftn and f_after's fftn; f_before is carried
+        # drift fftn/ifftn, the potential's ifftn and f_after's fftn; f_before is carried.
+        # Counted at the grid transforms, on the ring (numpy) and on a 3d grid (scipy.fft)
         calls = []
 
         def counted(transform):
@@ -233,13 +235,22 @@ class TestIntegrator:
 
             return wrapper
 
-        for name in ("fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        state = lp.initial_state(ring_state.cfg, ring_state.phi, z0=ring_state.label(), rep=rep)
-        calls.clear()
-        for _ in range(3):
-            state = lp.step(state, 1e-2)
-        assert len(calls) == 12
+        wrappers = {name: counted(getattr(sc, name)) for name in ("_fftn", "_ifftn")}
+        for module in (sc, lp):
+            for name, wrapper in wrappers.items():
+                monkeypatch.setattr(module, name, wrapper)
+        grid = Grid(3, 8, 8.0)
+        cube = lp.LPConfig(grid, FormFactor.coulomb_d3_isolated(grid), alpha=2.0)
+        bump = np.exp(-sum(c**2 for c in np.meshgrid(*[grid.x_axis_centered] * 3)) / 4.0)
+        for cfg, phi, z0 in (
+            (ring_state.cfg, ring_state.phi, ring_state.label()),
+            (cube, WaveField(grid, bump).normalized(), 0.05j * np.ones(grid.shape)),
+        ):
+            state = lp.initial_state(cfg, phi, z0=z0, rep=rep)
+            calls.clear()
+            for _ in range(3):
+                state = lp.step(state, 1e-2)
+            assert sorted(calls) == ["_fftn"] * 6 + ["_ifftn"] * 6
 
     def test_step_builds_the_mid_step_label_once(self, ring_state, monkeypatch):
         # the kick's potential and the phase update share one QuadratureRep.label call

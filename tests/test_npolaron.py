@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -154,8 +155,8 @@ class TestMinimization:
         assert all(a <= b + 1e-10 for a, b in zip(energies, energies[1:]))
 
     def test_verb_solves_the_single_polaron_once(self, tmp_path, monkeypatch):
-        # one E_1 solve shared by minimize_pt and the two-point scan: 1 + 1 + 2
-        # minimizer calls, where solving E_1 at every point took 2 + 2 + 2
+        # one solve per distinct orbital coupling: E_1 is the U = 1 orbital (g_eff 1/2) and
+        # the verb's U = 0.5 is a scan point, so 3 minimizer calls give all 5 solutions
         calls = []
 
         def counting(*args, **kwargs):
@@ -163,22 +164,47 @@ class TestMinimization:
             return minimize_pekar(*args, **kwargs)
 
         monkeypatch.setattr(npl, "minimize_pekar", counting)
-        code = cli_main(
-            ["npolaron", "--grid", "16", "--box", "24", "--u-grid", "0,1.0", "--out", str(tmp_path)]
-        )
+        code = cli_main([
+            "npolaron", "--grid", "16", "--box", "24", "--u-grid", "0,0.5,1.0", "--out", str(tmp_path)
+        ])
         assert code == 0
-        assert len(calls) == 4 and calls.count(0.5) == 2  # E_1 and the U = 1 orbital
+        assert sorted(calls) == [0.5, 0.75, 1.0]
         with open(tmp_path / "binding.csv") as handle:
             rows = list(csv.DictReader(handle))
-        # each row equals a stand-alone solve at its U that finds its own E_1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        # the summary and each row equal a stand-alone solve at its U that finds its own E_1
         grid = Grid(3, 16, 24.0)
+        sol = npl.minimize_pt(npl.PTConfig(2, 0.5, grid))
+        assert (summary["E_N"], summary["lambda"], summary["mu"], summary["residual"]) == (
+            sol.e_n, sol.lam, sol.mu, sol.residual
+        )
+        assert summary["binding"] == sol.binding
         for row in rows:
             sol = npl.minimize_pt(npl.PTConfig(2, float(row["U"]), grid))
             assert float(row["E_N"]) == sol.e_n
             assert float(row["N_E_single"]) == sol.binding["n_times_single"]
             assert row["bound"] == str(sol.binding["bound"])
             assert float(row["rms_radius"]) == sol.binding["rms_radius"]
-        assert [row["bound"] for row in rows] == ["True", "False"]
+        assert (rows[0]["bound"], rows[-1]["bound"]) == ("True", "False")
+
+    def test_full_pair_verb_shares_e_single_with_the_scan(self, tmp_path, monkeypatch):
+        # the pair summary takes E_1 from the scan's U = 1 orbital
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["g"])
+            return minimize_pekar(*args, **kwargs)
+
+        monkeypatch.setattr(npl, "minimize_pekar", counting)
+        argv = ["npolaron", "--mode", "full", "--grid", "4", "--box", "6", "--u-grid", "0,1.0"]
+        assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == [0.5, 1.0]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        grid = Grid(3, 4, 6.0)
+        sol = npl.minimize_pt(npl.PTConfig(2, 0.5, grid, statistics="full_two_body"))
+        assert (summary["E_N"], summary["residual"], summary["binding"]) == (
+            sol.e_n, sol.residual, sol.binding
+        )
 
 
 class TestDynamics:

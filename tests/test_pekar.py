@@ -27,6 +27,10 @@ from polaron_lab.pekar import (
     scaling_check,
 )
 
+from polaron_lab import pekar as pekar_module
+from polaron_lab.cli import main as cli_main
+from scipy.sparse.linalg import lobpcg
+
 from oracles import radial_ground_state
 
 
@@ -178,6 +182,21 @@ class TestMinimizer:
     def test_lambda_is_lowest_eigenvalue_with_positive_gap(self):
         sol = minimize_pekar(Grid(3, 16, 12.0), g=1.0, tol=1e-7, compute_gap=True)
         assert sol.gap is not None and sol.gap > 0
+        assert "gap_unconverged" not in sol.flags
+
+    def test_gap_solve_that_misses_its_tolerance_is_flagged(self, tmp_path, monkeypatch):
+        # lobpcg returns its best iterate at the iteration cap, with only a warning
+        def capped(*args, **kwargs):
+            return lobpcg(*args, **{**kwargs, "maxiter": 2})
+
+        monkeypatch.setattr(pekar_module, "lobpcg", capped)
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning):
+            code = cli_main(["pekar", "--grid", "16", "--box", "16", "--g", "1", "--tol", "1e-7",
+                             "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["flags"] == ["gap_unconverged"]
+        assert load_solution(out).flags == ("gap_unconverged",)
 
 
 class TestScaling:

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +66,29 @@ class TestValidation:
         with pytest.raises(SchemaError) as err:
             runner.validate_config(raw)
         assert err.value.keys == (key,)
+
+    @pytest.mark.parametrize("params", [
+        {"grid": 16.7}, {"grid": True}, {"grid": float("inf")}, {"grid": "16.0"},
+    ])
+    def test_int_keys_refuse_what_int_would_truncate(self, params):
+        with pytest.raises(SchemaError) as err:
+            runner.validate_config({"scenario": "pekar", "params": params})
+        assert err.value.keys == ("grid",)
+
+    def test_int_keys_take_integers_integral_numbers_and_integer_text(self):
+        with pytest.raises(SchemaError) as err:
+            runner.validate_config({"scenario": "fock", "params": {"nmax": True}})
+        assert err.value.keys == ("nmax",)
+        for value in (16, 16.0, np.int64(16), "16"):
+            cfg = runner.validate_config({"scenario": "pekar", "params": {"grid": value}})
+            assert cfg.params["grid"] == 16 and type(cfg.params["grid"]) is int
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, None, -1, [3]])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        with pytest.raises(SchemaError) as err:
+            runner.validate_config({"scenario": "pekar", "seed": seed})
+        assert err.value.keys == ("seed",)
+        assert runner.validate_config({"scenario": "pekar", "seed": "7"}).seed == 7
 
     def test_choice_enforcement(self):
         with pytest.raises(SchemaError) as err:
@@ -510,6 +536,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'config'" in err or "'params'" in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("raw", [{"seed": "x"}, {"seed": 2.5}, {"params": {"grid": 16.7}}])
+    def test_config_file_values_int_would_truncate_are_schema_errors(self, tmp_path, capsys, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["pekar", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert ("'seed'" if "seed" in raw else "'grid'") in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_fock_and_lemma_suite_runs_leave_scipy_fft_unimported(self, tmp_path):
+        # scipy.fft imports scipy.special; only a transform over two or more axes loads it
+        script = f"""
+import sys
+import numpy as np
+import polaron_lab
+from polaron_lab.cli import main
+assert "scipy.fft" not in sys.modules, "import polaron_lab"
+args = ["--sites", "8", "--box", "2", "--modes", "2", "--nmax", "2", "--alpha-grid", "1,2"]
+assert main(["fock", *args, "--T", "0.5", "--samples", "3", "--experiment", "theorem2",
+             "--out", {str(tmp_path / "fock")!r}]) == 0
+assert main(["lemma-suite", *args, "--out", {str(tmp_path / "lemma")!r}]) == 0
+assert "scipy.fft" not in sys.modules, "fock and lemma-suite"
+polaron_lab.spectral_core._fftn(np.ones((2, 2)))
+assert "scipy.fft" in sys.modules, "a two-axis transform"
+"""
+        src = Path(runner.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

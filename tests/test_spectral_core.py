@@ -15,6 +15,9 @@ from polaron_lab.spectral_core import (
     FormFactor,
     Grid,
     WaveField,
+    _fftn,
+    _fourier_multiply,
+    _ifftn,
     coulomb_potential,
     cutoff_filter,
     cv_constant,
@@ -368,3 +371,29 @@ class TestSpectralProperties:
         res = hartree_energy(rho, form=any_form(grid, choice, v0), rtol=np.inf)
         assert res.momentum > 0.0
         assert res.real_space == pytest.approx(res.momentum, rel=1e-12)
+
+    @spectral_properties
+    @given(st.data())
+    def test_grid_transforms_are_numpy_bit_for_bit(self, data):
+        # 1 axis (the Fock ring), 2 and 3 (the grids) and 6 (a 3d pair state), power-of-two sizes
+        ndim = data.draw(st.sampled_from((1, 2, 3, 6)))
+        sizes = (2, 4) if ndim == 6 else (2, 4, 8, 16)
+        shape = tuple(data.draw(st.sampled_from(sizes)) for _ in range(ndim))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        real = rng.standard_normal(shape)
+        multiplier = rng.standard_normal(shape)
+        half = multiplier[..., : shape[-1] // 2 + 1]
+        every = tuple(range(ndim))
+        assert np.array_equal(
+            _fourier_multiply(real, multiplier),
+            np.fft.irfftn(half * np.fft.rfftn(real, axes=every), s=shape, axes=every),
+        )
+        axes_choices = (None, every) + ((every[:3], every[3:]) if ndim == 6 else ())
+        for values in (real, real + 1j * rng.standard_normal(shape)):
+            for axes in axes_choices:
+                assert np.array_equal(_fftn(values, axes), np.fft.fftn(values, axes=axes))
+                assert np.array_equal(_ifftn(values, axes), np.fft.ifftn(values, axes=axes))
+        assert np.array_equal(
+            _fourier_multiply(values, multiplier),
+            np.fft.ifftn(multiplier * np.fft.fftn(values)),
+        )
