@@ -15,7 +15,6 @@ Library layout:
 from .errors import (
     BlowUpError,
     ConvergenceError,
-    DivergenceError,
     GridMismatchError,
     MeasureConsistencyError,
     PolaronLabError,
@@ -29,13 +28,7 @@ from .spectral_core import (
     Grid,
     HartreeEnergy,
     WaveField,
-    coulomb_potential,
-    cutoff_filter,
-    cv_constant,
-    fft_field,
-    field_inner,
     hartree_energy,
-    ifft_field,
     kernel_potential,
     kinetic_energy,
 )

@@ -5,6 +5,11 @@ that the CLI can map them onto distinct exit codes (config -> 2, sizing -> 3,
 everything else -> 1).
 """
 
+__all__ = [
+    "PolaronLabError", "GridMismatchError", "UnsupportedKernelError", "MeasureConsistencyError",
+    "ConvergenceError", "ProjectionError", "SizingError", "SchemaError", "BlowUpError",
+]
+
 
 class PolaronLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,10 +42,6 @@ class ConvergenceError(PolaronLabError):
 
 class ProjectionError(PolaronLabError):
     """Positivity projection hit an iterate with genuine sign changes."""
-
-
-class DivergenceError(PolaronLabError):
-    """A lattice sum that must be finite evaluated to inf/nan."""
 
 
 class SizingError(PolaronLabError):

@@ -15,6 +15,17 @@ The model is born at finite mode count, so the cutoff remainders of the
 continuum construction vanish identically: delta_H = alpha^-1 (phi(G) - phi(f))
 exactly, and the Weyl-conjugation identities hold up to truncation leakage
 only.
+
+On the ring e^{i k_j x} depends on m_j only mod sites, so mode j sits at the
+lattice index ``FockBasis.mode_index[j]`` = m_j mod sites. The basis carries
+the coupling there as a ``FormFactor`` and two maps: ``to_modes`` gathers a
+lattice array at the mode indices, and its adjoint ``to_lattice`` scatter-adds
+modes onto the lattice. Through them f_j = v_j rhohat(k_j) and
+V(x) = -2 Re sum_j w v_j f_j e^{i k_j x} (the LP label potential at
+z = -alpha f) are spectral_core's. A mode set may repeat a ring index (+-2 on
+4 sites): the exact model keeps both modes and the scatter adds them, but the
+LP flow on the ring has one mode per index, so ``error_sweep_coherent`` and
+``make_defect_evaluator`` refuse such a set.
 """
 
 from __future__ import annotations
@@ -29,7 +40,14 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 from .errors import ConvergenceError, SizingError
-from .spectral_core import Grid
+from .spectral_core import (
+    FormFactor,
+    Grid,
+    WaveField,
+    _density_displacement,
+    _label_potential,
+    mode_norm_sq,
+)
 
 __all__ = [
     "FockConfig",
@@ -119,7 +137,7 @@ class FockBasis:
         self.grid = Grid(1, config.n_sites, config.box_length)
         self.x = self.grid.x_axis
         self.k_modes = 2.0 * np.pi * np.array(config.mode_numbers) / config.box_length
-        self.weight = self.grid.mode_weight  # 2 pi / L
+        self.mode_index = np.array(config.mode_numbers, dtype=np.int64) % config.n_sites
         self.v = np.full(len(self.k_modes), float(config.v0))
         self.n_occ = math.comb(len(self.k_modes) + config.n_max, config.n_max)
         self.dim_total = config.n_sites * self.n_occ
@@ -162,7 +180,7 @@ class FockBasis:
         out = sp.csr_matrix((self.n_occ, self.n_occ), dtype=complex)
         for fj, aj in zip(np.asarray(f_values), self.lowering):
             if fj != 0:
-                out = out + np.sqrt(self.weight) * np.conj(fj) * aj
+                out = out + np.sqrt(self.grid.mode_weight) * np.conj(fj) * aj
         return out
 
     def field_occ(self, f_values: np.ndarray):
@@ -193,24 +211,39 @@ class FockBasis:
     @cached_property
     def conjugate_mode_index(self):
         """Index j' with k_{j'} = -k_j (modulo the ring Brillouin zone)."""
-        n = self.config.n_sites
-        mods = [m % n for m in self.config.mode_numbers]
-        return [mods.index((-m) % n) for m in mods]
+        index = self.mode_index.tolist()
+        return [index.index((-m) % self.config.n_sites) for m in index]
 
     def mode_phases(self):
         """Diagonal electron matrices e^{+i k_j x}."""
         return [np.exp(1j * k * self.x) for k in self.k_modes]
 
-    def density_transform(self, psi_e: np.ndarray) -> np.ndarray:
-        """rhohat(k_j) = sum_x e^{-i k_j x} |psi_x|^2 for an l2-normalized orbital."""
-        rho = np.abs(psi_e) ** 2
-        return np.array([np.sum(np.exp(-1j * k * self.x) * rho) for k in self.k_modes])
+    # --- ring lattice <-> modes ---------------------------------------------
+    @cached_property
+    def form(self) -> FormFactor:
+        """The coupling on the ring lattice: v0 at each mode's index, 0 elsewhere."""
+        values = np.zeros(self.grid.shape)
+        values[self.mode_index] = self.config.v0
+        return FormFactor(self.grid, values, cutoff=np.inf, variant="fock-modes")
 
-    def mode_norm_sq(self, f_values: np.ndarray) -> float:
-        return float(self.weight * np.sum(np.abs(f_values) ** 2))
+    def to_modes(self, lattice: np.ndarray) -> np.ndarray:
+        """Gather: a lattice array's entry at each mode's ring index."""
+        return np.asarray(lattice)[self.mode_index]
 
-    def mode_inner(self, f, g) -> complex:
-        return complex(self.weight * np.vdot(f, g))
+    def to_lattice(self, modes: np.ndarray) -> np.ndarray:
+        """Scatter-add, the adjoint of ``to_modes``: modes that share a ring index add up."""
+        out = np.zeros(self.grid.shape, dtype=complex)
+        np.add.at(out, self.mode_index, modes)
+        return out
+
+    def displacement(self, psi_e: np.ndarray) -> np.ndarray:
+        """f_j = v_j rhohat(k_j) of an l2-normalized ring orbital."""
+        rho = np.abs(psi_e) ** 2 / self.grid.dx
+        return self.to_modes(_density_displacement(rho, self.form))
+
+    def potential(self, f_values: np.ndarray) -> np.ndarray:
+        """V(x) = -2 Re sum_j w v_j f_j e^{i k_j x}, the LP potential of the label z = -alpha f."""
+        return _label_potential(self.to_lattice(f_values), self.form, -1.0)
 
 
 def _kron(a, b):
@@ -231,7 +264,7 @@ class FockOperatorSet:
         self.number = _kron(self.eye_e, basis.number_occ)
 
         a_total = sp.csr_matrix((basis.dim_total, basis.dim_total), dtype=complex)
-        sqw = np.sqrt(basis.weight)
+        sqw = np.sqrt(basis.grid.mode_weight)
         for phase, vj, aj in zip(basis.mode_phases(), basis.v, basis.lowering):
             if vj != 0:
                 a_total = a_total + sqw * vj * _kron(np.diag(phase), aj)
@@ -251,44 +284,12 @@ class FockOperatorSet:
     def field_of(self, f_values: np.ndarray):
         return _kron(self.eye_e, self.basis.field_occ(f_values))
 
-    def mean_field_potential(self, f_values: np.ndarray) -> np.ndarray:
-        """V(x) = -2 Re sum_j w v_j f_j e^{i k_j x} (the z = -alpha f potential)."""
-        basis = self.basis
-        v = np.zeros(basis.config.n_sites, dtype=complex)
-        for k, vj, fj in zip(basis.k_modes, basis.v, f_values):
-            v = v + basis.weight * vj * fj * np.exp(1j * k * basis.x)
-        return -2.0 * v.real
-
-    def h_tilde(self, f_values: np.ndarray):
-        """-Lap + V + alpha^-2 N + ||f||^2 (the Weyl-rotated effective generator)."""
-        fsq = self.basis.mode_norm_sq(f_values)
-        v = self.mean_field_potential(f_values)
-        return (
-            self.kinetic
-            + self.potential_diag(v)
-            + self.alpha**-2 * self.number
-            + fsq * sp.identity(self.basis.dim_total, format="csr")
-        ).tocsr()
-
-    def h_effective(self, f_values: np.ndarray):
-        """(-Lap + V) x 1 + 1 x (alpha^-2 N + alpha^-1 phi(f)) + 2||f||^2."""
-        fsq = self.basis.mode_norm_sq(f_values)
-        v = self.mean_field_potential(f_values)
-        return (
-            self.kinetic
-            + self.potential_diag(v)
-            + self.alpha**-2 * self.number
-            + self.alpha**-1 * self.field_of(f_values)
-            + 2.0 * fsq * sp.identity(self.basis.dim_total, format="csr")
-        ).tocsr()
-
     def h_rotated(self, f_values: np.ndarray):
         """H + V - alpha^-1 phi(f) + ||f||^2 (Weyl conjugation of H, assembled)."""
-        fsq = self.basis.mode_norm_sq(f_values)
-        v = self.mean_field_potential(f_values)
+        fsq = mode_norm_sq(self.basis.grid, f_values)
         return (
             self.hamiltonian
-            + self.potential_diag(v)
+            + self.potential_diag(self.basis.potential(f_values))
             - self.alpha**-1 * self.field_of(f_values)
             + fsq * sp.identity(self.basis.dim_total, format="csr")
         ).tocsr()
@@ -316,7 +317,7 @@ def weyl_apply(basis: FockBasis, displacement: np.ndarray, occ_vec: np.ndarray, 
     creates on the vacuum). Unitary by construction; returns (vector, leakage)
     where leakage is the probability weight on the saturated shell.
     """
-    disp_sq = basis.mode_norm_sq(displacement)
+    disp_sq = mode_norm_sq(basis.grid, displacement)
     if guard and disp_sq > basis.config.n_max / 4.0:
         raise SizingError(
             f"mean phonon number {disp_sq:.3g} exceeds the truncation guard "
@@ -431,24 +432,24 @@ def discrete_pekar(ops: FockOperatorSet, tol: float = 1e-12, max_iter: int = 500
     basis = ops.basis
     alpha = ops.alpha
     n = basis.config.n_sites
-    f = basis.v * basis.density_transform(np.ones(n) / np.sqrt(n))
+    f = basis.displacement(np.ones(n) / np.sqrt(n))
     energy = np.inf
     for _ in range(max_iter):
-        vals, vecs = eigh(basis.kinetic_electron + np.diag(ops.mean_field_potential(f)))
+        vals, vecs = eigh(basis.kinetic_electron + np.diag(basis.potential(f)))
         psi, lam, f_prev, e_prev = vecs[:, 0], float(vals[0]), f, energy
-        f = basis.v * basis.density_transform(psi)
-        energy = lam + basis.mode_norm_sq(f)
+        f = basis.displacement(psi)
+        energy = lam + mode_norm_sq(basis.grid, f)
         if abs(energy - e_prev) < tol and np.linalg.norm(f - f_prev) < np.sqrt(tol):
             break
     else:
         raise ConvergenceError(
             f"discrete Pekar not converged in {max_iter} iterations", residual=abs(energy - e_prev)
         )
-    fsq = basis.mode_norm_sq(f)
+    fsq = mode_norm_sq(basis.grid, f)
     mu = -fsq
     eta, leakage = coherent_state(basis, -alpha * f)
     # stationarity checks
-    h_e = basis.kinetic_electron + np.diag(ops.mean_field_potential(f))
+    h_e = basis.kinetic_electron + np.diag(basis.potential(f))
     e_res = float(np.linalg.norm(h_e @ psi - lam * psi))
     h_ph = (alpha**-2) * basis.number_occ + (alpha**-1) * basis.field_occ(f)
     p_res = float(np.linalg.norm(h_ph @ eta - mu * eta))
@@ -557,21 +558,28 @@ def _q0_apply(basis, phi, eta, vec):
     return m.ravel()
 
 
+def _require_distinct_ring_modes(basis: FockBasis):
+    """ValueError if two modes share a ring index, which the LP flow on the ring cannot hold."""
+    if len(np.unique(basis.mode_index)) < len(basis.mode_index):
+        raise ValueError(
+            f"modes {basis.config.mode_numbers} repeat a ring momentum on "
+            f"{basis.config.n_sites} sites; the LP flow on the ring has one mode per index"
+        )
+
+
 def make_defect_evaluator(ops: FockOperatorSet):
     """Adapter for lp_dynamics.df_error_integral: LPState -> ||P(u)^perp H u||.
 
-    The LP state must live on the same ring; its orbital is converted to the
-    l2 convention and its label to a coherent occupation vector.
+    The LP state must live on the same ring, with one mode per ring index; its
+    orbital is converted to the l2 convention and its label to a coherent
+    occupation vector.
     """
     basis = ops.basis
+    _require_distinct_ring_modes(basis)
 
     def defect(state) -> float:
-        dx = state.cfg.grid.dx
-        psi_e = state.phi.values * np.sqrt(dx)
-        label = np.array(
-            [state.label()[m % basis.config.n_sites] for m in basis.config.mode_numbers]
-        )
-        eta, _ = coherent_state(basis, label)
+        psi_e = state.phi.values * np.sqrt(state.cfg.grid.dx)
+        eta, _ = coherent_state(basis, basis.to_modes(state.label()))
         return perp_defect(basis, psi_e, eta, ops.hamiltonian)
 
     return defect
@@ -661,31 +669,26 @@ def error_sweep_coherent(
 
     phi0 is an l2-normalized ring orbital, g the displacement profile of the
     initial coherent state (label -alpha g). The effective trajectory is
-    integrated with lp_dynamics on the same ring; the comparison state is
-    a(t) phi_t x eta_t with eta_t reconstructed from (J_t, F_t).
+    integrated with lp_dynamics on the same ring, which needs one mode per ring
+    index; the comparison state is a(t) phi_t x eta_t with eta_t reconstructed
+    from (J_t, F_t).
     """
     from . import lp_dynamics as lp
-    from .spectral_core import FormFactor, WaveField
 
     basis = FockBasis(config)
+    _require_distinct_ring_modes(basis)
     grid = basis.grid
-    v_lattice = np.zeros(grid.shape)
-    for m in config.mode_numbers:
-        v_lattice[m % config.n_sites] = config.v0
-    form = FormFactor(grid, v_lattice, cutoff=np.inf, variant="fock-modes")
     times = np.linspace(0.0, t_final, n_samples)
     rows = []
     sups = []
     leak_max = 0.0
     for alpha in alphas:
         ops = assemble(config.with_alpha(alpha))
-        cfg = lp.LPConfig(grid, form, alpha=alpha)
+        cfg = lp.LPConfig(grid, basis.form, alpha=alpha)
         phi_field = WaveField(grid, phi0 / np.sqrt(grid.dx))
-        z0_lattice = np.zeros(grid.shape, dtype=complex)
-        for m, gj in zip(config.mode_numbers, g_displacement):
-            z0_lattice[m % config.n_sites] = -alpha * gj
-        state = lp.initial_state(cfg, phi_field, z0=z0_lattice)
-        eta0, leak = coherent_state(basis, np.array([-alpha * gj for gj in g_displacement]))
+        label0 = -alpha * np.asarray(g_displacement)
+        state = lp.initial_state(cfg, phi_field, z0=basis.to_lattice(label0))
+        eta0, leak = coherent_state(basis, label0)
         leak_max = max(leak_max, leak)
         u0 = np.kron(phi0, eta0)
         u0 = u0 / np.linalg.norm(u0)
@@ -700,9 +703,7 @@ def error_sweep_coherent(
             for _ in range(n_steps):
                 current = lp.step(current, dt)
             # eta_t = e^{-iF} e^{-i omega N t} W(J_t) eta0
-            j_lattice = current.rep.j
-            j_modes = np.array([j_lattice[m % config.n_sites] for m in config.mode_numbers])
-            eta_t, leak = weyl_apply(basis, j_modes, eta0, guard=False)
+            eta_t, leak = weyl_apply(basis, basis.to_modes(current.rep.j), eta0, guard=False)
             leak_max = max(leak_max, leak)
             eta_t = np.exp(-1j * omega * basis.occ_totals * t) * eta_t
             eta_t = np.exp(-1j * current.rep.f_acc) * eta_t
@@ -732,7 +733,7 @@ def aliased_cv_constant(basis: FockBasis) -> float:
         for k, v in zip(basis.k_modes, basis.v):
             d = q - k
             d = (d + bz / 2) % bz - bz / 2
-            total += basis.weight * v**2 / (1.0 + d**2)
+            total += basis.grid.mode_weight * v**2 / (1.0 + d**2)
         best = max(best, total)
     return best
 
@@ -786,7 +787,7 @@ def inequality_suite(config: FockConfig, alphas=(1.0, 2.0, 4.0), rng=None, n_ran
     for alpha in alphas:
         ops_a = assemble(config.with_alpha(alpha))
         for eps in (0.25, 0.5):
-            c_eps = eps * alpha**-2 + (1.0 / eps) * basis.mode_norm_sq(basis.v)
+            c_eps = eps * alpha**-2 + (1.0 / eps) * mode_norm_sq(basis.grid, basis.v)
             upper = (
                 (1 + eps) * (ops_a.kinetic + alpha**-2 * ops_a.number)
                 + c_eps * sp.identity(basis.dim_total, format="csr")
@@ -829,13 +830,13 @@ def _coherent_initial_data(basis: FockBasis, rng) -> tuple:
     phi0 = np.exp(-(x**2) / (2 * (basis.config.box_length / 8) ** 2)).astype(complex)
     phi0 /= np.linalg.norm(phi0)
     g = _symmetric_draw(basis, rng)
-    g *= np.sqrt(4e-3 / basis.mode_norm_sq(g))
+    g *= np.sqrt(4e-3 / mode_norm_sq(basis.grid, g))
     return phi0, g
 
 
 def _small_test_displacement(basis: FockBasis, rng, scale: float = 5e-4):
     f = _symmetric_draw(basis, rng)
-    return scale * f / np.sqrt(basis.mode_norm_sq(f))
+    return scale * f / np.sqrt(mode_norm_sq(basis.grid, f))
 
 
 def _band_limited_vector(basis: FockBasis, rng, band: int):
@@ -852,7 +853,7 @@ def _conjugation_residuals(ops: FockOperatorSet, f_values, rng, n_vectors: int =
     basis = ops.basis
     alpha = ops.alpha
     band = max(0, basis.config.n_max - 2)
-    fsq = basis.mode_norm_sq(f_values)
+    fsq = mode_norm_sq(basis.grid, f_values)
     a_occ = basis.annihilator_occ(alpha * np.asarray(f_values))
     gen = (a_occ.conj().T - a_occ).tocsc()
     gen_full = _kron(ops.eye_e, gen).tocsc()
@@ -863,7 +864,7 @@ def _conjugation_residuals(ops: FockOperatorSet, f_values, rng, n_vectors: int =
         return expm_multiply(gen_full, y)
 
     phi_f = ops.field_of(f_values)
-    v_diag = ops.potential_diag(ops.mean_field_potential(f_values))
+    v_diag = ops.potential_diag(basis.potential(f_values))
     ident = sp.identity(basis.dim_total, format="csr")
     checks = {
         "number": (
@@ -901,12 +902,12 @@ def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
 
 
 def _weighted_resolvent_norm(ops: FockOperatorSet, pek: DiscretePekar) -> float:
-    """||(1+p^2)^{1/2} R^{1/2} Q0|| with R the reduced resolvent of h_tilde - E.
+    """||(1+p^2)^{1/2} R^{1/2} Q0|| with R the reduced resolvent of H~ - E.
 
-    Exact tensor factorisation: h_tilde = h_e x 1 + 1 x alpha^-2 N + ||f||^2
+    Exact tensor factorisation: H~ = h_e x 1 + 1 x alpha^-2 N + ||f||^2
     (h_e = -Lap + V_f), Q0 = q_e x q_p with q_p the non-vacuum occupation
     coordinates, weight w x 1. As q_e* q_e = 1 whether or not phi is an exact
-    eigenvector, Q0* h_tilde Q0 = U diag(eps) U* x 1 + 1 x diag(alpha^-2 n), so
+    eigenvector, Q0* H~ Q0 = U diag(eps) U* x 1 + 1 x diag(alpha^-2 n), so
     R is diagonal in U x 1 and the norm is max over shells n >= 1 of
     sqrt(lambda_max(D_n G D_n)), G = (w q_e U)* (w q_e U), D_n =
     diag(max(eps + alpha^-2 n + ||f||^2 - E, 1e-14)^-1/2): one (sites-1)-sized
@@ -914,11 +915,11 @@ def _weighted_resolvent_norm(ops: FockOperatorSet, pek: DiscretePekar) -> float:
     """
     basis = ops.basis
     q_e = _orthonormal_complement(pek.phi)
-    h_e = basis.kinetic_electron + np.diag(ops.mean_field_potential(pek.f))
+    h_e = basis.kinetic_electron + np.diag(basis.potential(pek.f))
     eps, u = eigh(q_e.conj().T @ h_e @ q_e)
     b = basis.electron_momentum_weight(0.5) @ q_e @ u
     gram = b.conj().T @ b
     shells = np.unique(basis.occ_totals[1:])[:, None]
-    gaps = eps + ops.alpha**-2 * shells + basis.mode_norm_sq(pek.f) - pek.energy
+    gaps = eps + ops.alpha**-2 * shells + mode_norm_sq(basis.grid, pek.f) - pek.energy
     d = 1.0 / np.sqrt(np.maximum(gaps, 1e-14))  # one row per shell: the diagonal of D_n
     return float(np.sqrt(np.linalg.eigvalsh(d[:, :, None] * gram * d[:, None, :])[:, -1].max()))

@@ -58,6 +58,7 @@ from .spectral_core import (
     _density_displacement,
     _fftn,
     _ifftn,
+    _label_potential,
     kinetic_energy,
     mode_inner,
     mode_norm_sq,
@@ -115,9 +116,7 @@ class LPConfig:
 
     def potential_of_label(self, z: np.ndarray) -> np.ndarray:
         """V(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx} (real array)."""
-        coeffs = self.form.values * z
-        summed = _ifftn(coeffs) * (self.grid.mode_weight * self.grid.size)
-        return 2.0 * self.coupling * summed.real
+        return _label_potential(z, self.form, self.coupling)
 
     def _drift(self, dt: float) -> np.ndarray:
         """Kinetic multiplier exp(-i dt k^2); only the last dt's is kept."""
@@ -207,9 +206,6 @@ class OscillatorRep:
 
     def _label_and_potential(self, cfg: LPConfig, t: float):
         return self.label(cfg, t), self.potential(cfg, t)
-
-    def vdot_field(self, cfg: LPConfig) -> np.ndarray:
-        return (_ifftn(self.vdot_hat) / cfg.grid.cell_volume).real
 
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
         """Exact mode rotation around the driven fixed point, drive frozen."""

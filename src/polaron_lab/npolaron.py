@@ -223,8 +223,8 @@ def single_polaron_energy(grid: Grid, form: FormFactor, tol: float = 1e-7) -> fl
     return minimize_pekar(grid, g=0.5, tol=tol, form=form, compute_gap=False).e_p
 
 
-def _orbital_solver(grid: Grid, form: FormFactor, tol: float):
-    """g -> minimize_pekar at (grid, form, tol) from default_rng(0), without the gap.
+def _orbital_solver(grid: Grid, form: FormFactor, tol: float, seed: int = 0):
+    """g -> minimize_pekar at (grid, form, tol) from a fresh default_rng(seed), without the gap.
 
     Each distinct g is solved once per solver: the product orbital at U = 1 is the single
     polaron (g_eff = 1/2 for every N), and a verb's own U may recur in its scan. The
@@ -235,7 +235,7 @@ def _orbital_solver(grid: Grid, form: FormFactor, tol: float):
     def solve(g):
         if g not in solved:
             solved[g] = minimize_pekar(
-                grid, g=g, tol=tol, form=form, rng=np.random.default_rng(0), compute_gap=False
+                grid, g=g, tol=tol, form=form, rng=np.random.default_rng(seed), compute_gap=False
             )
         return solved[g]
 
@@ -380,15 +380,16 @@ def binding_scan(
     return _scan_rows(grid, u_values, n_particles, form, solve, e_single)
 
 
-def _binding_study(cfg: PTConfig, u_values, tol: float = 1e-7) -> tuple:
+def _binding_study(cfg: PTConfig, u_values, tol: float = 1e-7, seed: int = 0) -> tuple:
     """(minimize_pt(cfg), binding_scan over u_values at cfg's N and form), as those return
-    them, with each distinct orbital coupling solved once across both."""
-    solve = _orbital_solver(cfg.grid, cfg.form, tol)
+    them, with each distinct orbital coupling solved once across both, each orbital solve
+    from a fresh default_rng(seed)."""
+    solve = _orbital_solver(cfg.grid, cfg.form, tol, seed)
     e_single = solve(0.5).e_p
     if cfg.statistics == "boson_product":
         sol = _product_solution(cfg, solve(cfg.effective_orbital_coupling), e_single)
     else:
-        sol = minimize_pt(cfg, tol=tol, e_single=e_single)
+        sol = minimize_pt(cfg, tol=tol, rng=np.random.default_rng(seed), e_single=e_single)
     return sol, _scan_rows(cfg.grid, u_values, cfg.n_particles, cfg.form, solve, e_single)
 
 

@@ -210,6 +210,14 @@ def validate_config(raw: dict) -> RunConfig:
                 f"sweep parameters out of range (need samples >= 2 and T > 0): {bad}",
                 keys=tuple(bad),
             )
+        # the pairs +-1, ..., +-modes/2 repeat a ring momentum once modes >= sites (sites/2 and
+        # -sites/2 agree mod sites), and the LP flow theorem2 runs has one mode per ring index
+        if resolved["experiment"] == "theorem2" and resolved["modes"] >= resolved["sites"]:
+            raise SchemaError(
+                "theorem2 needs modes < sites, or two modes share a ring momentum: "
+                f"'modes' {resolved['modes']}, 'sites' {resolved['sites']}",
+                keys=("modes", "sites"),
+            )
     try:
         seed = _integer(raw.get("seed", 0))
         if seed < 0:  # numpy's generators take no negative seed
@@ -519,7 +527,7 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
     grid = Grid(3, p["grid"], p["box"])
     statistics = "boson_product" if p["mode"] == "product" else "full_two_body"
     cfg = npl.PTConfig(p["N"], p["U"], grid, statistics=statistics)
-    sol, scan = npl._binding_study(cfg, _float_list(p["u_grid"], "u_grid"))
+    sol, scan = npl._binding_study(cfg, _float_list(p["u_grid"], "u_grid"), seed=config.seed)
     record.summary = {
         "E_N": sol.e_n,
         "lambda": sol.lam,

@@ -29,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DivergenceError,
     GridMismatchError,
     MeasureConsistencyError,
     UnsupportedKernelError,
@@ -39,16 +38,11 @@ __all__ = [
     "Grid",
     "WaveField",
     "FormFactor",
-    "fft_field",
-    "ifft_field",
-    "field_inner",
     "mode_inner",
     "mode_norm_sq",
-    "coulomb_potential",
+    "kernel_potential",
     "hartree_energy",
     "HartreeEnergy",
-    "cutoff_filter",
-    "cv_constant",
     "kinetic_energy",
 ]
 
@@ -157,8 +151,8 @@ class WaveField:
 
     grid: Grid
     values: np.ndarray
-    # Spectrum cache: filled lazily; also set directly by spectral constructors so
-    # that projections like cutoff_filter are exactly idempotent.
+    # Spectrum cache: filled lazily; also set by from_spectrum, so a field built
+    # from a spectrum hands back that spectrum exactly.
     _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -204,21 +198,6 @@ class WaveField:
         return float(np.max(np.abs(self.values.imag))) < tol
 
 
-def fft_field(psi: WaveField) -> np.ndarray:
-    """Continuum-normalized forward transform: fhat(k) = sum_x e^{-ikx} psi(x) dx^d."""
-    return psi.spectrum().copy()
-
-
-def ifft_field(grid: Grid, spectrum: np.ndarray) -> WaveField:
-    """Inverse of :func:`fft_field`."""
-    return WaveField.from_spectrum(grid, spectrum)
-
-
-def field_inner(a: WaveField, b: WaveField) -> complex:
-    a.grid.require_same(b.grid)
-    return complex(np.vdot(a.values, b.values) * a.grid.cell_volume)
-
-
 def mode_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
     """Momentum-space inner product sum_k w_k conj(f) g."""
     return complex(np.vdot(f, g) * grid.mode_weight)
@@ -226,7 +205,6 @@ def mode_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
 
 def mode_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
-
 
 
 @dataclass(frozen=True)
@@ -379,26 +357,16 @@ def _density_displacement(rho: np.ndarray, form: FormFactor) -> np.ndarray:
     return form.values * (_fftn(rho) * form.grid.cell_volume)
 
 
+def _label_potential(z: np.ndarray, form: FormFactor, coupling: float) -> np.ndarray:
+    """V(x) = 2 coupling Re sum_k w_k v(k) z(k) e^{ikx} (real array) of a label on ``form.grid``."""
+    summed = _ifftn(form.values * z) * (form.grid.mode_weight * form.grid.size)
+    return 2.0 * coupling * summed.real
+
+
 def kernel_potential(rho: WaveField, form: FormFactor) -> WaveField:
     """Attractive potential V = -(K * rho) for the kernel induced by ``form``."""
     rho.grid.require_same(form.grid)
     return WaveField(rho.grid, _density_potential(rho.values.real, form))
-
-
-def coulomb_potential(rho: WaveField, kernel: str = "periodic") -> WaveField:
-    """Solve V = -|.|^{-1} * rho on the grid (d=3 only).
-
-    kernel="periodic" applies the bare multiplier -4pi/k^2 with the k=0 mode
-    zeroed (neutralizing background); kernel="isolated" uses the
-    sphere-truncated 1/r so that localized charges see no images.
-    """
-    if rho.grid.dim != 3:
-        raise UnsupportedKernelError(
-            f"coulomb_potential is defined for dim=3 only, got dim={rho.grid.dim}"
-        )
-    if not rho.is_real(1e-10 * max(1.0, float(np.max(np.abs(rho.values))))):
-        raise ValueError("coulomb_potential expects a real density")
-    return kernel_potential(rho, _coulomb_form(rho.grid, kernel))
 
 
 @dataclass(frozen=True)
@@ -446,45 +414,6 @@ def hartree_energy(
             f"real_space={d_real!r}"
         )
     return HartreeEnergy(momentum=d_momentum, real_space=d_real)
-
-
-def cutoff_filter(psi: WaveField, lam: float) -> WaveField:
-    """Zero all modes with |k| > lam. Idempotent exactly (spectrum is cached)."""
-    if not (lam > 0):
-        raise ValueError(f"cutoff must be positive, got {lam}")
-    mask = psi.grid.k_abs <= lam
-    return WaveField.from_spectrum(psi.grid, psi.spectrum() * mask)
-
-
-def cv_constant(form: FormFactor, q_samples: np.ndarray) -> float:
-    """sup_q of the Lorentzian-weighted lattice sum sum_k w_k v(k)^2 / (1 + (q-k)^2).
-
-    ``q_samples`` is an array of shape (m, dim) (or (m,) for dim=1). The
-    estimate is monotone nondecreasing under refinement of the sample set.
-    """
-    grid = form.grid
-    q = np.atleast_2d(np.asarray(q_samples, dtype=float))
-    if grid.dim == 1 and q.shape[0] == 1 and q.shape[1] > 1:
-        q = q.T
-    if q.shape[1] != grid.dim:
-        raise GridMismatchError(
-            f"q_samples must have {grid.dim} components, got shape {q.shape}"
-        )
-    v2 = form.values**2
-    if not np.all(np.isfinite(v2)):
-        raise DivergenceError("form factor contains non-finite values")
-    best = 0.0
-    kcomps = [comp.ravel() for comp in grid.k_mesh]
-    v2flat = v2.ravel()
-    for qvec in q:
-        dist_sq = np.zeros_like(v2flat)
-        for qi, kc in zip(qvec, kcomps):
-            dist_sq = dist_sq + (qi - kc) ** 2
-        total = float(np.sum(v2flat / (1.0 + dist_sq)) * grid.mode_weight)
-        if not np.isfinite(total):
-            raise DivergenceError("Lorentzian-weighted sum diverged")
-        best = max(best, total)
-    return best
 
 
 def kinetic_energy(psi: WaveField) -> float:

@@ -6,6 +6,7 @@ pair sums. Slow but trustworthy.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from polaron_lab.fock_sim import _orthonormal_complement
@@ -82,6 +83,42 @@ def displaced_oscillator_ground_energy(omega, coupling):
     return -(coupling**2) / omega
 
 
+def ring_density_transform(basis, psi_e):
+    """rhohat(k_j) = sum_x e^{-i k_j x} |psi_x|^2 of an l2-normalized ring orbital, summed."""
+    rho = np.abs(psi_e) ** 2
+    return np.array([np.sum(np.exp(-1j * k * basis.x) * rho) for k in basis.k_modes])
+
+
+def ring_mode_potential(basis, f_values):
+    """V(x) = -2 Re sum_j w v_j f_j e^{i k_j x}, summed directly over the modes."""
+    v = np.zeros(basis.config.n_sites, dtype=complex)
+    for k, vj, fj in zip(basis.k_modes, basis.v, f_values):
+        v = v + basis.grid.mode_weight * vj * fj * np.exp(1j * k * basis.x)
+    return -2.0 * v.real
+
+
+def h_tilde(ops, f_values):
+    """-Lap + V + alpha^-2 N + ||f||^2, the Weyl-rotated effective generator, assembled."""
+    basis = ops.basis
+    fsq = basis.grid.mode_weight * np.sum(np.abs(f_values) ** 2)
+    return (
+        ops.kinetic
+        + ops.potential_diag(ring_mode_potential(basis, f_values))
+        + ops.alpha**-2 * ops.number
+        + fsq * sp.identity(basis.dim_total, format="csr")
+    ).tocsr()
+
+
+def h_effective(ops, f_values):
+    """(-Lap + V) x 1 + 1 x (alpha^-2 N + alpha^-1 phi(f)) + 2||f||^2, assembled."""
+    fsq = ops.basis.grid.mode_weight * np.sum(np.abs(f_values) ** 2)
+    return (
+        h_tilde(ops, f_values)
+        + ops.alpha**-1 * ops.field_of(f_values)
+        + fsq * sp.identity(ops.basis.dim_total, format="csr")
+    ).tocsr()
+
+
 def dense_weighted_resolvent_norm(ops, pek):
     """||(1+p^2)^{1/2} R^{1/2} Q0|| by dense product-space algebra.
 
@@ -91,7 +128,7 @@ def dense_weighted_resolvent_norm(ops, pek):
     Fock dimension; only for checking the factorised evaluation.
     """
     basis = ops.basis
-    h_t = ops.h_tilde(pek.f).toarray()
+    h_t = h_tilde(ops, pek.f).toarray()
     q_e = _orthonormal_complement(pek.phi)
     q_p = _orthonormal_complement(basis.vacuum_occ())
     q = np.kron(q_e, q_p)

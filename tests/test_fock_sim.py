@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
@@ -13,9 +13,16 @@ from scipy.sparse.linalg import expm_multiply
 from polaron_lab.errors import ConvergenceError, SizingError
 from polaron_lab import fock_sim as fs
 from polaron_lab import lp_dynamics as lp
-from polaron_lab.spectral_core import FormFactor, WaveField
+from polaron_lab.spectral_core import WaveField, mode_norm_sq
 
-from oracles import dense_weighted_resolvent_norm, displaced_oscillator_ground_energy
+from oracles import (
+    dense_weighted_resolvent_norm,
+    displaced_oscillator_ground_energy,
+    h_effective,
+    h_tilde,
+    ring_density_transform,
+    ring_mode_potential,
+)
 
 
 IDENTITIES = fs.FockConfig(
@@ -58,7 +65,7 @@ class TestAssembly:
         cfg = fs.FockConfig(2, 2.0, (0,), v0=0.05, n_max=40, alpha=1.7)
         ops = fs.assemble(cfg)
         e0, _ = fs.ground_state(ops)
-        w = ops.basis.weight
+        w = ops.basis.grid.mode_weight
         expected = displaced_oscillator_ground_energy(
             cfg.alpha**-2, cfg.alpha**-1 * cfg.v0 * np.sqrt(w)
         )
@@ -134,7 +141,7 @@ class TestWeyl:
         eta, leak = fs.coherent_state(basis, -cfg.alpha * f)
         assert leak < 1e-8
         for j, aj in enumerate(basis.lowering):
-            label = np.vdot(eta, aj @ eta) / np.sqrt(basis.weight)
+            label = np.vdot(eta, aj @ eta) / np.sqrt(basis.grid.mode_weight)
             assert label == pytest.approx(-cfg.alpha * f[j], rel=1e-6)
 
     def test_truncation_guard(self, ops_id):
@@ -181,6 +188,38 @@ class TestMomentumConservation:
         assert commutator_norm(+1) > 0.5 * spla.norm(ops.field_g) / config.alpha
 
 
+class TestRingMaps:
+    # +-2 on 4 sites share ring index 2: the maps and the exact model keep both modes
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(momentum_configs(), st.integers(0, 2**32 - 1))
+    @example(fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.5, n_max=1, alpha=1.0), 0)
+    def test_displacement_potential_and_adjoint_maps(self, config, seed):
+        basis = fs.FockBasis(config)
+        rng = np.random.default_rng(seed)
+        n, n_modes = config.n_sites, len(config.mode_numbers)
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi /= np.linalg.norm(psi)
+        f = basis.displacement(psi)
+        assert np.max(np.abs(f - basis.v * ring_density_transform(basis, psi))) < 1e-13
+        assert np.max(np.abs(basis.potential(f) - ring_mode_potential(basis, f))) < 1e-13
+        modes = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        lattice = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert abs(
+            np.vdot(basis.to_lattice(modes), lattice) - np.vdot(modes, basis.to_modes(lattice))
+        ) < 1e-13
+
+    def test_lp_comparisons_refuse_a_repeated_ring_momentum(self):
+        config = fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=3e-3, n_max=2, alpha=1.0)
+        phi0 = np.full(4, 0.5, dtype=complex)
+        with pytest.raises(ValueError, match="ring momentum"):
+            fs.error_sweep_coherent(config, [1.0], 0.1, phi0, np.zeros(4), dt=1e-2, n_samples=2)
+        with pytest.raises(ValueError, match="ring momentum"):
+            fs.make_defect_evaluator(fs.assemble(config))
+        # the exact-model experiments keep taking the set
+        rep = fs.error_sweep_stationary(config, [1.0, 2.0], 0.1, n_samples=2)
+        assert rep["leakage_max"] < 1e-12
+
+
 @st.composite
 def weyl_problems(draw):
     """A small occupation basis, a random vector on its shells <= n_max - 3 and a small g.
@@ -203,7 +242,7 @@ def weyl_problems(draw):
     x = rng.standard_normal(basis.n_occ) + 1j * rng.standard_normal(basis.n_occ)
     x *= basis.occ_totals <= basis.config.n_max - 3
     g = rng.standard_normal(2 * pairs) + 1j * rng.standard_normal(2 * pairs)
-    g *= np.sqrt(draw(st.floats(0.0, 2.5e-5)) / basis.mode_norm_sq(g))
+    g *= np.sqrt(draw(st.floats(0.0, 2.5e-5)) / mode_norm_sq(basis.grid, g))
     return basis, x / np.linalg.norm(x), g
 
 
@@ -270,12 +309,13 @@ class TestDiscretePekar:
 
         def energy(x):
             phi, z = unpack(x)
-            f = basis.v * basis.density_transform(phi)
+            f = basis.v * ring_density_transform(basis, phi)
             kin = np.real(np.vdot(phi, basis.kinetic_electron @ phi))
+            w = basis.grid.mode_weight
             return (
                 kin
-                + cfg.alpha**-2 * basis.weight * np.sum(np.abs(z) ** 2)
-                + cfg.alpha**-1 * 2 * np.real(basis.weight * np.vdot(z, f))
+                + cfg.alpha**-2 * w * np.sum(np.abs(z) ** 2)
+                + cfg.alpha**-1 * 2 * np.real(w * np.vdot(z, f))
             )
 
         rng = np.random.default_rng(0)
@@ -417,18 +457,11 @@ class TestQuadratureReconstruction:
         cfg_f = fs.FockConfig(8, 2.0, (1, -1), v0=0.15, n_max=10, alpha=1.5)
         basis = fs.FockBasis(cfg_f)
         grid = basis.grid
-        form_vals = np.zeros(grid.shape)
-        for m in cfg_f.mode_numbers:
-            form_vals[m % 8] = cfg_f.v0
-        form = FormFactor(grid, form_vals, cutoff=np.inf, variant="fock-modes")
-        cfg = lp.LPConfig(grid, form, alpha=cfg_f.alpha)
+        cfg = lp.LPConfig(grid, basis.form, alpha=cfg_f.alpha)
         x = grid.x_axis_centered
         phi0 = WaveField(grid, np.exp(-(x**2) / (2 * 0.2**2)) + 0j).normalized()
         g = np.array([0.1 + 0.05j, 0.1 - 0.05j])
-        z0_lat = np.zeros(grid.shape, dtype=complex)
-        for m, gj in zip(cfg_f.mode_numbers, g):
-            z0_lat[m % 8] = -cfg_f.alpha * gj
-        state = lp.initial_state(cfg, phi0, z0=z0_lat)
+        state = lp.initial_state(cfg, phi0, z0=basis.to_lattice(-cfg_f.alpha * g))
         eta0, _ = fs.coherent_state(basis, -cfg_f.alpha * g)
 
         dt = 1e-3
@@ -439,16 +472,13 @@ class TestQuadratureReconstruction:
         current = state
         for _ in range(500):
             mid = lp.step(current, dt / 2)
-            f_lat = mid.cfg.displacement_profile(mid.phi.values)
-            f_modes = np.array([f_lat[m % 8] for m in cfg_f.mode_numbers])
+            f_modes = basis.to_modes(mid.cfg.displacement_profile(mid.phi.values))
             h_ph = (omega * n_op + lam * basis.field_occ(f_modes)).tocsc()
             eta_direct = expm_multiply(-1j * dt * h_ph, eta_direct)
             current = lp.step(mid, dt / 2)
             t += dt
 
-        j_lat = current.rep.j
-        j_modes = np.array([j_lat[m % 8] for m in cfg_f.mode_numbers])
-        eta_rec, _ = fs.weyl_apply(basis, j_modes, eta0, guard=False)
+        eta_rec, _ = fs.weyl_apply(basis, basis.to_modes(current.rep.j), eta0, guard=False)
         eta_rec = np.exp(-1j * omega * basis.occ_totals * t) * eta_rec
         eta_rec = np.exp(-1j * current.rep.f_acc) * eta_rec
         assert np.linalg.norm(eta_rec - eta_direct) < 1e-5
@@ -503,20 +533,13 @@ class TestSweeps:
 class TestDefectIntegral:
     def test_stationary_integrand_constant_and_alpha_scaling(self):
         ring = fs.FockBasis(SWEEP)
-        form_vals = np.zeros(ring.grid.shape)
-        for m in SWEEP.mode_numbers:
-            form_vals[m % SWEEP.n_sites] = SWEEP.v0
-        form = FormFactor(ring.grid, form_vals, cutoff=np.inf, variant="fock-modes")
         integrals = []
         for alpha in (2.0, 4.0):
             ops = fs.assemble(SWEEP.with_alpha(alpha))
             pek = fs.discrete_pekar(ops)
-            cfg = lp.LPConfig(ring.grid, form, alpha=alpha)
+            cfg = lp.LPConfig(ring.grid, ring.form, alpha=alpha)
             phi = WaveField(ring.grid, pek.phi / np.sqrt(ring.grid.dx))
-            z0 = np.zeros(ring.grid.shape, dtype=complex)
-            for m, fj in zip(SWEEP.mode_numbers, pek.f):
-                z0[m % SWEEP.n_sites] = -alpha * fj
-            state = lp.initial_state(cfg, phi, z0=z0)
+            state = lp.initial_state(cfg, phi, z0=ring.to_lattice(-alpha * pek.f))
             states = lp.evolve(state, 0.5, 1e-2, sample_interval=0.1)
             defect = fs.make_defect_evaluator(ops)
             values = [defect(s) for s in states]
@@ -584,9 +607,9 @@ class TestInequalities:
         u0 = expm_multiply(-gen, chi)  # W(alpha f)^* chi
         t = 1.3
         lhs_a = fs.Propagator(ops.hamiltonian).apply(u0, t)
-        lhs_b = fs.Propagator(ops.h_effective(f)).apply(u0, t)
+        lhs_b = fs.Propagator(h_effective(ops, f)).apply(u0, t)
         rhs_a = fs.Propagator(ops.h_rotated(f)).apply(chi, t)
-        rhs_b = fs.Propagator(ops.h_tilde(f)).apply(chi, t)
+        rhs_b = fs.Propagator(h_tilde(ops, f)).apply(chi, t)
         assert np.linalg.norm(lhs_a - lhs_b) == pytest.approx(
             np.linalg.norm(rhs_a - rhs_b), abs=1e-8
         )

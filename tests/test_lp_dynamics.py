@@ -118,7 +118,7 @@ class TestRepresentations:
         z = np.where(ring_cfg.form.values > 0, z, 0.0)
         osc = lp.OscillatorRep.from_label(ring_cfg, z)
         v = osc.potential(ring_cfg, 0.0)
-        vdot = osc.vdot_field(ring_cfg)
+        vdot = (np.fft.ifft(osc.vdot_hat) / ring_cfg.grid.cell_volume).real
         phi = WaveField(ring_cfg.grid, np.ones(32)).normalized()
         state = lp.initial_state(ring_cfg, phi, v0=v, v0dot=vdot)
         assert np.max(np.abs(state.label() - z)) < 1e-12

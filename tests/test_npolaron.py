@@ -187,6 +187,15 @@ class TestMinimization:
             assert float(row["rms_radius"]) == sol.binding["rms_radius"]
         assert (rows[0]["bound"], rows[-1]["bound"]) == ("True", "False")
 
+    def test_verb_draws_its_start_from_the_seed(self, tmp_path):
+        # every orbital solve perturbs its Gaussian start with default_rng(seed)
+        written = []
+        for seed in ("0", "5"):
+            argv = ["npolaron", "--grid", "16", "--box", "24", "--u-grid", "0,1.0", "--seed", seed]
+            assert cli_main([*argv, "--out", str(tmp_path / seed)]) == 0
+            written.append((tmp_path / seed / "binding.csv").read_bytes())
+        assert written[0] != written[1]
+
     def test_full_pair_verb_shares_e_single_with_the_scan(self, tmp_path, monkeypatch):
         # the pair summary takes E_1 from the scan's U = 1 orbital
         calls = []

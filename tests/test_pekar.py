@@ -180,7 +180,9 @@ class TestMinimizer:
             minimize_pekar(Grid(3, 16, 12.0), g=1.0, tol=1e-14, max_iter=3)
 
     def test_lambda_is_lowest_eigenvalue_with_positive_gap(self):
-        sol = minimize_pekar(Grid(3, 16, 12.0), g=1.0, tol=1e-7, compute_gap=True)
+        # box 16, not 12: at box 12 the minimizer is the uniform torus state, not a polaron
+        sol = minimize_pekar(Grid(3, 16, 16.0), g=1.0, tol=1e-7, compute_gap=True)
+        assert "delocalized" not in sol.flags
         assert sol.gap is not None and sol.gap > 0
         assert "gap_unconverged" not in sol.flags
 

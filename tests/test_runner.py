@@ -39,6 +39,24 @@ class TestValidation:
         assert cfg.params["grid"] == 32
         assert cfg.params["box"] == 16.0
 
+    def test_theorem2_refuses_a_repeated_ring_momentum(self):
+        # pairs +-1, +-2 on 4 sites: +-2 share ring index 2, which the exact model holds and
+        # the LP flow does not
+        params = {"sites": 4, "box": 4.0, "modes": 4}
+        for experiment in ("theorem1", "lemmas", "projectors"):
+            fock = {**params, "experiment": experiment}
+            runner.validate_config({"scenario": "fock", "params": fock})
+        runner.validate_config({"scenario": "lemma-suite", "params": params})
+        with pytest.raises(SchemaError) as err:
+            runner.validate_config(
+                {"scenario": "fock", "params": {**params, "experiment": "theorem2"}}
+            )
+        assert err.value.keys == ("modes", "sites")
+        ok = runner.validate_config(
+            {"scenario": "fock", "params": {**params, "sites": 8, "experiment": "theorem2"}}
+        )
+        assert ok.params["sites"] == 8
+
     def test_lp_evolve_step_lattice(self):
         params = {"init": "ground/pekar.json", "T": 0.1, "dt": 1e-3}
         assert runner.validate_config({"scenario": "lp-evolve", "params": params}).params["T"] == 0.1
@@ -405,6 +423,7 @@ class TestCli:
             (["fock", "--sites", "6"], "sites"),
             (["fock", "--modes", "0"], "modes"),
             (["lemma-suite", "--modes", "0"], "modes"),
+            (["fock", "--sites", "4", "--modes", "4", "--experiment", "theorem2"], "modes"),
         ],
     )
     def test_malformed_parameters_are_refused_before_the_manifest(

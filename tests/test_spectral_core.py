@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from polaron_lab.errors import (
-    DivergenceError,
     GridMismatchError,
     MeasureConsistencyError,
     UnsupportedKernelError,
@@ -18,13 +17,8 @@ from polaron_lab.spectral_core import (
     _fftn,
     _fourier_multiply,
     _ifftn,
-    coulomb_potential,
-    cutoff_filter,
-    cv_constant,
-    fft_field,
-    field_inner,
     hartree_energy,
-    ifft_field,
+    kernel_potential,
     kinetic_energy,
     mode_inner,
 )
@@ -71,13 +65,13 @@ class TestGrid:
 class TestFourier:
     def test_zero_field_transforms_to_zero(self, grid16):
         z = WaveField(grid16, np.zeros(grid16.shape))
-        assert np.all(fft_field(z) == 0)
+        assert np.all(z.spectrum() == 0)
 
     def test_pure_mode_is_single_spike(self):
         g = Grid(1, 32, 8.0)
         k0 = g.k_axis[3]
         psi = WaveField(g, np.exp(1j * k0 * g.x_axis))
-        spec = fft_field(psi)
+        spec = psi.spectrum()
         expected = np.zeros(32, dtype=complex)
         expected[3] = g.box_length
         assert np.allclose(spec, expected, atol=1e-10)
@@ -85,20 +79,20 @@ class TestFourier:
     def test_round_trip_16cubed(self, rng):
         g = Grid(3, 16, 6.0)
         psi = random_field(g, rng)
-        back = ifft_field(g, fft_field(psi))
+        back = WaveField.from_spectrum(g, psi.spectrum())
         assert np.max(np.abs(back.values - psi.values)) < 1e-12
 
     def test_against_direct_dft_oracle(self, rng):
         g = Grid(3, 8, 5.0)
         psi = random_field(g, rng)
-        assert np.max(np.abs(fft_field(psi) - dft_direct(psi.values, g))) < 1e-10
+        assert np.max(np.abs(psi.spectrum() - dft_direct(psi.values, g))) < 1e-10
 
     def test_parseval_with_lattice_weights(self, rng):
         for _ in range(100):
             g = Grid(2, 16, 7.0)
             psi = random_field(g, rng)
             lhs = psi.norm() ** 2
-            spec = fft_field(psi)
+            spec = psi.spectrum()
             rhs = np.sum(np.abs(spec) ** 2) * g.mode_weight / (2 * np.pi) ** g.dim
             assert abs(lhs - rhs) < 1e-12 * lhs
 
@@ -110,24 +104,27 @@ class TestFourier:
         a = random_field(Grid(3, 8, 4.0), rng)
         b = random_field(Grid(3, 8, 5.0), rng)
         with pytest.raises(GridMismatchError):
-            field_inner(a, b)
+            a.grid.require_same(b.grid)
 
 
 class TestCoulomb:
     def test_zero_density(self, grid16):
-        v = coulomb_potential(WaveField(grid16, np.zeros(grid16.shape)))
+        zero = WaveField(grid16, np.zeros(grid16.shape))
+        v = kernel_potential(zero, FormFactor.coulomb_d3(grid16))
         assert np.all(v.values == 0)
 
     def test_dim_guard(self):
         g = Grid(1, 16, 4.0)
         with pytest.raises(UnsupportedKernelError):
-            coulomb_potential(WaveField(g, np.zeros(16)))
+            FormFactor.coulomb_d3(g)
+        with pytest.raises(UnsupportedKernelError):
+            FormFactor.coulomb_d3_isolated(g)
 
     def test_gaussian_against_erf_oracle_isolated(self):
         g = Grid(3, 64, 16.0)
         sigma = 1.0
         rho = gaussian_density(g, sigma)
-        v = coulomb_potential(rho, kernel="isolated")
+        v = kernel_potential(rho, FormFactor.coulomb_d3_isolated(g))
         mesh = np.meshgrid(*([g.x_axis_centered] * 3), indexing="ij")
         r = np.sqrt(sum(c**2 for c in mesh))
         exact = np.where(
@@ -145,7 +142,7 @@ class TestCoulomb:
         g = Grid(3, 64, 16.0)
         sigma = 1.0
         rho = gaussian_density(g, sigma)
-        v = coulomb_potential(rho, kernel="periodic")
+        v = kernel_potential(rho, FormFactor.coulomb_d3(g))
         mesh = np.meshgrid(*([g.x_axis_centered] * 3), indexing="ij")
         r = np.sqrt(sum(c**2 for c in mesh))
         exact = np.where(
@@ -172,7 +169,7 @@ class TestCoulomb:
         mesh = np.meshgrid(*([g.x_axis_centered] * 3), indexing="ij")
         rho = density(*mesh)
         rho_f = WaveField(g, rho)
-        v = coulomb_potential(rho_f, kernel="isolated")
+        v = kernel_potential(rho_f, FormFactor.coulomb_d3_isolated(g))
         oracle = brute_force_coulomb_free(density, g, refine=3)
         mesh = np.meshgrid(*([g.x_axis_centered] * 3), indexing="ij")
         inner = np.all([np.abs(c) <= g.box_length / 6 for c in mesh], axis=0)
@@ -183,7 +180,7 @@ class TestCoulomb:
     def test_output_real_and_even(self):
         g = Grid(3, 16, 10.0)
         rho = gaussian_density(g, 1.5)
-        v = coulomb_potential(rho)
+        v = kernel_potential(rho, FormFactor.coulomb_d3(g))
         assert np.max(np.abs(v.values.imag)) < 1e-12
         flipped = v.values[
             np.ix_(*[(-np.arange(g.points_per_axis)) % g.points_per_axis] * 3)
@@ -233,75 +230,6 @@ class TestHartree:
         rho = gaussian_density(grid16, 2.0)
         with pytest.raises(MeasureConsistencyError):
             hartree_energy(rho, rtol=1e-22)
-
-
-class TestCutoff:
-    def test_identity_above_kmax(self, rng):
-        g = Grid(2, 16, 5.0)
-        psi = random_field(g, rng)
-        out = cutoff_filter(psi, float(np.max(g.k_abs)) + 1.0)
-        assert np.allclose(out.values, psi.values, atol=1e-13)
-
-    def test_small_cutoff_keeps_only_zero_mode(self, rng):
-        g = Grid(2, 16, 5.0)
-        psi = random_field(g, rng)
-        out = cutoff_filter(psi, 1e-6)
-        assert np.max(np.abs(out.values - np.mean(psi.values))) < 1e-12
-
-    def test_exact_idempotence(self, rng):
-        g = Grid(3, 16, 8.0)
-        psi = random_field(g, rng)
-        once = cutoff_filter(psi, 3.0)
-        twice = cutoff_filter(once, 3.0)
-        assert np.array_equal(once.values, twice.values)
-
-    def test_sup_norm_gap_decreases_with_cutoff(self, pekar_small):
-        v = coulomb_potential(
-            WaveField(pekar_small.phi0.grid, pekar_small.phi0.density()), kernel="isolated"
-        )
-        gaps = []
-        for lam in (2.0, 4.0, 8.0):
-            filtered = cutoff_filter(v, lam)
-            gaps.append(np.max(np.abs(filtered.values - v.values)))
-        assert gaps[0] > gaps[1] > gaps[2]
-
-
-class TestCvConstant:
-    def test_zero_factor(self):
-        g = Grid(1, 16, 6.0)
-        form = FormFactor.toy(g, 0.0)
-        assert cv_constant(form, np.zeros((1, 1))) == 0.0
-
-    def test_single_mode_peak(self):
-        g = Grid(1, 16, 6.0)
-        vals = np.zeros(16)
-        vals[2] = 1.0
-        form = FormFactor(g, vals, cutoff=np.inf, variant="spike")
-        k0 = g.k_axis[2]
-        got = cv_constant(form, np.array([[k0]]))
-        assert got == pytest.approx(g.mode_weight, rel=1e-14)
-
-    def test_coulomb_stable_under_q_refinement(self):
-        g = Grid(3, 16, 8.0)
-        form = FormFactor.coulomb_d3(g, cutoff=8.0)
-        coarse_axis = np.linspace(-4, 4, 5)
-        fine_axis = np.linspace(-4, 4, 9)
-
-        def samples(axis):
-            return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
-
-        coarse = cv_constant(form, samples(coarse_axis))
-        fine = cv_constant(form, samples(fine_axis))
-        assert fine >= coarse  # refinement is monotone
-        assert (fine - coarse) / fine < 1e-2
-
-    def test_divergent_input_detected(self):
-        g = Grid(1, 16, 6.0)
-        vals = np.ones(16)
-        form = FormFactor(g, vals, cutoff=np.inf, variant="toy")
-        object.__setattr__(form, "values", np.full(16, np.inf))
-        with pytest.raises(DivergenceError):
-            cv_constant(form, np.array([[0.0]]))
 
 
 class TestKernels:
@@ -355,11 +283,11 @@ class TestSpectralProperties:
     def test_parseval_on_real_fields(self, problem):
         grid, (a, b) = problem
         fa, fb = WaveField(grid, a), WaveField(grid, b)
-        lhs = field_inner(fa, fb)
-        rhs = mode_inner(grid, fft_field(fa), fft_field(fb)) / (2 * np.pi) ** grid.dim
+        lhs = np.vdot(a, b) * grid.cell_volume
+        rhs = mode_inner(grid, fa.spectrum(), fb.spectrum()) / (2 * np.pi) ** grid.dim
         assert abs(lhs - rhs) <= 1e-12 * fa.norm() * fb.norm()
         assert fa.norm() ** 2 == pytest.approx(
-            mode_inner(grid, fft_field(fa), fft_field(fa)).real / (2 * np.pi) ** grid.dim,
+            mode_inner(grid, fa.spectrum(), fa.spectrum()).real / (2 * np.pi) ** grid.dim,
             rel=1e-12,
         )
 
