@@ -210,9 +210,13 @@ class FockBasis:
 
     @cached_property
     def conjugate_mode_index(self):
-        """Index j' with k_{j'} = -k_j (modulo the ring Brillouin zone)."""
+        """Index j' of the mode -m_j, or failing that of a mode at ring index -m_j mod sites."""
+        numbers = list(self.config.mode_numbers)
         index = self.mode_index.tolist()
-        return [index.index((-m) % self.config.n_sites) for m in index]
+        return [
+            numbers.index(-m) if -m in numbers else index.index(-m % self.config.n_sites)
+            for m in numbers
+        ]
 
     def mode_phases(self):
         """Diagonal electron matrices e^{+i k_j x}."""

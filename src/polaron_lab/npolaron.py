@@ -21,6 +21,7 @@ Identities carried by a solution: f(k) = v(k) rhohat(k), mu = -||f||^2 =
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -218,9 +219,10 @@ class PTSolution:
         return self.cfg.statistics
 
 
-def single_polaron_energy(grid: Grid, form: FormFactor, tol: float = 1e-7) -> float:
-    """E_1, the one-electron energy (g = 1/2) the binding diagnostic compares N E_1 with."""
-    return minimize_pekar(grid, g=0.5, tol=tol, form=form, compute_gap=False).e_p
+def single_polaron_energy(grid: Grid, form: FormFactor, tol: float = 1e-7, rng=None) -> float:
+    """E_1, the one-electron energy (g = 1/2) the binding diagnostic compares N E_1 with,
+    from ``rng``'s start (default_rng(0) when not given)."""
+    return minimize_pekar(grid, g=0.5, tol=tol, form=form, rng=rng, compute_gap=False).e_p
 
 
 def _orbital_solver(grid: Grid, form: FormFactor, tol: float, seed: int = 0):
@@ -351,11 +353,12 @@ def _exchange(pair: np.ndarray, d: int) -> np.ndarray:
 def minimize_pt(
     cfg: PTConfig, tol: float = 1e-7, max_iter: int = 2000, rng=None, e_single=None
 ) -> PTSolution:
-    """Minimize the N-electron functional; E_1 (``e_single``) is solved when not given."""
+    """Minimize the N-electron functional; E_1 (``e_single``) is solved when not given, from
+    a copy of ``rng``'s state, so that E_1 and the orbital start from the same draw."""
     if rng is None:
         rng = np.random.default_rng(0)
     if e_single is None:
-        e_single = single_polaron_energy(cfg.grid, cfg.form, tol)
+        e_single = single_polaron_energy(cfg.grid, cfg.form, tol, rng=copy.deepcopy(rng))
     if cfg.statistics == "boson_product":
         sol = minimize_pekar(
             cfg.grid, g=cfg.effective_orbital_coupling, tol=tol, form=cfg.form, rng=rng,

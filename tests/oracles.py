@@ -30,6 +30,28 @@ def dft_direct(values, grid):
     return out.reshape(grid.shape)
 
 
+def dense_mean_field_spectrum(grid, v, g):
+    """Ascending eigenvalues of -Lap + 2 g V on the grid, V a frozen real potential array.
+
+    The spectral -Lap is assembled from explicit one-axis DFT sums, one Kronecker
+    factor per axis, and the dense matrix goes to eigvalsh. Cubic in the grid size;
+    only for small grids.
+    """
+    n = grid.points_per_axis
+    phases = np.exp(-1j * np.outer(grid.k_axis, grid.x_axis))
+    lap_1d = (phases.conj().T @ (grid.k_axis[:, None] ** 2 * phases)).real / n
+    eye = np.eye(n)
+    lap = np.zeros((grid.size, grid.size))
+    for axis in range(grid.dim):
+        factors = [eye] * grid.dim
+        factors[axis] = lap_1d
+        term = factors[0]
+        for factor in factors[1:]:
+            term = np.kron(term, factor)
+        lap += term
+    return np.linalg.eigvalsh(lap + np.diag(2.0 * g * np.ravel(v)))
+
+
 def _cell_averaged_inverse_r(n, dx, sub=4):
     """Table of cell-averaged 1/|r| over all (2n-1)^3 integer offsets."""
     offs = dx * np.arange(-(n - 1), n)

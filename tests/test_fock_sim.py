@@ -208,6 +208,12 @@ class TestRingMaps:
             np.vdot(basis.to_lattice(modes), lattice) - np.vdot(modes, basis.to_modes(lattice))
         ) < 1e-13
 
+    def test_conjugate_partner_is_the_negated_mode(self):
+        basis = fs.FockBasis(fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.5, n_max=1, alpha=1.0))
+        assert basis.conjugate_mode_index == [1, 0, 3, 2]
+        f = fs._symmetric_draw(basis, np.random.default_rng(0))
+        assert f[3] == np.conj(f[2]) and f[1] == np.conj(f[0])
+
     def test_lp_comparisons_refuse_a_repeated_ring_momentum(self):
         config = fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=3e-3, n_max=2, alpha=1.0)
         phi0 = np.full(4, 0.5, dtype=complex)

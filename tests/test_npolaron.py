@@ -196,6 +196,14 @@ class TestMinimization:
             written.append((tmp_path / seed / "binding.csv").read_bytes())
         assert written[0] != written[1]
 
+    def test_seeded_call_solves_e_single_from_its_own_rng(self):
+        # E_1 starts from a copy of the caller's rng, as each solve of the seeded verb does
+        cfg = npl.PTConfig(2, 0.5, Grid(3, 16, 24.0))
+        sol = npl.minimize_pt(cfg, rng=np.random.default_rng(5))
+        study = npl._binding_study(cfg, [0.5], 1e-7, 5)[0]
+        assert sol.binding["n_times_single"] == study.binding["n_times_single"]
+        assert (sol.e_n, sol.residual) == (study.e_n, study.residual)
+
     def test_full_pair_verb_shares_e_single_with_the_scan(self, tmp_path, monkeypatch):
         # the pair summary takes E_1 from the scan's U = 1 orbital
         calls = []

@@ -31,7 +31,7 @@ from polaron_lab import pekar as pekar_module
 from polaron_lab.cli import main as cli_main
 from scipy.sparse.linalg import lobpcg
 
-from oracles import radial_ground_state
+from oracles import dense_mean_field_spectrum, radial_ground_state
 
 
 def gaussian_orbital(grid, sigma):
@@ -185,6 +185,40 @@ class TestMinimizer:
         assert "delocalized" not in sol.flags
         assert sol.gap is not None and sol.gap > 0
         assert "gap_unconverged" not in sol.flags
+
+    @pytest.mark.parametrize("orbital", ["localized", "uniform"])
+    def test_deflated_gap_matches_dense_spectrum(self, orbital):
+        # the uniform orbital's first excitation is the 6-fold (2 pi / L)^2 shell
+        grid, g = Grid(3, 8, 10.0), 2.0
+        sol = minimize_pekar(grid, g=g, tol=1e-9, compute_gap=False)
+        assert "delocalized" not in sol.flags
+        phi = sol.phi0 if orbital == "localized" else WaveField(grid, np.ones(grid.shape)).normalized()
+        lam0, gap, converged = pekar_module._spectral_gap(phi, g, sol.form)
+        levels = dense_mean_field_spectrum(grid, _mean_field_apply(phi.values, g, sol.form)[2], g)
+        assert converged
+        assert lam0 == pytest.approx(levels[0], rel=1e-9)
+        assert gap == pytest.approx(levels[1] - levels[0], rel=1e-9)
+
+    def test_gap_of_a_loosely_converged_orbital_reaches_its_tolerance(self):
+        # the orbital is an eigenvector only to 1e-4; the solve runs on H compressed to its
+        # complement, so that residual does not floor the gap solve's
+        sol = minimize_pekar(Grid(3, 16, 16.0), g=2.0, tol=1e-4, compute_gap=True)
+        assert "gap_unconverged" not in sol.flags
+        assert sol.gap > 0
+
+    def test_orbital_with_a_level_below_it_is_refused(self, monkeypatch):
+        # hand the gap solve the p-like x_0 phi: its own frozen V binds an s level below it
+        grid = Grid(3, 16, 16.0)
+        minimize = pekar_module._sphere_minimize
+
+        def excited(*args, **kwargs):
+            x, residual, history = minimize(*args, **kwargs)
+            p = grid.x_axis_centered[:, None, None] * x
+            return p / np.sqrt(np.sum(p**2) * grid.cell_volume), residual, history
+
+        monkeypatch.setattr(pekar_module, "_sphere_minimize", excited)
+        with pytest.raises(ConvergenceError, match="not the lowest mean-field eigenvector"):
+            minimize_pekar(grid, g=1.0, tol=1e-7, compute_gap=True)
 
     def test_gap_solve_that_misses_its_tolerance_is_flagged(self, tmp_path, monkeypatch):
         # lobpcg returns its best iterate at the iteration cap, with only a warning
