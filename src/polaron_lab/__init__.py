@@ -46,7 +46,6 @@ from .lp_dynamics import (
     LPConfig,
     LPState,
     OscillatorRep,
-    PhononDisplacement,
     QuadratureRep,
     df_energy,
     df_error_integral,

@@ -673,14 +673,20 @@ def error_sweep_coherent(
 
     phi0 is an l2-normalized ring orbital, g the displacement profile of the
     initial coherent state (label -alpha g). The effective trajectory is
-    integrated with lp_dynamics on the same ring, which needs one mode per ring
-    index; the comparison state is a(t) phi_t x eta_t with eta_t reconstructed
-    from (J_t, F_t).
+    ``lp_dynamics.evolve`` on the same ring, which needs one mode per ring index,
+    sampled at the n_samples times linspace(0, t_final, n_samples); ValueError
+    unless their spacing is a whole number of dt steps, so each LP sample sits at
+    its exact-flow time. The comparison state is a(t) phi_t x eta_t with eta_t
+    reconstructed from (J_t, F_t).
     """
     from . import lp_dynamics as lp
 
     basis = FockBasis(config)
     _require_distinct_ring_modes(basis)
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    spacing = t_final / (n_samples - 1)
+    lp._step_count(0.0, spacing, dt)
     grid = basis.grid
     times = np.linspace(0.0, t_final, n_samples)
     rows = []
@@ -700,12 +706,9 @@ def error_sweep_coherent(
 
         errs = [0.0]
         rows.append((0.0, float(alpha), 0.0))
-        current = state
         omega = cfg.frequency
-        for i, t in enumerate(times[1:], start=1):
-            n_steps = int(round((t - current.t) / dt))
-            for _ in range(n_steps):
-                current = lp.step(current, dt)
+        samples = lp.evolve(state, t_final, dt, spacing)[1:]
+        for i, (t, current) in enumerate(zip(times[1:], samples, strict=True), start=1):
             # eta_t = e^{-iF} e^{-i omega N t} W(J_t) eta0
             eta_t, leak = weyl_apply(basis, basis.to_modes(current.rep.j), eta0, guard=False)
             leak_max = max(leak_max, leak)

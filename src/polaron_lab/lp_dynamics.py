@@ -1,6 +1,7 @@
 """Coupled electron/phonon effective dynamics (nonlinear Schroedinger + memory).
 
-The evolved system, in the units selected by ``LPConfig.units``:
+The evolved system, in the strong-coupling units (lam_c, omega) = (1/alpha,
+1/alpha^2) of the Schroedinger-Poisson limit of the Froehlich model:
 
     i dphi/dt = (-Lap + V_z) phi
     dz/dt     = -i omega z - i lam_c f,      f(k) = v(k) rhohat(k)
@@ -10,9 +11,7 @@ with the potential generated by the phonon labels
 
     V_z(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx}.
 
-``strong_coupling`` units set (lam_c, omega) = (1/alpha, 1/alpha^2);
-``froehlich`` units set (sqrt(alpha), omega0). The stationary polaron data is
-z = -(lam_c/omega) f, which in strong-coupling units is z = -alpha f.
+The stationary polaron data is z = -(lam_c/omega) f = -alpha f.
 
 Two interchangeable phonon representations are provided: OscillatorRep keeps
 the potential field and its velocity and rotates each Fourier mode exactly
@@ -52,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BlowUpError, GridMismatchError
+from .errors import BlowUpError
 from .spectral_core import (
     FormFactor,
     Grid,
@@ -68,7 +67,6 @@ from .spectral_core import (
 
 __all__ = [
     "LPConfig",
-    "PhononDisplacement",
     "OscillatorRep",
     "QuadratureRep",
     "LPState",
@@ -80,37 +78,27 @@ __all__ = [
     "df_error_integral",
 ]
 
-_UNITS = ("strong_coupling", "froehlich")
-
 
 @dataclass(frozen=True)
 class LPConfig:
     grid: Grid
     form: FormFactor
     alpha: float
-    omega0: float = 1.0
-    units: str = "strong_coupling"
 
     def __post_init__(self):
-        if self.units not in _UNITS:
-            raise ValueError(f"units must be one of {_UNITS}")
         self.grid.require_same(self.form.grid)
-        if self.alpha <= 0 or self.omega0 <= 0:
-            raise ValueError("alpha and omega0 must be positive")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
 
     @property
     def coupling(self) -> float:
         """Prefactor of the interaction term (lam_c)."""
-        if self.units == "strong_coupling":
-            return 1.0 / self.alpha
-        return float(np.sqrt(self.alpha))
+        return 1.0 / self.alpha
 
     @property
     def frequency(self) -> float:
         """Phonon frequency (omega)."""
-        if self.units == "strong_coupling":
-            return self.alpha**-2
-        return self.omega0
+        return self.alpha**-2
 
     def displacement_profile(self, phi_values: np.ndarray) -> np.ndarray:
         """f(k) = v(k) rhohat(k) for the given orbital values."""
@@ -151,28 +139,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class PhononDisplacement:
-    """Per-mode complex label z(k) = <eta, a(k) eta> on the momentum lattice."""
-
-    grid: Grid
-    z: np.ndarray
-    units: str = "strong_coupling"
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.complex128)
-        if z.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"label shape {z.shape} does not match grid {self.grid.shape}"
-            )
-        object.__setattr__(self, "z", z)
-        if self.units not in _UNITS:
-            raise ValueError(f"units must be one of {_UNITS}")
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.z) ** 2) * self.grid.mode_weight)
-
-
 def stationary_label(cfg: LPConfig, f: np.ndarray) -> np.ndarray:
     """Fixed point of the label equation: z = -(lam_c/omega) f."""
     return -(cfg.coupling / cfg.frequency) * np.asarray(f, dtype=complex)
@@ -184,11 +150,6 @@ class OscillatorRep:
 
     v_hat: np.ndarray
     vdot_hat: np.ndarray
-
-    @classmethod
-    def from_fields(cls, cfg: LPConfig, v: np.ndarray, vdot: np.ndarray):
-        dv = cfg.grid.cell_volume
-        return cls(_fftn(v) * dv, _fftn(vdot) * dv)
 
     @classmethod
     def from_label(cls, cfg: LPConfig, z: np.ndarray):
@@ -288,37 +249,16 @@ class LPState:
 
 
 def initial_state(
-    cfg: LPConfig,
-    phi0: WaveField,
-    z0: np.ndarray | PhononDisplacement | None = None,
-    v0: np.ndarray | None = None,
-    v0dot: np.ndarray | None = None,
-    rep: str = "quadrature",
+    cfg: LPConfig, phi0: WaveField, z0: np.ndarray | None = None, rep: str = "quadrature"
 ) -> LPState:
-    """Build a state from a coherent label z0 or an (V0, dV0/dt) field pair.
-
-    The pair is converted through V0 + i dV0/dt / omega = 2 lam_c sum_k w_k
-    v(k) z(k) e^{ikx}; modes with v(k) = 0 carry no potential and get z = 0.
-    """
+    """The state at t = 0 from the orbital phi0 (normalized here) and the phonon label
+    z0 (zero when not given), in the ``"quadrature"`` or ``"oscillator"`` representation."""
     cfg.grid.require_same(phi0.grid)
-    if z0 is not None and (v0 is not None or v0dot is not None):
-        raise ValueError("give either z0 or the (v0, v0dot) pair, not both")
-    if z0 is None and v0 is None:
-        z0 = np.zeros(cfg.grid.shape, dtype=complex)
-    if isinstance(z0, PhononDisplacement):
-        if z0.units != cfg.units:
-            raise ValueError(
-                f"displacement carries units {z0.units!r} but config uses {cfg.units!r}"
-            )
-        z0 = z0.z
     if z0 is None:
-        if v0dot is None:
-            v0dot = np.zeros(cfg.grid.shape)
-        osc = OscillatorRep.from_fields(cfg, v0, v0dot)
-        z0 = osc.label(cfg, 0.0)
-    if rep in ("quadrature", "quad"):
+        z0 = np.zeros(cfg.grid.shape, dtype=complex)
+    if rep == "quadrature":
         phonons = QuadratureRep.from_label(cfg, z0)
-    elif rep in ("oscillator", "osc"):
+    elif rep == "oscillator":
         phonons = OscillatorRep.from_label(cfg, z0)
     else:
         raise ValueError(f"unknown representation {rep!r}")

@@ -214,10 +214,6 @@ class PTSolution:
     residual: float
     binding: dict
 
-    @property
-    def statistics(self) -> str:
-        return self.cfg.statistics
-
 
 def single_polaron_energy(grid: Grid, form: FormFactor, tol: float = 1e-7, rng=None) -> float:
     """E_1, the one-electron energy (g = 1/2) the binding diagnostic compares N E_1 with,
@@ -368,19 +364,15 @@ def minimize_pt(
     return _minimize_pair(cfg, tol, max_iter, e_single)
 
 
-def binding_scan(
-    grid: Grid, u_values, n_particles: int = 2, tol: float = 1e-7, form=None, e_single=None
-):
+def binding_scan(grid: Grid, u_values, n_particles: int = 2, tol: float = 1e-7, form=None):
     """E_N over a repulsion grid plus the binding diagnostic per point.
 
-    Each distinct orbital coupling is solved once, E_1's (when ``e_single`` is not given)
-    included; the rows equal those of a ``minimize_pt`` at each U.
+    Each distinct orbital coupling is solved once, E_1's included; the rows equal those
+    of a ``minimize_pt`` at each U.
     """
     form = _default_form(grid) if form is None else form
     solve = _orbital_solver(grid, form, tol)
-    if e_single is None:
-        e_single = solve(0.5).e_p
-    return _scan_rows(grid, u_values, n_particles, form, solve, e_single)
+    return _scan_rows(grid, u_values, n_particles, form, solve, solve(0.5).e_p)
 
 
 def _binding_study(cfg: PTConfig, u_values, tol: float = 1e-7, seed: int = 0) -> tuple:

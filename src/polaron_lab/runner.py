@@ -24,6 +24,7 @@ import scipy
 
 from . import __version__
 from .errors import GridMismatchError, SchemaError
+from .lp_dynamics import _step_count
 from .spectral_core import Grid
 
 # environment variables that set a thread count: BLAS reductions sum in a
@@ -163,8 +164,6 @@ def validate_config(raw: dict) -> RunConfig:
                 keys=(key,),
             )
     if scenario == "lp-evolve":
-        from .lp_dynamics import _step_count
-
         try:
             _step_count(0.0, resolved["T"], resolved["dt"])
         except ValueError as exc:
@@ -210,6 +209,14 @@ def validate_config(raw: dict) -> RunConfig:
                 f"sweep parameters out of range (need samples >= 2 and T > 0): {bad}",
                 keys=tuple(bad),
             )
+        if resolved["experiment"] == "theorem2":
+            try:
+                _step_count(0.0, resolved["T"] / (resolved["samples"] - 1), resolved["dt"])
+            except ValueError as exc:
+                raise SchemaError(
+                    f"theorem2 needs 'T'/('samples' - 1) = n 'dt' with a whole n: {exc}",
+                    keys=("T", "samples", "dt"),
+                ) from None
         # the pairs +-1, ..., +-modes/2 repeat a ring momentum once modes >= sites (sites/2 and
         # -sites/2 agree mod sites), and the LP flow theorem2 runs has one mode per ring index
         if resolved["experiment"] == "theorem2" and resolved["modes"] >= resolved["sites"]:

@@ -194,9 +194,6 @@ class WaveField:
         """Pointwise |phi|^2 as a real array."""
         return np.abs(self.values) ** 2
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return float(np.max(np.abs(self.values.imag))) < tol
-
 
 def mode_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
     """Momentum-space inner product sum_k w_k conj(f) g."""

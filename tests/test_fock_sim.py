@@ -522,6 +522,21 @@ class TestSweeps:
         worse = coh["slope"] > stat["slope"] or coh["intercept"] > stat["intercept"]
         assert worse
 
+    def test_coherent_sweep_refuses_samples_between_steps(self, monkeypatch):
+        # T 2.5 over 25 intervals at dt 3e-3 puts a sample every 33.3 steps; the LP state
+        # would then be compared with the exact one up to dt/2 away in time
+        config = fs.FockConfig(8, 2.0, (1, -1, 2, -2), v0=3e-3, n_max=2, alpha=1.0)
+        phi0, g = fs._coherent_initial_data(fs.FockBasis(config), np.random.default_rng(0))
+
+        def assemble_forbidden(*args):
+            raise AssertionError("assembled before the step count was checked")
+
+        monkeypatch.setattr(fs, "assemble", assemble_forbidden)
+        with pytest.raises(ValueError, match="integer number of steps"):
+            fs.error_sweep_coherent(config, [1.0, 8.0], 2.5, phi0, g, dt=3e-3, n_samples=26)
+        with pytest.raises(ValueError, match="at least 2"):
+            fs.error_sweep_coherent(config, [1.0, 8.0], 2.5, phi0, g, dt=1e-2, n_samples=1)
+
     def test_coherent_reduces_to_stationary_for_pekar_data(self):
         # z0 = -alpha f with phi0 the self-consistent minimizer is the fixed
         # point; the coherent machinery must reproduce the stationary errors

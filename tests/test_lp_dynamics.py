@@ -38,14 +38,12 @@ class TestConfig:
         form = FormFactor.coulomb_d3_isolated(grid16)
         sc = lp.LPConfig(grid16, form, alpha=4.0)
         assert sc.coupling == 0.25 and sc.frequency == pytest.approx(1 / 16)
-        fr = lp.LPConfig(grid16, form, alpha=4.0, omega0=2.0, units="froehlich")
-        assert fr.coupling == 2.0 and fr.frequency == 2.0
 
-    def test_displacement_units_guard(self, ring_cfg):
-        z = lp.PhononDisplacement(ring_cfg.grid, np.zeros(32), units="froehlich")
+    @pytest.mark.parametrize("rep", ["quad", "osc", "both"])
+    def test_initial_state_refuses_other_representation_names(self, ring_cfg, rep):
         phi = WaveField(ring_cfg.grid, np.ones(32)).normalized()
-        with pytest.raises(ValueError):
-            lp.initial_state(ring_cfg, phi, z0=z)
+        with pytest.raises(ValueError, match="unknown representation"):
+            lp.initial_state(ring_cfg, phi, rep=rep)
 
 
 class TestStationaryData:
@@ -113,17 +111,6 @@ class TestRepresentations:
         osc = lp.OscillatorRep.from_label(ring_cfg, z)
         assert np.max(np.abs(osc.label(ring_cfg, 0.0) - z)) < 1e-12
 
-    def test_initial_data_rule_round_trip(self, ring_cfg, rng):
-        z = 0.3 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        z = np.where(ring_cfg.form.values > 0, z, 0.0)
-        osc = lp.OscillatorRep.from_label(ring_cfg, z)
-        v = osc.potential(ring_cfg, 0.0)
-        vdot = (np.fft.ifft(osc.vdot_hat) / ring_cfg.grid.cell_volume).real
-        phi = WaveField(ring_cfg.grid, np.ones(32)).normalized()
-        state = lp.initial_state(ring_cfg, phi, v0=v, v0dot=vdot)
-        assert np.max(np.abs(state.label() - z)) < 1e-12
-        assert np.max(np.abs(state.potential() - v)) < 1e-12
-
     def test_oscillator_and_quadrature_agree(self, ring_cfg, ring_state):
         quad = ring_state
         osc = lp.LPState(
@@ -140,10 +127,10 @@ class TestRepresentations:
         assert np.max(np.abs(sq[-1].phi.values - so[-1].phi.values)) < 1e-8
 
     def test_frozen_electron_memory_kernel(self):
-        # z0 = 0, drive frozen: V(t) = -(alpha/omega0)(1 - cos omega0 t) K*rho
+        # z0 = 0, drive frozen: V(t) = -(lam_c^2/omega)(1 - cos omega t) K*rho
         grid = Grid(1, 32, 16.0)
         form = FormFactor.toy(grid, v0=0.1)
-        cfg = lp.LPConfig(grid, form, alpha=1.5, omega0=0.7, units="froehlich")
+        cfg = lp.LPConfig(grid, form, alpha=1.5)
         phi = WaveField(grid, np.exp(-grid.x_axis_centered**2)).normalized()
         f = cfg.displacement_profile(phi.values)
         rep = lp.OscillatorRep.from_label(cfg, np.zeros(grid.shape, dtype=complex))
@@ -152,7 +139,8 @@ class TestRepresentations:
             rep = rep.stepped(cfg, t, h, f)
             t += h
         conv = np.fft.ifftn(form.kernel_multiplier * np.fft.fftn(phi.density())).real
-        expected = -(cfg.alpha / cfg.omega0) * (1 - np.cos(cfg.omega0 * t)) * conv
+        lam, om = cfg.coupling, cfg.frequency
+        expected = -(lam**2 / om) * (1 - np.cos(om * t)) * conv
         assert np.max(np.abs(rep.potential(cfg, t) - expected)) < 1e-12
 
     def test_zero_coupling_free_evolution(self, rng):

@@ -424,6 +424,12 @@ class TestCli:
             (["fock", "--modes", "0"], "modes"),
             (["lemma-suite", "--modes", "0"], "modes"),
             (["fock", "--sites", "4", "--modes", "4", "--experiment", "theorem2"], "modes"),
+            (
+                ["fock", "--experiment", "theorem2", "--sites", "8", "--box", "2", "--modes", "4",
+                 "--nmax", "5", "--v0", "3e-3", "--alpha-grid", "1,8", "--T", "2.5",
+                 "--samples", "26", "--dt", "3e-3"],
+                "dt",
+            ),
         ],
     )
     def test_malformed_parameters_are_refused_before_the_manifest(
