@@ -710,7 +710,8 @@ def error_sweep_coherent(
         samples = lp.evolve(state, t_final, dt, spacing)[1:]
         for i, (t, current) in enumerate(zip(times[1:], samples, strict=True), start=1):
             # eta_t = e^{-iF} e^{-i omega N t} W(J_t) eta0
-            eta_t, leak = weyl_apply(basis, basis.to_modes(current.rep.j), eta0, guard=False)
+            j_t = basis.to_modes(current.rep.memory(cfg))
+            eta_t, leak = weyl_apply(basis, j_t, eta0, guard=False)
             leak_max = max(leak_max, leak)
             eta_t = np.exp(-1j * omega * basis.occ_totals * t) * eta_t
             eta_t = np.exp(-1j * current.rep.f_acc) * eta_t

@@ -13,41 +13,58 @@ with the potential generated by the phonon labels
 
 The stationary polaron data is z = -(lam_c/omega) f = -alpha f.
 
-Two interchangeable phonon representations are provided: OscillatorRep keeps
-the potential field and its velocity and rotates each Fourier mode exactly
-around the instantaneous driven fixed point; QuadratureRep keeps the initial
-label plus the running memory integral J and phase accumulator F,
+State layout. v is real and even in k and rho is real, so f is the spectrum
+of a real field: Hermitian, f(-k) = conj f(k). A label is written z = P + iQ
+with P and Q Hermitian, a split that is exact for any complex z, and P, Q and
+f are held as rfftn half spectra (spectral_core's ``_hermitian_split`` and
+``_hermitian_fill``). The potential needs only P = H(z), the Hermitian part:
+V_z = 2 lam_c w N irfftn(v P). The phase uses Re <z, f>_w = <P, f>_w, a
+weighted sum over the half lattice. The label equation splits into the real
+pair dP/dt = omega Q, dQ/dt = -omega P - lam_c f, so each phonon half step
+updates half-size arrays by real scalars. Two interchangeable phonon
+representations hold the pair:
 
-    z(t) = e^{-i omega t} (z0 + J_t),
-    J_t  = -i lam_c int_0^t e^{i omega s} f_s ds,
-    F_t  = lam_c int_0^t Re[ e^{-i omega s} <f_s, J_s>_w ] ds,
+* OscillatorRep keeps the lab-frame pair (P, Q) and rotates (P - P_p, Q) by
+  omega h about the driven fixed point P_p = -(lam_c/omega) f;
+* QuadratureRep keeps the rotating-frame pair (P~, Q~) of z0 + J, the pair of
+  z0 and the phase accumulator F,
 
-with both integrals accumulated exactly for drive held constant over each
-substep (never re-integrated from zero). States are immutable snapshots; a
-step returns a new state.
+      z(t) = e^{-i omega t} (z0 + J_t),   H(z(t)) = cos(omega t) P~ + sin(omega t) Q~,
+      J_t  = -i lam_c int_0^t e^{i omega s} f_s ds,
+      F_t  = lam_c int_0^t Re[ e^{-i omega s} <f_s, J_s>_w ] ds,
 
-One step does four complex transforms: the drift's fftn and ifftn, the
-half-step potential's ifftn and the fftn of f = v rhohat at the step's end.
-The state carries that f, so the next step starts from it instead of
-transforming phi again. The step's multipliers are built once per config
-(the oscillator's scale, label divisor and fixed-point factor) or once per
-(config, dt) (the drift exp(-i dt k^2); only the last dt is kept). The
-transforms are spectral_core's grid transforms, numpy's bits on scipy's n-d
-kernel on a 3d grid. Two other forms are not used (one thread, 32^3, medians
-on a shared 2-vCPU host where a step takes 7-9 ms). The potential Re ifftn(c)
-as irfftn of the Hermitian-symmetrised half spectrum changes the last bits of
-the seeded CSVs and took 0.93 ms against 0.75 ms for ifftn(c).real (rfftn for
-f would need the full lattice filled back in and saves as little). The kick
-as cos + i sin equals the complex exp bit for bit on numpy 2.4.6 (over 1.4e7
-arguments of scales 1e-8 to 1e6) and saves about 0.2 ms of a step alone, but
-no time end to end: perfbench ``lp-flow`` read 1.320, 1.349 and 1.327 s with
-it against 1.344, 1.313 and 1.335 s without, over 3 pairs of runs.
+  with both integrals accumulated exactly for drive held constant over each
+  substep (never re-integrated from zero).
+
+Both carry z on every mode, also where v(k) = 0. ``initial_state``,
+``from_label`` and ``label()`` take and return the full-lattice z. States are
+immutable snapshots; a step returns a new state.
+
+One step does two complex transforms, the drift's fftn and ifftn, and one
+real pair: the half-step potential's irfftn and the rfftn of f = v rhohat at
+the step's end. The state carries that f, so the next step starts from it
+instead of transforming phi again. The drift exp(-i dt k^2) is built once per
+(config, dt); only the last dt is kept. The transforms are spectral_core's
+grid transforms, numpy's bits on scipy's n-d kernel on a 3d grid.
+
+Step times at 32^3 (box 32, alpha 2, dt 1e-3, one thread, a shared 2-vCPU
+host), as medians of 16 blocks of 50 steps alternated in one process with the
+same step on the full complex lattice: quadrature 3.44 ms against 4.12 ms,
+oscillator 3.08 ms against 5.80 ms. On a slower spell of the host (12 blocks)
+they read 5.60 against 6.51 ms and 5.18 against 8.77 ms.
+
+The kick as cos + i sin equals the complex exp bit for bit on numpy 2.4.6
+(over 1.4e7 arguments of scales 1e-8 to 1e6) and saves about 0.2 ms of a step
+alone, but no time end to end: perfbench ``lp-flow`` read 1.320, 1.349 and
+1.327 s with it against 1.344, 1.313 and 1.335 s without, over 3 pairs of
+runs; it is not used.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -56,12 +73,14 @@ from .spectral_core import (
     FormFactor,
     Grid,
     WaveField,
-    _density_displacement,
     _fftn,
+    _half_displacement,
+    _half_inner,
+    _half_potential,
+    _hermitian_fill,
+    _hermitian_split,
     _ifftn,
-    _label_potential,
     kinetic_energy,
-    mode_inner,
     mode_norm_sq,
 )
 
@@ -101,12 +120,13 @@ class LPConfig:
         return self.alpha**-2
 
     def displacement_profile(self, phi_values: np.ndarray) -> np.ndarray:
-        """f(k) = v(k) rhohat(k) for the given orbital values."""
-        return _density_displacement(np.abs(phi_values) ** 2, self.form)
+        """f(k) = v(k) rhohat(k) for the given orbital values, as its rfftn half spectrum."""
+        return _half_displacement(np.abs(phi_values) ** 2, self.form)
 
-    def potential_of_label(self, z: np.ndarray) -> np.ndarray:
-        """V(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx} (real array)."""
-        return _label_potential(z, self.form, self.coupling)
+    def label_potential(self, p: np.ndarray) -> np.ndarray:
+        """V(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx} (real array) from the rfftn half
+        spectrum p of the label's Hermitian part H(z)."""
+        return _half_potential(p, self.form, self.coupling)
 
     def _drift(self, dt: float) -> np.ndarray:
         """Kinetic multiplier exp(-i dt k^2); only the last dt's is kept."""
@@ -115,23 +135,6 @@ class LPConfig:
             last = (dt, _frozen(np.exp(-1j * dt * self.grid.k_sq)))
             self.__dict__["_last_drift"] = last
         return last[1]
-
-    @cached_property
-    def _oscillator_scale(self) -> np.ndarray:
-        """(2pi)^d lam_c v(k): the label z -> potential spectrum factor."""
-        return _frozen((2.0 * np.pi) ** self.grid.dim * self.coupling * self.form.values)
-
-    @cached_property
-    def _label_divisor(self) -> tuple:
-        """(scale > 0, 2 scale there and 1 elsewhere): modes with v(k) = 0 get label 0."""
-        scale = self._oscillator_scale
-        return _frozen(scale > 0), _frozen(np.where(scale > 0, 2.0 * scale, 1.0))
-
-    @cached_property
-    def _fixed_point_factor(self) -> np.ndarray:
-        """V_p / f = -(lam_c^2/omega) M / v with M = 2 (2pi)^d v^2."""
-        prefactor = -(self.coupling**2 / self.frequency) * 2.0 * (2.0 * np.pi) ** self.grid.dim
-        return _frozen(prefactor * self.form.values)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -144,84 +147,91 @@ def stationary_label(cfg: LPConfig, f: np.ndarray) -> np.ndarray:
     return -(cfg.coupling / cfg.frequency) * np.asarray(f, dtype=complex)
 
 
+def _full_label(cfg: LPConfig, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P + iQ on the full lattice from the rfftn halves of the Hermitian pair."""
+    return _hermitian_fill(p, cfg.grid.shape) + 1j * _hermitian_fill(q, cfg.grid.shape)
+
+
 @dataclass(frozen=True)
 class OscillatorRep:
-    """Phonon state as the potential field and its velocity (spectra cached)."""
+    """Phonon state as the lab-frame Hermitian pair of the label, z = P + iQ (rfftn halves).
 
-    v_hat: np.ndarray
-    vdot_hat: np.ndarray
+    P is the potential's field and omega Q its velocity.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
 
     @classmethod
     def from_label(cls, cfg: LPConfig, z: np.ndarray):
-        scale = cfg._oscillator_scale
-        zc = np.conj(_negate_modes(z))
-        v_hat = scale * (z + zc)
-        vdot_hat = scale * (-1j * cfg.frequency) * (z - zc)
-        return cls(v_hat, vdot_hat)
+        return cls(*_hermitian_split(np.asarray(z, dtype=complex)))
 
     def label(self, cfg: LPConfig, t: float) -> np.ndarray:
-        carries, divisor = cfg._label_divisor
-        c_hat = self.v_hat + 1j * self.vdot_hat / cfg.frequency
-        return np.where(carries, c_hat / divisor, 0.0)
+        return _full_label(cfg, self.p, self.q)
 
-    def potential(self, cfg: LPConfig, t: float) -> np.ndarray:
-        return (_ifftn(self.v_hat) / cfg.grid.cell_volume).real
-
-    def _label_and_potential(self, cfg: LPConfig, t: float):
-        return self.label(cfg, t), self.potential(cfg, t)
+    def hermitian_label(self, cfg: LPConfig, t: float) -> np.ndarray:
+        return self.p
 
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
-        """Exact mode rotation around the driven fixed point, drive frozen."""
+        """Exact rotation of (P - P_p, Q) by omega h about the driven fixed point
+        P_p = -(lam_c/omega) f, drive frozen."""
         om = cfg.frequency
-        # fixed point: V_p = -(lam^2/om) M rho_hat with M = 2 (2pi)^d v^2 and f = v rho_hat
-        v_p = cfg._fixed_point_factor * f_drive
-        c, s = np.cos(om * h), np.sin(om * h)
-        dv = self.v_hat - v_p
-        return OscillatorRep(
-            v_hat=v_p + dv * c + self.vdot_hat * s / om,
-            vdot_hat=-om * dv * s + self.vdot_hat * c,
-        )
+        p_fixed = (-cfg.coupling / om) * f_drive
+        c, s = math.cos(om * h), math.sin(om * h)
+        dp = self.p - p_fixed
+        return OscillatorRep(p=p_fixed + c * dp + s * self.q, q=c * self.q - s * dp)
 
 
 @dataclass(frozen=True)
 class QuadratureRep:
-    """Phonon state as (initial label, running memory integral, phase accumulator)."""
+    """Phonon state in the rotating frame: the Hermitian pair (P, Q) of z0 + J, the pair
+    (P0, Q0) of z0 (rfftn halves) and the phase accumulator F."""
 
-    z0: np.ndarray
-    j: np.ndarray
-    f_acc: float  # the accumulated scalar F(t); internal bookkeeping only
+    p: np.ndarray
+    q: np.ndarray
+    p0: np.ndarray
+    q0: np.ndarray
+    f_acc: float  # the accumulated scalar F(t)
 
     @classmethod
     def from_label(cls, cfg: LPConfig, z: np.ndarray):
-        return cls(np.asarray(z, dtype=complex), np.zeros_like(np.asarray(z, dtype=complex)), 0.0)
+        p, q = _hermitian_split(np.asarray(z, dtype=complex))
+        return cls(p, q, p, q, 0.0)
 
     def label(self, cfg: LPConfig, t: float) -> np.ndarray:
-        return np.exp(-1j * cfg.frequency * t) * (self.z0 + self.j)
+        return np.exp(-1j * cfg.frequency * t) * _full_label(cfg, self.p, self.q)
 
-    def potential(self, cfg: LPConfig, t: float) -> np.ndarray:
-        return self._label_and_potential(cfg, t)[1]
+    def hermitian_label(self, cfg: LPConfig, t: float) -> np.ndarray:
+        """H(e^{-i omega t}(P + iQ)) = cos(omega t) P + sin(omega t) Q."""
+        wt = cfg.frequency * t
+        return math.cos(wt) * self.p + math.sin(wt) * self.q
 
-    def _label_and_potential(self, cfg: LPConfig, t: float):
-        z = self.label(cfg, t)
-        return z, cfg.potential_of_label(z)
+    def memory(self, cfg: LPConfig) -> np.ndarray:
+        """The memory integral J_t on the full lattice."""
+        return _full_label(cfg, self.p - self.p0, self.q - self.q0)
 
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
         om, lam = cfg.frequency, cfg.coupling
-        e_t = np.exp(1j * om * t)
-        e_th = np.exp(1j * om * (t + h))
-        delta_j = -(lam / om) * f_drive * (e_th - e_t)
-        # dF/ds = lam * Re[e^{-i om s} <f, J_s>_w]; J(s) analytic for frozen f
-        inner_fj = complex(np.vdot(f_drive, self.j) * cfg.grid.mode_weight)
-        term1 = lam * (inner_fj * (np.conj(e_t) - np.conj(e_th)) / (1j * om)).real
-        fsq = float(np.sum(np.abs(f_drive) ** 2) * cfg.grid.mode_weight)
-        term2 = -(lam**2 / om) * fsq * (h - np.sin(om * h) / om)
-        return QuadratureRep(self.z0, self.j + delta_j, self.f_acc + term1 + term2)
-
-
-def _negate_modes(arr: np.ndarray) -> np.ndarray:
-    """arr(k) -> arr(-k) as an index permutation on the FFT lattice."""
-    idx = [(-np.arange(n)) % n for n in arr.shape]
-    return arr[np.ix_(*idx)]
+        dc = math.cos(om * (t + h)) - math.cos(om * t)
+        ds = math.sin(om * (t + h)) - math.sin(om * t)
+        # dF/ds = lam * Re[e^{-i om s} <f, J_s>_w]; J(s) analytic for frozen f. For Hermitian
+        # f, <f, J>_w = <f, J_P>_w + i <f, J_Q>_w with both inner products real
+        # (three _half_inner products that share one weighting of f)
+        weighted = cfg.grid.half_weight * f_drive
+        inner_p = np.vdot(weighted, self.p - self.p0).real
+        inner_q = np.vdot(weighted, self.q - self.q0).real
+        term1 = lam * (inner_p * ds - inner_q * dc) / om
+        fsq = np.vdot(weighted, f_drive).real
+        term2 = -(lam**2 / om) * fsq * (h - math.sin(om * h) / om)
+        # J += -(lam/om) f (e^{i om (t+h)} - e^{i om t}), whose pair is -(lam/om) f (dc, ds)
+        scale = -lam / om
+        return QuadratureRep(
+            self.p + (scale * dc) * f_drive,
+            self.q + (scale * ds) * f_drive,
+            self.p0,
+            self.q0,
+            self.f_acc + term1 + term2,
+        )
 
 
 @dataclass(frozen=True)
@@ -231,7 +241,8 @@ class LPState:
     phi: WaveField
     rep: object
     a_phase: complex = 1.0 + 0.0j
-    # f = v rhohat of phi: handed on by the step that made phi, computed from phi otherwise
+    # f = v rhohat of phi, as its rfftn half spectrum: handed on by the step that made phi,
+    # computed from phi otherwise
     _f: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -242,9 +253,10 @@ class LPState:
         return self.rep.label(self.cfg, self.t)
 
     def potential(self) -> np.ndarray:
-        return self.rep.potential(self.cfg, self.t)
+        return self.cfg.label_potential(self.rep.hermitian_label(self.cfg, self.t))
 
     def displacement(self) -> np.ndarray:
+        """f = v rhohat of phi, as its rfftn half spectrum."""
         return self._f
 
 
@@ -268,12 +280,11 @@ def initial_state(
 def df_energy(state: LPState) -> float:
     """Conserved product-state energy T + omega ||z||^2 + lam_c 2 Re <z, f>."""
     cfg = state.cfg
-    z = state.label()
-    f = state.displacement()
+    p = state.rep.hermitian_label(cfg, state.t)
     return (
         kinetic_energy(state.phi)
-        + cfg.frequency * mode_norm_sq(cfg.grid, z)
-        + cfg.coupling * 2.0 * mode_inner(cfg.grid, z, f).real
+        + cfg.frequency * mode_norm_sq(cfg.grid, state.label())
+        + cfg.coupling * 2.0 * _half_inner(cfg.grid, p, state.displacement())
     )
 
 
@@ -282,16 +293,16 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
 
     The one splitting behind both the one-electron flow (``step``) and the pair
     flow (``npolaron.dfn_evolve``). ``values`` is the electron field on its own
-    lattice and ``f_before`` its f(k), ``drift`` the kinetic multiplier
-    exp(-i dt k^2) there, ``displacement`` maps values to f(k), and ``lift``
-    carries the one-body potential onto the field's lattice. Returns
-    (values, rep, a_phase, f) at t + dt; the caller hands f on as the next
-    step's ``f_before``.
+    lattice and ``f_before`` its f(k) as an rfftn half spectrum, ``drift`` the
+    kinetic multiplier exp(-i dt k^2) there, ``displacement`` maps values to
+    that half f(k), and ``lift`` carries the one-body potential onto the field's
+    lattice. Returns (values, rep, a_phase, f) at t + dt; the caller hands f on
+    as the next step's ``f_before``.
     """
     rep_mid = rep.stepped(cfg, t, dt / 2.0, f_before)
     t_mid = t + dt / 2.0
-    z_mid, v_mid = rep_mid._label_and_potential(cfg, t_mid)
-    kick = np.exp(-0.5j * dt * lift(v_mid))
+    p_mid = rep_mid.hermitian_label(cfg, t_mid)
+    kick = np.exp(-0.5j * dt * lift(cfg.label_potential(p_mid)))
     new = kick * values
     new = _ifftn(drift * _fftn(new))
     # kept apart from the transform: numpy would multiply into the ifftn temporary in
@@ -302,9 +313,10 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
 
     f_after = displacement(new)
     rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
-    field_expectation = 2.0 * mode_inner(cfg.grid, z_mid, 0.5 * (f_before + f_after)).real
-    a_new = a_phase * np.exp(1j * dt * cfg.coupling * field_expectation)
-    return new, rep_new, complex(a_new), f_after
+    # 2 Re <z_mid, (f_before + f_after)/2>_w, and Re <z, f>_w = <H(z), f>_w for Hermitian f
+    field_expectation = _half_inner(cfg.grid, p_mid, f_before + f_after)
+    a_new = a_phase * cmath.exp(1j * dt * cfg.coupling * field_expectation)
+    return new, rep_new, a_new, f_after
 
 
 def _one_body(v: np.ndarray) -> np.ndarray:
@@ -343,14 +355,22 @@ def _step_count(t: float, t_final: float, dt: float) -> int:
     return n_steps
 
 
+def _sample_stride(sample_interval: float, dt: float) -> int:
+    """Steps per sample, |sample_interval / dt|; ValueError unless a whole number >= 1."""
+    stride = _step_count(0.0, abs(sample_interval), abs(dt))
+    if stride == 0:
+        raise ValueError(f"sample_interval {sample_interval} is shorter than the step {dt}")
+    return stride
+
+
 def _march(state, t_final: float, dt: float, advance, sample_interval: float | None = None):
     """Yield ``state``, then every sampled ``advance(state, dt)`` up to t_final (always the last).
 
-    The sample interval is a length of time: a march backwards (dt < 0) samples
-    every |sample_interval / dt| steps too.
+    The sample interval is a length of time and a whole number of steps (ValueError
+    otherwise): a march backwards (dt < 0) samples every |sample_interval / dt| steps too.
     """
     n_steps = _step_count(state.t, t_final, dt)
-    stride = max(1, int(round(abs((sample_interval or t_final) / dt))))
+    stride = max(n_steps, 1) if sample_interval is None else _sample_stride(sample_interval, dt)
     yield state
     for i in range(1, n_steps + 1):
         state = advance(state, dt)

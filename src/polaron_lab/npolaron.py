@@ -36,6 +36,8 @@ from .spectral_core import (
     _density_displacement,
     _density_potential,
     _fourier_multiply,
+    _half_displacement,
+    _hermitian_fill,
     _ifftn,
     kinetic_energy,
     mode_norm_sq,
@@ -419,8 +421,8 @@ class PairState:
     pair: np.ndarray
     rep: QuadratureRep
     a_phase: complex = 1.0 + 0.0j
-    # f = v rhohat of the pair's one-body density: handed on by the step that made
-    # the pair, computed from it otherwise
+    # f = v rhohat of the pair's one-body density, as its rfftn half spectrum: handed on
+    # by the step that made the pair, computed from it otherwise
     _f: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -449,8 +451,8 @@ class PairState:
 
 
 def _pair_displacement(cfg: PTConfig, pair: np.ndarray) -> np.ndarray:
-    """f = v rhohat of the pair's one-body density."""
-    return _density_displacement(_one_body_density(cfg.grid, pair), cfg.form)
+    """f = v rhohat of the pair's one-body density, as its rfftn half spectrum."""
+    return _half_displacement(_one_body_density(cfg.grid, pair), cfg.form)
 
 
 def dfn_evolve(
@@ -478,7 +480,7 @@ def dfn_evolve(
     pair0 = pair0 / _pair_norm(grid, pair0)
     f0 = _pair_displacement(cfg, pair0)
     if z0 is None:
-        z0 = stationary_label(phonons, f0)
+        z0 = stationary_label(phonons, _hermitian_fill(f0, grid.shape))
     drift = np.exp(-1j * dt * _pair_kinetic_multiplier(grid))
     kernel = cfg.repulsion * _pair_kernel(grid, form)
 

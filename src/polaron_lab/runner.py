@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .errors import GridMismatchError, SchemaError
-from .lp_dynamics import _step_count
+from .lp_dynamics import _sample_stride, _step_count
 from .spectral_core import Grid
 
 # environment variables that set a thread count: BLAS reductions sum in a
@@ -176,6 +176,13 @@ def validate_config(raw: dict) -> RunConfig:
                 f"'sample_interval' must be positive and finite, got {interval!r}",
                 keys=("sample_interval",),
             )
+        try:
+            _sample_stride(interval, resolved["dt"])
+        except ValueError as exc:
+            raise SchemaError(
+                f"'sample_interval' must be a whole number of steps 'dt': {exc}",
+                keys=("sample_interval",),
+            ) from None
     points = "grid" if "grid" in resolved else "sites"
     if points in resolved:
         # the grid's own check; its rules for points and box do not depend on the dimension

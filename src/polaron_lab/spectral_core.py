@@ -113,6 +113,20 @@ class Grid:
         return self.dx * idx
 
     @cached_property
+    def half_weight(self) -> np.ndarray:
+        """w_k times the multiplicity of a last-axis index of the rfftn half lattice.
+
+        Indices 0 and n/2 stand for themselves, every other one for itself and its
+        mirror, so a sum over the half with these weights is the full-lattice sum
+        ``sum_k w_k`` for a Hermitian (real-field) summand.
+        """
+        n = self.points_per_axis
+        out = np.full(n // 2 + 1, 2.0 * self.mode_weight)
+        out[[0, -1]] = self.mode_weight
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def k_mesh(self) -> tuple:
         return np.meshgrid(*([self.k_axis] * self.dim), indexing="ij")
 
@@ -204,6 +218,39 @@ def mode_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
 
 
+def _half_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """``mode_inner(grid, A, B)`` for Hermitian A, B (spectra of real fields, so the sum is
+    real) from their rfftn half spectra a, b."""
+    return float(np.vdot(a, grid.half_weight * b).real)
+
+
+def _reflect(a: np.ndarray, axes) -> np.ndarray:
+    """a(-k) along ``axes``: the index permutation i -> -i mod n of the FFT lattice."""
+    for axis in axes:
+        n = a.shape[axis]
+        a = np.take(a, -np.arange(n) % n, axis=axis)
+    return a
+
+
+def _hermitian_split(z: np.ndarray) -> tuple:
+    """The rfftn half spectra of (P, Q) with z = P + iQ and P, Q Hermitian, P(-k) = conj P(k).
+
+    Exact for any complex z: P = (z + conj z(-k))/2 and Q = (z - conj z(-k))/2i are the
+    spectra of real fields, so their halves hold them; ``_hermitian_fill`` restores them.
+    """
+    zc = np.conj(_reflect(z, range(z.ndim)))
+    half = z.shape[-1] // 2 + 1
+    return (0.5 * (z + zc))[..., :half], (-0.5j * (z - zc))[..., :half]
+
+
+def _hermitian_fill(half: np.ndarray, shape: tuple) -> np.ndarray:
+    """The full spectrum H on a lattice of ``shape`` from its rfftn half, by H(-k) = conj H(k)."""
+    m = half.shape[-1]
+    # last-axis index j > n/2 is the mirror of n - j, which runs n/2 - 1 down to 1
+    mirror = np.conj(_reflect(half[..., m - 2 : 0 : -1], range(len(shape) - 1)))
+    return np.concatenate([half, mirror], axis=-1)
+
+
 @dataclass(frozen=True)
 class FormFactor:
     """Electron-phonon coupling profile v(k) >= 0 on the momentum lattice.
@@ -226,6 +273,9 @@ class FormFactor:
             )
         if np.any(vals < 0):
             raise ValueError("form factor values must be nonnegative")
+        # f = v rhohat and the label potential are spectra of real fields only for an even v
+        if not np.array_equal(vals, _reflect(vals, range(vals.ndim))):
+            raise ValueError("form factor values must be even in k: v(-k) = v(k)")
         object.__setattr__(self, "values", _freeze(vals))
 
     @classmethod
@@ -279,6 +329,11 @@ class FormFactor:
         return cls(grid, vals, cutoff=cutoff, variant=f"toy(v0={v0},p={exponent})")
 
     @cached_property
+    def half_values(self) -> np.ndarray:
+        """v(k) on the rfftn half lattice."""
+        return _freeze(self.values[..., : self.grid.points_per_axis // 2 + 1])
+
+    @cached_property
     def kernel_multiplier(self) -> np.ndarray:
         """M(k) = 2 (2pi)^dim v(k)^2 (equals 4pi/k^2 for the bare d=3 factor)."""
         out = 2.0 * (2.0 * np.pi) ** self.grid.dim * self.values**2
@@ -317,31 +372,44 @@ def _ifftn(a: np.ndarray, axes=None) -> np.ndarray:
     return scipy.fft.ifftn(np.asarray(a, dtype=np.complex128), axes=axes[::-1])
 
 
+def _rfftn(a: np.ndarray) -> np.ndarray:
+    """``np.fft.rfftn(a)`` of a real array, bit for bit; see ``_fourier_multiply``."""
+    if a.ndim < 2:
+        return np.fft.rfft(a)
+    import scipy.fft
+
+    axes = tuple(range(a.ndim))
+    return scipy.fft.rfftn(a, axes=axes[:-1][::-1] + axes[-1:])
+
+
+def _irfftn(half: np.ndarray, shape: tuple) -> np.ndarray:
+    """``np.fft.irfftn(half, s=shape)``, the real field of ``shape``, bit for bit."""
+    if len(shape) < 2:
+        return np.fft.irfft(half, shape[0])
+    import scipy.fft
+
+    return scipy.fft.irfftn(half, s=shape, axes=tuple(range(len(shape))))
+
+
 def _fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     """ifft(multiplier * fft(values)) for a real multiplier even in k, as all of them here.
 
     A real field takes the real transforms on the half spectrum, a complex one the full ones.
     The transforms run over every axis, so a pair state on grid.shape * 2 takes a pair multiplier.
 
-    The grid transforms (this pair, ``_fftn`` and ``_ifftn``) give numpy's bits. Over two or
-    more axes they run scipy's n-d pocketfft kernel, which at 32^3 takes about half numpy's
-    time, in numpy's axis order: numpy transforms the last axis first, and the complex
-    transforms cast to complex128 as numpy does. The inverses scale by 1/n, a power of two
-    on every Grid, which is exact whether applied per axis (numpy) or once (scipy). A one-axis
-    transform (the Fock ring) stays on numpy, which runs the same per-line kernel with less
-    call overhead, and ``scipy.fft`` (which imports ``scipy.special``) is imported at the
-    first multi-axis transform only.
+    The grid transforms (``_rfftn``, ``_irfftn``, ``_fftn`` and ``_ifftn``) give numpy's
+    bits. Over two or more axes they run scipy's n-d pocketfft kernel, which at 32^3 takes
+    about half numpy's time, in numpy's axis order: numpy transforms the last axis first,
+    and the complex transforms cast to complex128 as numpy does. The inverses scale by 1/n,
+    a power of two on every Grid, which is exact whether applied per axis (numpy) or once
+    (scipy). A one-axis transform (the Fock ring) stays on numpy, which runs the same
+    per-line kernel with less call overhead, and ``scipy.fft`` (which imports
+    ``scipy.special``) is imported at the first multi-axis transform only.
     """
     if np.iscomplexobj(values):
         return _ifftn(multiplier * _fftn(values))
     half = multiplier[..., : values.shape[-1] // 2 + 1]
-    axes = tuple(range(values.ndim))
-    if values.ndim < 2:
-        return np.fft.irfftn(half * np.fft.rfftn(values, axes=axes), s=values.shape, axes=axes)
-    import scipy.fft
-
-    spectrum = scipy.fft.rfftn(values, axes=axes[:-1][::-1] + axes[-1:])
-    return scipy.fft.irfftn(half * spectrum, s=values.shape, axes=axes)
+    return _irfftn(half * _rfftn(values), values.shape)
 
 
 def _density_potential(rho: np.ndarray, form: FormFactor) -> np.ndarray:
@@ -349,15 +417,28 @@ def _density_potential(rho: np.ndarray, form: FormFactor) -> np.ndarray:
     return -_fourier_multiply(rho, form.kernel_multiplier).real
 
 
+def _half_displacement(rho: np.ndarray, form: FormFactor) -> np.ndarray:
+    """Phonon displacement f(k) = v(k) rhohat(k) of a real density array on ``form.grid``,
+    as its rfftn half spectrum."""
+    return form.half_values * (_rfftn(rho) * form.grid.cell_volume)
+
+
 def _density_displacement(rho: np.ndarray, form: FormFactor) -> np.ndarray:
-    """Phonon displacement f(k) = v(k) rhohat(k) of a density array on ``form.grid``."""
-    return form.values * (_fftn(rho) * form.grid.cell_volume)
+    """``_half_displacement`` on the full lattice."""
+    return _hermitian_fill(_half_displacement(rho, form), form.grid.shape)
+
+
+def _half_potential(p: np.ndarray, form: FormFactor, coupling: float) -> np.ndarray:
+    """V(x) = 2 coupling Re sum_k w_k v(k) z(k) e^{ikx} (real array) on ``form.grid``, from
+    the rfftn half spectrum p of the label's Hermitian part: Re(v z) transforms as v P."""
+    grid = form.grid
+    scale = 2.0 * coupling * grid.mode_weight * grid.size
+    return _irfftn((scale * form.half_values) * p, grid.shape)
 
 
 def _label_potential(z: np.ndarray, form: FormFactor, coupling: float) -> np.ndarray:
-    """V(x) = 2 coupling Re sum_k w_k v(k) z(k) e^{ikx} (real array) of a label on ``form.grid``."""
-    summed = _ifftn(form.values * z) * (form.grid.mode_weight * form.grid.size)
-    return 2.0 * coupling * summed.real
+    """``_half_potential`` of a full-lattice label z."""
+    return _half_potential(_hermitian_split(z)[0], form, coupling)
 
 
 def kernel_potential(rho: WaveField, form: FormFactor) -> WaveField:

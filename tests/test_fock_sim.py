@@ -478,13 +478,14 @@ class TestQuadratureReconstruction:
         current = state
         for _ in range(500):
             mid = lp.step(current, dt / 2)
-            f_modes = basis.to_modes(mid.cfg.displacement_profile(mid.phi.values))
+            f_modes = basis.displacement(mid.phi.values * np.sqrt(grid.dx))
             h_ph = (omega * n_op + lam * basis.field_occ(f_modes)).tocsc()
             eta_direct = expm_multiply(-1j * dt * h_ph, eta_direct)
             current = lp.step(mid, dt / 2)
             t += dt
 
-        eta_rec, _ = fs.weyl_apply(basis, basis.to_modes(current.rep.j), eta0, guard=False)
+        j_t = basis.to_modes(current.rep.memory(cfg))
+        eta_rec, _ = fs.weyl_apply(basis, j_t, eta0, guard=False)
         eta_rec = np.exp(-1j * omega * basis.occ_totals * t) * eta_rec
         eta_rec = np.exp(-1j * current.rep.f_acc) * eta_rec
         assert np.linalg.norm(eta_rec - eta_direct) < 1e-5

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polaron_lab.cli import main as cli_main
 from polaron_lab.errors import SizingError
-from polaron_lab.spectral_core import FormFactor, Grid, WaveField, _density_displacement
+from polaron_lab.spectral_core import FormFactor, Grid, WaveField, _half_displacement
 from polaron_lab import lp_dynamics as lp
 from polaron_lab import npolaron as npl
 from polaron_lab.pekar import minimize_pekar
@@ -309,7 +309,7 @@ class TestDynamics:
         assert len(samples) == 6
         for state in samples:
             rho = npl._one_body_density(cfg.grid, state.pair)
-            assert np.array_equal(state.displacement(), _density_displacement(rho, cfg.form))
+            assert np.array_equal(state.displacement(), _half_displacement(rho, cfg.form))
 
     @pytest.mark.parametrize(
         "t_final, dt", [(1.0005, 1e-3), (1.0, 0.0), (-1.0, 1e-3), (np.inf, 1e-3)]

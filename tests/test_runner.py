@@ -430,6 +430,11 @@ class TestCli:
                  "--samples", "26", "--dt", "3e-3"],
                 "dt",
             ),
+            (
+                ["lp-evolve", "--init", "missing/pekar.json", "--sample-interval", "0.0015",
+                 "--T", "0.01", "--dt", "1e-3"],
+                "sample_interval",
+            ),
         ],
     )
     def test_malformed_parameters_are_refused_before_the_manifest(

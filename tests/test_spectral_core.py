@@ -16,11 +16,20 @@ from polaron_lab.spectral_core import (
     WaveField,
     _fftn,
     _fourier_multiply,
+    _half_displacement,
+    _half_inner,
+    _half_potential,
+    _hermitian_fill,
+    _hermitian_split,
     _ifftn,
+    _irfftn,
+    _label_potential,
+    _rfftn,
     hartree_energy,
     kernel_potential,
     kinetic_energy,
     mode_inner,
+    mode_norm_sq,
 )
 
 from oracles import brute_force_coulomb_free, dft_direct
@@ -312,6 +321,11 @@ class TestSpectralProperties:
         multiplier = rng.standard_normal(shape)
         half = multiplier[..., : shape[-1] // 2 + 1]
         every = tuple(range(ndim))
+        spectrum = np.fft.rfftn(real, axes=every)
+        assert np.array_equal(_rfftn(real), spectrum)
+        assert np.array_equal(
+            _irfftn(spectrum, shape), np.fft.irfftn(spectrum, s=shape, axes=every)
+        )
         assert np.array_equal(
             _fourier_multiply(real, multiplier),
             np.fft.irfftn(half * np.fft.rfftn(real, axes=every), s=shape, axes=every),
@@ -325,3 +339,71 @@ class TestSpectralProperties:
             _fourier_multiply(values, multiplier),
             np.fft.ifftn(multiplier * np.fft.fftn(values)),
         )
+
+
+@st.composite
+def complex_labels(draw):
+    """A random complex label on a small 1-, 2- or 3-d grid, with a real field beside it."""
+    dim = draw(st.integers(1, 3))
+    grid = Grid(dim, draw(st.sampled_from((2, 4, 8, 16))), draw(st.floats(1.0, 20.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return grid, z, rng.standard_normal(grid.shape)
+
+
+class TestHalfLattice:
+    """The rfftn half-lattice maps against their full-lattice complex-transform forms."""
+
+    @spectral_properties
+    @given(complex_labels())
+    def test_split_then_fill_returns_the_label(self, problem):
+        grid, z, _ = problem
+        p, q = _hermitian_split(z)
+        assert p.shape == q.shape == grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+        back = _hermitian_fill(p, grid.shape) + 1j * _hermitian_fill(q, grid.shape)
+        assert np.max(np.abs(back - z)) <= 1e-15 * np.max(np.abs(z))
+
+    @spectral_properties
+    @given(complex_labels())
+    def test_weighted_half_inner_product_is_mode_inner(self, problem):
+        grid, z, u = problem
+        halves = [*_hermitian_split(z), _rfftn(u)]
+        fulls = [_hermitian_fill(h, grid.shape) for h in halves]
+        for a, full_a in zip(halves, fulls):
+            for b, full_b in zip(halves, fulls):
+                exact = mode_inner(grid, full_a, full_b)
+                scale = np.sqrt(mode_norm_sq(grid, full_a) * mode_norm_sq(grid, full_b))
+                assert abs(_half_inner(grid, a, b) - exact) <= 1e-13 * scale
+
+    @spectral_properties
+    @given(complex_labels(), st.integers(0, 3), st.floats(0.01, 1.0), st.floats(0.1, 2.0))
+    def test_half_potential_is_the_complex_transform_potential(
+        self, problem, choice, v0, coupling
+    ):
+        grid, z, _ = problem
+        form = any_form(grid, choice, v0)
+        complex_transform = 2.0 * coupling * (
+            np.fft.ifftn(form.values * z) * (grid.mode_weight * grid.size)
+        ).real
+        half = _half_potential(_hermitian_split(z)[0], form, coupling)
+        scale = max(np.max(np.abs(complex_transform)), 1e-300)
+        assert np.max(np.abs(half - complex_transform)) <= 1e-13 * scale
+        assert np.array_equal(_label_potential(z, form, coupling), half)
+
+    @spectral_properties
+    @given(complex_labels(), st.integers(0, 3), st.floats(0.01, 1.0))
+    def test_half_displacement_is_the_complex_transform_displacement(self, problem, choice, v0):
+        grid, _, u = problem
+        form = any_form(grid, choice, v0)
+        rho = u**2
+        complex_transform = form.values * (np.fft.fftn(rho) * grid.cell_volume)
+        full = _hermitian_fill(_half_displacement(rho, form), grid.shape)
+        scale = max(np.max(np.abs(complex_transform)), 1e-300)
+        assert np.max(np.abs(full - complex_transform)) <= 1e-14 * scale
+
+    def test_form_factor_must_be_even(self):
+        grid = Grid(1, 8, 8.0)
+        values = np.zeros(8)
+        values[1] = 0.3
+        with pytest.raises(ValueError, match="even"):
+            FormFactor(grid, values, np.inf, "one-sided")
