@@ -15,9 +15,7 @@ import numpy as np
 from polaron_lab import FockConfig, error_sweep_coherent, error_sweep_stationary
 from polaron_lab.fock_sim import FockBasis, _coherent_initial_data
 
-config = FockConfig(
-    n_sites=8, box_length=2.0, mode_numbers=(1, -1, 2, -2), v0=3e-3, n_max=6, alpha=1.0
-)
+config = FockConfig(n_sites=8, box_length=2.0, mode_numbers=(1, -1, 2, -2), v0=3e-3, n_max=6)
 alphas = [1.0, 2.0, 4.0, 8.0]
 
 stationary = error_sweep_stationary(config, alphas, t_final=5.0, n_samples=51)

@@ -67,7 +67,6 @@ from .fock_sim import (
     inequality_suite,
     make_defect_evaluator,
     projector_identities,
-    propagate,
     weyl_apply,
 )
 from .npolaron import PTConfig, PTSolution, binding_scan, dfn_evolve, minimize_pt, pt_energy

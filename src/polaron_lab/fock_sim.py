@@ -58,7 +58,6 @@ __all__ = [
     "coherent_state",
     "ground_state",
     "Propagator",
-    "propagate",
     "discrete_pekar",
     "projector_identities",
     "make_defect_evaluator",
@@ -69,15 +68,21 @@ __all__ = [
 ]
 
 
+# largest product-space dimension a basis may have; checked before any occupation is formed
+_BASIS_BUDGET = 2_000_000
+# largest total-momentum sector ``ground_state`` diagonalizes densely
+_SECTOR_LIMIT = 2000
+
+
 @dataclass(frozen=True)
 class FockConfig:
+    """The basis of the truncated model, shared by every alpha (``assemble``'s argument)."""
+
     n_sites: int
     box_length: float
     mode_numbers: tuple  # integer momenta m -> k = 2 pi m / L
     v0: float
     n_max: int
-    alpha: float
-    budget: int = 2_000_000
 
     def __post_init__(self):
         object.__setattr__(self, "mode_numbers", tuple(int(m) for m in self.mode_numbers))
@@ -87,13 +92,6 @@ class FockConfig:
         for m in ms:
             if (-m) % self.n_sites not in {mm % self.n_sites for mm in ms}:
                 raise ValueError("phonon mode set must be closed under k -> -k")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-    def with_alpha(self, alpha: float) -> "FockConfig":
-        return FockConfig(
-            self.n_sites, self.box_length, self.mode_numbers, self.v0, self.n_max, alpha, self.budget
-        )
 
 
 def _occupations(n_modes: int, n_max: int) -> np.ndarray:
@@ -141,17 +139,10 @@ class FockBasis:
         self.v = np.full(len(self.k_modes), float(config.v0))
         self.n_occ = math.comb(len(self.k_modes) + config.n_max, config.n_max)
         self.dim_total = config.n_sites * self.n_occ
-        if self.dim_total > config.budget:
-            raise SizingError(
-                f"basis dimension {self.dim_total} exceeds budget {config.budget}"
-            )
+        if self.dim_total > _BASIS_BUDGET:
+            raise SizingError(f"basis dimension {self.dim_total} exceeds budget {_BASIS_BUDGET}")
         self.occ = _occupations(len(self.k_modes), config.n_max)
         self.occ_totals = self.occ.sum(axis=1)
-
-    @cached_property
-    def occupations(self):
-        """Occupation tuples in basis order (the rows of ``occ``)."""
-        return [tuple(row) for row in self.occ.tolist()]
 
     # --- occupation-space operators -------------------------------------
     @cached_property
@@ -255,11 +246,11 @@ def _kron(a, b):
 
 
 class FockOperatorSet:
-    """Assembled sparse operators on the full product space."""
+    """Assembled sparse operators of one alpha on the full product space."""
 
-    def __init__(self, basis: FockBasis):
+    def __init__(self, basis: FockBasis, alpha: float):
         self.basis = basis
-        self.alpha = basis.config.alpha
+        self.alpha = alpha
         n = basis.config.n_sites
         self.eye_e = sp.identity(n, dtype=complex, format="csr")
         self.eye_occ = sp.identity(basis.n_occ, dtype=complex, format="csr")
@@ -307,8 +298,11 @@ class FockOperatorSet:
         return max(abs((op - op.conj().T)).max() for op in ops)
 
 
-def assemble(config: FockConfig) -> FockOperatorSet:
-    return FockOperatorSet(FockBasis(config))
+def assemble(basis: FockBasis, alpha: float) -> FockOperatorSet:
+    """The operators of coupling ``alpha`` on ``basis``."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return FockOperatorSet(basis, alpha)
 
 
 # --- Weyl operators -------------------------------------------------------
@@ -343,26 +337,38 @@ def coherent_state(basis: FockBasis, label: np.ndarray, guard: bool = True):
 # --- eigensolving and propagation ------------------------------------------
 
 
-def ground_state(ops: FockOperatorSet, tol: float = 1e-10, rng=None):
+def ground_state(ops: FockOperatorSet):
     """Lowest eigenpair ``(e0, psi)`` of the assembled Hamiltonian (residual-checked).
 
-    ``psi`` is the complex coefficient vector on the product basis.
+    H conserves the total momentum P = p + sum_j m_j n_j mod sites (Lee-Low-Pines), so
+    each occupation n fixes the electron's ring index p = P - M(n) in sector P, and H
+    acts there on the occupation factor alone as diag(k_p^2 + alpha^-2 |n|) +
+    alpha^-1 phi(v), the off-diagonal part shared by every sector. e0 is the lowest
+    sector eigenvalue (the lowest P on a tie); ``psi``, its eigenvector mapped back to
+    the product basis, is psi(x, n) = c(n) e^{i k_p x} / sqrt(sites), site-major.
+    SizingError for sectors above ``_SECTOR_LIMIT`` occupations, before any is built.
     """
-    h = ops.hamiltonian
-    if rng is None:
-        rng = np.random.default_rng(7)
-    if ops.basis.dim_total <= 2000:
-        dense = h.toarray()
-        vals, vecs = eigh(dense)
-        e0, psi = float(vals[0]), vecs[:, 0]
-    else:
-        v0 = rng.standard_normal(ops.basis.dim_total)
-        vals, vecs = eigsh(h, k=1, which="SA", v0=v0, tol=tol)
-        e0, psi = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(h @ psi - e0 * psi))
+    basis = ops.basis
+    n = basis.config.n_sites
+    if basis.n_occ > _SECTOR_LIMIT:
+        raise SizingError(
+            f"momentum sector of {basis.n_occ} occupations exceeds the dense limit {_SECTOR_LIMIT}"
+        )
+    coupling = ops.alpha**-1 * basis.field_occ(basis.v).toarray()
+    momentum = basis.occ @ np.array(basis.config.mode_numbers, dtype=np.int64)
+    number = ops.alpha**-2 * basis.occ_totals
+    best = (np.inf, None, None)
+    for sector in range(n):
+        p = (sector - momentum) % n
+        vals, vecs = eigh(coupling + np.diag(basis.grid.k_sq[p] + number), subset_by_index=[0, 0])
+        if vals[0] < best[0]:
+            best = (float(vals[0]), vecs[:, 0], p)
+    e0, c, p = best
+    psi = (np.exp(1j * np.outer(basis.x, basis.grid.k_axis[p])) * c / np.sqrt(n)).ravel()
+    residual = float(np.linalg.norm(ops.hamiltonian @ psi - e0 * psi))
     if residual > 1e-8:
         raise ConvergenceError("ground-state residual above 1e-8", residual=residual)
-    return e0, psi.astype(complex)
+    return e0, psi
 
 
 class Propagator:
@@ -394,20 +400,6 @@ class Propagator:
         return expm_multiply(
             self._generator, psi, start=times[0], stop=times[-1], num=len(times), endpoint=True
         )
-
-
-def propagate(ops_or_h, psi: np.ndarray, t: float) -> np.ndarray:
-    """One-shot exp(-iHt) psi with norm/energy preservation checks."""
-    h = ops_or_h.hamiltonian if isinstance(ops_or_h, FockOperatorSet) else ops_or_h
-    out = Propagator(h).apply(psi, t)
-    n0, n1 = np.linalg.norm(psi), np.linalg.norm(out)
-    if abs(n1 - n0) > 1e-10 * max(1.0, n0):
-        raise ConvergenceError("propagation lost norm", residual=abs(n1 - n0))
-    e0 = np.real(np.vdot(psi, h @ psi))
-    e1 = np.real(np.vdot(out, h @ out))
-    if abs(e1 - e0) > 1e-9 * max(1.0, abs(e0)):
-        raise ConvergenceError("propagation lost energy", residual=abs(e1 - e0))
-    return out
 
 
 # --- discrete product-state (Pekar) data ------------------------------------
@@ -511,7 +503,7 @@ def tangent_projector_threeterm(basis, phi, eta, vec):
     return p_u + (p_p - cross) + (p_e - cross)
 
 
-def perp_defect(basis, phi, eta, h, vec=None):
+def perp_defect(basis, phi, eta, h):
     """||P(u)^perp H u|| for the product state u = phi x eta."""
     u = np.kron(phi, eta)
     hu = h @ u
@@ -635,13 +627,14 @@ def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples
     Returns a dict with the (t, alpha, err) table, per-alpha sup, the log-log
     fit, and the bound-form constant fitted at the smallest alpha.
     """
+    basis = FockBasis(config)
     times = np.linspace(0.0, t_final, n_samples)
     rows = []
     sups = []
     leakages = []
     residuals = []
     for alpha in alphas:
-        ops = assemble(config.with_alpha(alpha))
+        ops = assemble(basis, alpha)
         pek = discrete_pekar(ops)
         leakages.append(pek.leakage)
         residuals.append(max(pek.electron_residual, pek.phonon_residual))
@@ -693,7 +686,7 @@ def error_sweep_coherent(
     sups = []
     leak_max = 0.0
     for alpha in alphas:
-        ops = assemble(config.with_alpha(alpha))
+        ops = assemble(basis, alpha)
         cfg = lp.LPConfig(grid, basis.form, alpha=alpha)
         phi_field = WaveField(grid, phi0 / np.sqrt(grid.dx))
         label0 = -alpha * np.asarray(g_displacement)
@@ -750,14 +743,14 @@ def inequality_suite(config: FockConfig, alphas=(1.0, 2.0, 4.0), rng=None, n_ran
     """Numerical checks of the operator bounds underpinning the error analysis.
 
     Returns a report dict; see the test suite for the asserted tolerances.
-    The creation/annihilation bound uses sqrt(C_v): the Cauchy-Schwarz proof
-    produces the square root of the Lorentzian sup (the unsquared constant
-    fails simple scaling).
+    Parts (a) and (b) run at ``alphas[0]``. The creation/annihilation bound
+    uses sqrt(C_v): the Cauchy-Schwarz proof produces the square root of the
+    Lorentzian sup (the unsquared constant fails simple scaling).
     """
     if rng is None:
         rng = np.random.default_rng(11)
-    ops = assemble(config)
-    basis = ops.basis
+    basis = FockBasis(config)
+    ops = assemble(basis, alphas[0])
     report = {}
 
     # (a) creation/annihilation bounds against sqrt(C_v)
@@ -792,8 +785,8 @@ def inequality_suite(config: FockConfig, alphas=(1.0, 2.0, 4.0), rng=None, n_ran
     # (c) two-sided kinetic/number bound; (d) resolvent norms ||(1+p^2)^{1/2} R^{1/2} Q0||
     a5 = {}
     res_norms = []
-    for alpha in alphas:
-        ops_a = assemble(config.with_alpha(alpha))
+    for i, alpha in enumerate(alphas):
+        ops_a = ops if i == 0 else assemble(basis, alpha)
         for eps in (0.25, 0.5):
             c_eps = eps * alpha**-2 + (1.0 / eps) * mode_norm_sq(basis.grid, basis.v)
             upper = (

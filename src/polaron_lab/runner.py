@@ -482,7 +482,6 @@ def _run_fock(config: RunConfig, record: RunRecord):
         mode_numbers=_mode_numbers(p["modes"]),
         v0=p["v0"],
         n_max=p["nmax"],
-        alpha=alphas[0],
     )
     experiment = p["experiment"]
     if experiment in ("theorem1", "theorem2"):
@@ -525,7 +524,7 @@ def _run_fock(config: RunConfig, record: RunRecord):
             and all(v >= -1e-10 for v in rep["two_sided_bound_min_eigs"].values())
         )
     elif experiment == "projectors":
-        ops = fs.assemble(base)
+        ops = fs.assemble(fs.FockBasis(base), alphas[0])
         pek = fs.discrete_pekar(ops)
         rep = fs.projector_identities(ops, pek, rng)
         record.summary = dict(rep)

@@ -23,7 +23,7 @@ functions and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "Grid",
     "WaveField",
     "FormFactor",
-    "mode_inner",
     "mode_norm_sq",
     "kernel_potential",
     "hartree_energy",
@@ -165,9 +164,6 @@ class WaveField:
 
     grid: Grid
     values: np.ndarray
-    # Spectrum cache: filled lazily; also set by from_spectrum, so a field built
-    # from a spectrum hands back that spectrum exactly.
-    _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -176,24 +172,9 @@ class WaveField:
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
         object.__setattr__(self, "values", _freeze(vals))
-        if self._spectrum is not None:
-            object.__setattr__(self, "_spectrum", _freeze(np.asarray(self._spectrum)))
-
-    @classmethod
-    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray) -> "WaveField":
-        spectrum = np.asarray(spectrum, dtype=np.complex128)
-        if spectrum.shape != grid.shape:
-            raise GridMismatchError(
-                f"spectrum shape {spectrum.shape} does not match grid shape {grid.shape}"
-            )
-        values = _ifftn(spectrum) / grid.cell_volume
-        return cls(grid, values, _spectrum=spectrum)
 
     def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            spec = _freeze(_fftn(self.values) * self.grid.cell_volume)
-            object.__setattr__(self, "_spectrum", spec)
-        return self._spectrum
+        return _fftn(self.values) * self.grid.cell_volume
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2).real * self.grid.cell_volume))
@@ -209,18 +190,13 @@ class WaveField:
         return np.abs(self.values) ** 2
 
 
-def mode_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
-    """Momentum-space inner product sum_k w_k conj(f) g."""
-    return complex(np.vdot(f, g) * grid.mode_weight)
-
-
 def mode_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
 
 
 def _half_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    """``mode_inner(grid, A, B)`` for Hermitian A, B (spectra of real fields, so the sum is
-    real) from their rfftn half spectra a, b."""
+    """The momentum-space inner product sum_k w_k conj(A) B for Hermitian A, B (spectra of
+    real fields, so the sum is real) from their rfftn half spectra a, b."""
     return float(np.vdot(a, grid.half_weight * b).real)
 
 

@@ -8,9 +8,12 @@ notes carry the measured analysis for both:
 * the stability-bound constant fitted at alpha=1 holding with margin >= 0.
 """
 
+import numpy as np
 import pytest
 
 from polaron_lab import acceptance
+from polaron_lab import npolaron as npl
+from polaron_lab.pekar import minimize_pekar
 
 
 def _report(result):
@@ -204,6 +207,20 @@ class TestNPolaron:
 
     def test_overall(self, npolaron_check):
         assert npolaron_check.status == "pass", npolaron_check.failures
+
+    def test_seed_reaches_every_solve(self, monkeypatch):
+        # every orbital solve starts from default_rng(seed): E_1 and U = 0, 0.5 for the scan,
+        # E_1 and the orbital for the product pair, E_1 for the full pair
+        starts = []
+
+        def recording(*args, rng, **kwargs):
+            starts.append(rng.bit_generator.state)
+            return minimize_pekar(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(npl, "minimize_pekar", recording)
+        acceptance.check_npolaron("quick", seed=5)
+        assert len(starts) == 6
+        assert all(state == np.random.default_rng(5).bit_generator.state for state in starts)
 
 
 class TestNumericsHygiene:

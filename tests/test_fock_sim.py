@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
 from scipy.sparse.linalg import expm_multiply
 
 from polaron_lab.errors import ConvergenceError, SizingError
@@ -26,19 +26,21 @@ from oracles import (
 
 
 IDENTITIES = fs.FockConfig(
-    n_sites=16, box_length=16.0, mode_numbers=(1, -1, 2, -2, 3, -3), v0=0.05, n_max=3, alpha=2.0
+    n_sites=16, box_length=16.0, mode_numbers=(1, -1, 2, -2, 3, -3), v0=0.05, n_max=3
 )
-SWEEP = fs.FockConfig(
-    n_sites=8, box_length=2.0, mode_numbers=(1, -1, 2, -2), v0=3e-3, n_max=6, alpha=1.0
-)
+SWEEP = fs.FockConfig(n_sites=8, box_length=2.0, mode_numbers=(1, -1, 2, -2), v0=3e-3, n_max=6)
 # the quick-preset fock_id block and the lemma-suite verb at 8 sites, box 8 (dimension 672)
-QUICK_LEMMAS = fs.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=2, alpha=1.0)
-BENCH_LEMMAS = fs.FockConfig(8, 8.0, (1, -1, 2, -2, 3, -3), v0=0.05, n_max=3, alpha=1.0)
+QUICK_LEMMAS = fs.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=2)
+BENCH_LEMMAS = fs.FockConfig(8, 8.0, (1, -1, 2, -2, 3, -3), v0=0.05, n_max=3)
+
+
+def assembled(config, alpha):
+    return fs.assemble(fs.FockBasis(config), alpha)
 
 
 @pytest.fixture(scope="module")
 def ops_id():
-    return fs.assemble(IDENTITIES)
+    return assembled(IDENTITIES, 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -48,27 +50,24 @@ def pekar_id(ops_id):
 
 @pytest.fixture(scope="module")
 def propagation_problem(rng):
-    ops = fs.assemble(fs.FockConfig(8, 4.0, (1, -1), v0=0.3, n_max=4, alpha=1.5))
+    ops = assembled(fs.FockConfig(8, 4.0, (1, -1), v0=0.3, n_max=4), 1.5)
     x = rng.standard_normal(ops.basis.dim_total) + 1j * rng.standard_normal(ops.basis.dim_total)
     return ops, x / np.linalg.norm(x)
 
 
 class TestAssembly:
     def test_nmax_zero_reduces_to_electron_problem(self):
-        cfg = fs.FockConfig(8, 4.0, (1, -1), v0=0.2, n_max=0, alpha=1.0)
-        ops = fs.assemble(cfg)
+        ops = assembled(fs.FockConfig(8, 4.0, (1, -1), v0=0.2, n_max=0), 1.0)
         assert ops.basis.n_occ == 1
         e0, _ = fs.ground_state(ops)
         assert e0 == pytest.approx(0.0, abs=1e-12)  # free ring ground state
 
     def test_displaced_oscillator_closed_form(self):
-        cfg = fs.FockConfig(2, 2.0, (0,), v0=0.05, n_max=40, alpha=1.7)
-        ops = fs.assemble(cfg)
+        cfg, alpha = fs.FockConfig(2, 2.0, (0,), v0=0.05, n_max=40), 1.7
+        ops = assembled(cfg, alpha)
         e0, _ = fs.ground_state(ops)
         w = ops.basis.grid.mode_weight
-        expected = displaced_oscillator_ground_energy(
-            cfg.alpha**-2, cfg.alpha**-1 * cfg.v0 * np.sqrt(w)
-        )
+        expected = displaced_oscillator_ground_energy(alpha**-2, alpha**-1 * cfg.v0 * np.sqrt(w))
         assert e0 == pytest.approx(expected, abs=1e-12)
 
     def test_hermitian(self, ops_id):
@@ -80,14 +79,19 @@ class TestAssembly:
         y = rng.standard_normal(ops_id.basis.dim_total) + 0j
         assert np.vdot(y, a @ x) == pytest.approx(np.conj(np.vdot(x, a.conj().T @ y)))
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(fs, "_BASIS_BUDGET", 10)
         with pytest.raises(SizingError):
-            fs.FockBasis(
-                fs.FockConfig(16, 16.0, (1, -1, 2, -2, 3, -3), 0.05, n_max=3, alpha=1.0, budget=10)
-            )
+            fs.FockBasis(IDENTITIES)
+
+    def test_alpha_must_be_positive(self):
+        basis = fs.FockBasis(fs.FockConfig(8, 4.0, (1, -1), v0=0.2, n_max=1))
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                fs.assemble(basis, alpha)
 
     def test_occupation_order_is_lexicographic(self, ops_id):
-        occs = ops_id.basis.occupations
+        occs = [tuple(row) for row in ops_id.basis.occ.tolist()]
         assert occs == sorted(occs)
 
     @pytest.mark.parametrize("n_modes, n_max", [(0, 3), (1, 4), (2, 0), (3, 3), (4, 5), (6, 2)])
@@ -100,11 +104,12 @@ class TestAssembly:
         assert np.array_equal(fs._occupation_rank(occ, n_max), np.arange(len(reference)))
 
     def test_lowering_matches_loop_reference(self):
-        basis = fs.FockBasis(fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.1, n_max=5, alpha=1.0))
-        index = {occ: i for i, occ in enumerate(basis.occupations)}
+        basis = fs.FockBasis(fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.1, n_max=5))
+        occupations = [tuple(row) for row in basis.occ.tolist()]
+        index = {occ: i for i, occ in enumerate(occupations)}
         for j, aj in enumerate(basis.lowering):
             rows, cols, vals = [], [], []
-            for i, occ in enumerate(basis.occupations):
+            for i, occ in enumerate(occupations):
                 if occ[j] > 0:
                     target = list(occ)
                     target[j] -= 1
@@ -116,7 +121,7 @@ class TestAssembly:
 
     def test_mode_set_must_close_under_negation(self):
         with pytest.raises(ValueError):
-            fs.FockConfig(8, 4.0, (1, 2, -2), v0=0.1, n_max=2, alpha=1.0)
+            fs.FockConfig(8, 4.0, (1, 2, -2), v0=0.1, n_max=2)
 
 
 class TestWeyl:
@@ -135,14 +140,13 @@ class TestWeyl:
             assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
     def test_coherent_label_matches_minus_alpha_f(self):
-        cfg = fs.FockConfig(8, 4.0, (1, -1), v0=0.05, n_max=12, alpha=2.0)
-        basis = fs.FockBasis(cfg)
+        basis, alpha = fs.FockBasis(fs.FockConfig(8, 4.0, (1, -1), v0=0.05, n_max=12)), 2.0
         f = np.array([0.02 + 0.01j, 0.02 - 0.01j])
-        eta, leak = fs.coherent_state(basis, -cfg.alpha * f)
+        eta, leak = fs.coherent_state(basis, -alpha * f)
         assert leak < 1e-8
         for j, aj in enumerate(basis.lowering):
             label = np.vdot(eta, aj @ eta) / np.sqrt(basis.grid.mode_weight)
-            assert label == pytest.approx(-cfg.alpha * f[j], rel=1e-6)
+            assert label == pytest.approx(-alpha * f[j], rel=1e-6)
 
     def test_truncation_guard(self, ops_id):
         big = np.full(6, 10.0, dtype=complex)
@@ -151,8 +155,8 @@ class TestWeyl:
 
 
 @st.composite
-def momentum_configs(draw):
-    """A small FockConfig: mode set {+-1} plus up to three more pairs, dimension <= 1320."""
+def momentum_models(draw):
+    """A small (FockConfig, alpha): modes +-1 and up to three more pairs, dimension <= 1320."""
     pairs = {1} | draw(st.sets(st.integers(2, 4), max_size=3))
     config = fs.FockConfig(
         n_sites=draw(st.sampled_from((4, 8))),
@@ -160,19 +164,19 @@ def momentum_configs(draw):
         mode_numbers=tuple(m for k in sorted(pairs) for m in (k, -k)),
         v0=draw(st.floats(0.05, 1.0)),
         n_max=draw(st.integers(1, 3)),
-        alpha=draw(st.floats(0.5, 4.0)),
     )
     assert fs.FockBasis(config).dim_total <= 1500
-    return config
+    return config, draw(st.floats(0.5, 4.0))
 
 
 class TestMomentumConservation:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(momentum_configs())
-    def test_translation_commutes_with_hamiltonian(self, config):
+    @given(momentum_models())
+    def test_translation_commutes_with_hamiltonian(self, model):
         # T = shift (x) e^{-i sum_j n_j k_j dx}: the electron moves by one site and the
         # phonons carry the momentum back, so T conserves total momentum and [T, H] = 0
-        ops = fs.assemble(config)
+        config, alpha = model
+        ops = assembled(config, alpha)
         basis = ops.basis
         shift = sp.csr_matrix(np.roll(np.eye(config.n_sites), 1, axis=0))
         total = basis.occ @ basis.k_modes * basis.grid.dx
@@ -185,15 +189,16 @@ class TestMomentumConservation:
         assert commutator_norm(-1) <= 1e-12 * h_norm
         # the conjugate phase rotates the +-1 coupling by e^{-+2 i k_1 dx}, sin(2 k_1 dx) != 0
         # on 4 or 8 sites: the commutator is of the coupling's size, so the check above bites
-        assert commutator_norm(+1) > 0.5 * spla.norm(ops.field_g) / config.alpha
+        assert commutator_norm(+1) > 0.5 * spla.norm(ops.field_g) / alpha
 
 
 class TestRingMaps:
     # +-2 on 4 sites share ring index 2: the maps and the exact model keep both modes
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(momentum_configs(), st.integers(0, 2**32 - 1))
-    @example(fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.5, n_max=1, alpha=1.0), 0)
-    def test_displacement_potential_and_adjoint_maps(self, config, seed):
+    @given(momentum_models(), st.integers(0, 2**32 - 1))
+    @example((fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.5, n_max=1), 1.0), 0)
+    def test_displacement_potential_and_adjoint_maps(self, model, seed):
+        config, _ = model
         basis = fs.FockBasis(config)
         rng = np.random.default_rng(seed)
         n, n_modes = config.n_sites, len(config.mode_numbers)
@@ -209,18 +214,18 @@ class TestRingMaps:
         ) < 1e-13
 
     def test_conjugate_partner_is_the_negated_mode(self):
-        basis = fs.FockBasis(fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.5, n_max=1, alpha=1.0))
+        basis = fs.FockBasis(fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.5, n_max=1))
         assert basis.conjugate_mode_index == [1, 0, 3, 2]
         f = fs._symmetric_draw(basis, np.random.default_rng(0))
         assert f[3] == np.conj(f[2]) and f[1] == np.conj(f[0])
 
     def test_lp_comparisons_refuse_a_repeated_ring_momentum(self):
-        config = fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=3e-3, n_max=2, alpha=1.0)
+        config = fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=3e-3, n_max=2)
         phi0 = np.full(4, 0.5, dtype=complex)
         with pytest.raises(ValueError, match="ring momentum"):
             fs.error_sweep_coherent(config, [1.0], 0.1, phi0, np.zeros(4), dt=1e-2, n_samples=2)
         with pytest.raises(ValueError, match="ring momentum"):
-            fs.make_defect_evaluator(fs.assemble(config))
+            fs.make_defect_evaluator(assembled(config, 1.0))
         # the exact-model experiments keep taking the set
         rep = fs.error_sweep_stationary(config, [1.0, 2.0], 0.1, n_samples=2)
         assert rep["leakage_max"] < 1e-12
@@ -241,7 +246,6 @@ def weyl_problems(draw):
             mode_numbers=tuple(m for k in range(1, pairs + 1) for m in (k, -k)),
             v0=0.1,
             n_max=draw(st.integers(3, 6)),
-            alpha=1.0,
         )
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -264,7 +268,42 @@ class TestWeylProperties:
         assert np.linalg.norm(back - x) < 1e-10
 
 
+@st.composite
+def small_models(draw):
+    """A small (FockConfig, alpha): 2, 4 or 8 sites, modes +-1 or +-1, +-2, n_max <= 3."""
+    pairs = draw(st.integers(1, 2))
+    config = fs.FockConfig(
+        n_sites=draw(st.sampled_from((2, 4, 8))),
+        box_length=draw(st.floats(2.0, 8.0)),
+        mode_numbers=tuple(m for k in range(1, pairs + 1) for m in (k, -k)),
+        v0=draw(st.floats(0.0, 0.5)),
+        n_max=draw(st.integers(0, 3)),
+    )
+    return config, draw(st.floats(0.5, 4.0))
+
+
 class TestGroundState:
+    # +-2 on 4 sites repeat ring index 2; one mode at k = 0 on 2 sites is the displaced oscillator
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(small_models())
+    @example((fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.5, n_max=3), 1.0))
+    @example((fs.FockConfig(2, 2.0, (0,), v0=0.3, n_max=6), 0.7))
+    def test_sectors_give_the_dense_ground_energy(self, model):
+        ops = assembled(*model)
+        e0, psi = fs.ground_state(ops)
+        assert abs(e0 - eigvalsh(ops.hamiltonian.toarray())[0]) <= 1e-12
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+    def test_sector_above_the_dense_limit_is_refused_before_it_is_built(self, monkeypatch):
+        ops = assembled(fs.FockConfig(2, 2.0, (0,), v0=0.05, n_max=fs._SECTOR_LIMIT), 1.0)
+
+        def build_forbidden(*args):
+            raise AssertionError("sector coupling built before the size check")
+
+        monkeypatch.setattr(ops.basis, "field_occ", build_forbidden)
+        with pytest.raises(SizingError, match="sector"):
+            fs.ground_state(ops)
+
     def test_variational_ordering(self, ops_id, pekar_id):
         e_f, psi = fs.ground_state(ops_id)
         rq = np.real(np.vdot(psi, ops_id.hamiltonian @ psi))
@@ -282,8 +321,7 @@ class TestDiscretePekar:
         assert pekar_id.phonon_residual < 1e-8
 
     def test_zero_coupling_free_mode(self):
-        cfg = fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2, alpha=1.0)
-        pek = fs.discrete_pekar(fs.assemble(cfg))
+        pek = fs.discrete_pekar(assembled(fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2), 1.0))
         assert np.allclose(np.abs(pek.phi), 1 / np.sqrt(8))
         assert np.all(pek.f == 0)
         assert pek.energy == pytest.approx(0.0, abs=1e-12)
@@ -302,8 +340,8 @@ class TestDiscretePekar:
         # that the minimizer localizes and the data is nontrivial
         from scipy.optimize import minimize
 
-        cfg = fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.35, n_max=3, alpha=2.0)
-        ops = fs.assemble(cfg)
+        alpha = 2.0
+        ops = assembled(fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.35, n_max=3), alpha)
         basis = ops.basis
         pek = fs.discrete_pekar(ops)
         n, m = 8, 4
@@ -320,8 +358,8 @@ class TestDiscretePekar:
             w = basis.grid.mode_weight
             return (
                 kin
-                + cfg.alpha**-2 * w * np.sum(np.abs(z) ** 2)
-                + cfg.alpha**-1 * 2 * np.real(w * np.vdot(z, f))
+                + alpha**-2 * w * np.sum(np.abs(z) ** 2)
+                + alpha**-1 * 2 * np.real(w * np.vdot(z, f))
             )
 
         rng = np.random.default_rng(0)
@@ -337,12 +375,12 @@ class TestDiscretePekar:
 class TestPropagation:
     def test_t_zero_identity(self, ops_id, rng):
         x = rng.standard_normal(ops_id.basis.dim_total) + 0j
-        out = fs.propagate(ops_id, x, 0.0)
+        out = fs.Propagator(ops_id.hamiltonian).apply(x, 0.0)
         assert np.allclose(out, x)
 
     def test_eigenvector_phase(self, ops_id):
         e0, psi = fs.ground_state(ops_id)
-        out = fs.propagate(ops_id, psi, 0.7)
+        out = fs.Propagator(ops_id.hamiltonian).apply(psi, 0.7)
         assert np.max(np.abs(out - np.exp(-1j * e0 * 0.7) * psi)) < 1e-10
 
     def test_matches_dense_eigh_reference(self, propagation_problem):
@@ -372,7 +410,7 @@ class TestPropagation:
     def test_norm_and_energy_preserved(self, ops_id, rng):
         x = rng.standard_normal(ops_id.basis.dim_total) + 0j
         x /= np.linalg.norm(x)
-        out = fs.propagate(ops_id, x, 2.0)
+        out = fs.Propagator(ops_id.hamiltonian).apply(x, 2.0)
         assert abs(np.linalg.norm(out) - 1) < 1e-10
         e0 = np.real(np.vdot(x, ops_id.hamiltonian @ x))
         e1 = np.real(np.vdot(out, ops_id.hamiltonian @ out))
@@ -382,16 +420,7 @@ class TestPropagation:
 @st.composite
 def fock_problems(draw):
     """A small assembled Fock Hamiltonian and a random normalized state on its space."""
-    pairs = draw(st.integers(1, 2))
-    config = fs.FockConfig(
-        n_sites=draw(st.sampled_from((2, 4, 8))),
-        box_length=draw(st.floats(2.0, 8.0)),
-        mode_numbers=tuple(m for k in range(1, pairs + 1) for m in (k, -k)),
-        v0=draw(st.floats(0.0, 0.5)),
-        n_max=draw(st.integers(0, 3)),
-        alpha=draw(st.floats(0.5, 4.0)),
-    )
-    ops = fs.assemble(config)
+    ops = assembled(*draw(small_models()))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = ops.basis.dim_total
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -431,8 +460,7 @@ class TestProjectors:
         assert rep["delta_h_identity"] < 1e-12
 
     def test_zero_coupling_invariant_subspace(self, rng):
-        cfg = fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2, alpha=1.0)
-        ops = fs.assemble(cfg)
+        ops = assembled(fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2), 1.0)
         basis = ops.basis
         phi = np.ones(8, dtype=complex) / np.sqrt(8)
         vac = basis.vacuum_occ()
@@ -444,7 +472,7 @@ class TestProjectors:
     def test_defect_halves_when_alpha_doubles(self, pekar_id):
         defects = []
         for alpha in (2.0, 4.0):
-            ops = fs.assemble(IDENTITIES.with_alpha(alpha))
+            ops = assembled(IDENTITIES, alpha)
             pek = fs.discrete_pekar(ops)
             defects.append(
                 fs.perp_defect(ops.basis, pek.phi, pek.eta, ops.hamiltonian)
@@ -460,15 +488,14 @@ class TestQuadratureReconstruction:
         i d(eta)/dt = (omega N + lam phi(f_s)) eta with midpoint steps and
         compare with e^{-iF} e^{-i omega N t} W(J_t) eta0.
         """
-        cfg_f = fs.FockConfig(8, 2.0, (1, -1), v0=0.15, n_max=10, alpha=1.5)
-        basis = fs.FockBasis(cfg_f)
+        basis, alpha = fs.FockBasis(fs.FockConfig(8, 2.0, (1, -1), v0=0.15, n_max=10)), 1.5
         grid = basis.grid
-        cfg = lp.LPConfig(grid, basis.form, alpha=cfg_f.alpha)
+        cfg = lp.LPConfig(grid, basis.form, alpha=alpha)
         x = grid.x_axis_centered
         phi0 = WaveField(grid, np.exp(-(x**2) / (2 * 0.2**2)) + 0j).normalized()
         g = np.array([0.1 + 0.05j, 0.1 - 0.05j])
-        state = lp.initial_state(cfg, phi0, z0=basis.to_lattice(-cfg_f.alpha * g))
-        eta0, _ = fs.coherent_state(basis, -cfg_f.alpha * g)
+        state = lp.initial_state(cfg, phi0, z0=basis.to_lattice(-alpha * g))
+        eta0, _ = fs.coherent_state(basis, -alpha * g)
 
         dt = 1e-3
         eta_direct = eta0.copy()
@@ -501,8 +528,7 @@ class TestSweeps:
         assert rep["rows"][0][2] == pytest.approx(0.0, abs=1e-12)  # t = 0
 
     def test_error_symmetric_in_time_reversal(self):
-        cfg = SWEEP.with_alpha(2.0)
-        ops = fs.assemble(cfg)
+        ops = assembled(SWEEP, 2.0)
         pek = fs.discrete_pekar(ops)
         u0 = np.kron(pek.phi, pek.eta)
         u0 /= np.linalg.norm(u0)
@@ -526,7 +552,7 @@ class TestSweeps:
     def test_coherent_sweep_refuses_samples_between_steps(self, monkeypatch):
         # T 2.5 over 25 intervals at dt 3e-3 puts a sample every 33.3 steps; the LP state
         # would then be compared with the exact one up to dt/2 away in time
-        config = fs.FockConfig(8, 2.0, (1, -1, 2, -2), v0=3e-3, n_max=2, alpha=1.0)
+        config = fs.FockConfig(8, 2.0, (1, -1, 2, -2), v0=3e-3, n_max=2)
         phi0, g = fs._coherent_initial_data(fs.FockBasis(config), np.random.default_rng(0))
 
         def assemble_forbidden(*args):
@@ -542,7 +568,7 @@ class TestSweeps:
         # z0 = -alpha f with phi0 the self-consistent minimizer is the fixed
         # point; the coherent machinery must reproduce the stationary errors
         alphas = [2.0, 4.0]
-        ops = fs.assemble(SWEEP.with_alpha(alphas[0]))
+        ops = assembled(SWEEP, alphas[0])
         pek = fs.discrete_pekar(ops)
         coh = fs.error_sweep_coherent(
             SWEEP, alphas, 2.0, pek.phi, pek.f, dt=1e-3, n_samples=11
@@ -557,7 +583,7 @@ class TestDefectIntegral:
         ring = fs.FockBasis(SWEEP)
         integrals = []
         for alpha in (2.0, 4.0):
-            ops = fs.assemble(SWEEP.with_alpha(alpha))
+            ops = fs.assemble(ring, alpha)
             pek = fs.discrete_pekar(ops)
             cfg = lp.LPConfig(ring.grid, ring.form, alpha=alpha)
             phi = WaveField(ring.grid, pek.phi / np.sqrt(ring.grid.dx))
@@ -583,7 +609,7 @@ class TestInequalities:
     def test_resolvent_norm_matches_dense_reference(self):
         for config in (QUICK_LEMMAS, BENCH_LEMMAS):
             for alpha in (1.0, 2.0, 4.0):
-                ops = fs.assemble(config.with_alpha(alpha))
+                ops = assembled(config, alpha)
                 pek = fs.discrete_pekar(ops)
                 dense = dense_weighted_resolvent_norm(ops, pek)
                 assert fs._weighted_resolvent_norm(ops, pek) == pytest.approx(dense, rel=1e-12)
@@ -604,7 +630,7 @@ class TestInequalities:
         # a random orbital and a raised E: the factorisation must not rely on phi
         # being an eigenvector of h_e, and gaps below the 1e-14 floor get clamped
         modes = tuple(m for k in range(1, pairs + 1) for m in (k, -k))
-        ops = fs.assemble(fs.FockConfig(sites, float(sites), modes, v0, n_max, alpha))
+        ops = assembled(fs.FockConfig(sites, float(sites), modes, v0, n_max), alpha)
         pek = fs.discrete_pekar(ops)
         phi = np.random.default_rng(seed).standard_normal((sites, 2)) @ [1.0, 1j]
         pek = dataclasses.replace(pek, phi=phi / np.linalg.norm(phi), energy=pek.energy + lift)
@@ -612,18 +638,16 @@ class TestInequalities:
         assert fs._weighted_resolvent_norm(ops, pek) == pytest.approx(dense, rel=1e-12)
 
     def test_zero_factor_degenerate_case(self, rng):
-        cfg = fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2, alpha=1.0)
-        ops = fs.assemble(cfg)
+        ops = assembled(fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2), 1.0)
         x = rng.standard_normal(ops.basis.dim_total) + 0j
         assert np.linalg.norm(ops.annihilate_g @ x) == 0.0
 
     def test_rotated_frame_evolution_identity(self, rng):
         # || (e^{-iHt} - e^{-iH_eff t}) W* chi || == || (e^{-iH_rot t} - e^{-iH_tilde t}) chi ||
-        cfg = IDENTITIES
-        ops = fs.assemble(cfg)
+        ops = assembled(IDENTITIES, 2.0)
         basis = ops.basis
         f = fs._small_test_displacement(basis, rng)
-        a_occ = basis.annihilator_occ(cfg.alpha * f)
+        a_occ = basis.annihilator_occ(ops.alpha * f)
         gen = sp.kron(ops.eye_e, (a_occ.conj().T - a_occ), format="csc")
         chi = fs._band_limited_vector(basis, rng, basis.config.n_max - 2)
         u0 = expm_multiply(-gen, chi)  # W(alpha f)^* chi

@@ -261,7 +261,7 @@ class TestFockVerb:
             {"scenario": "fock", "params": params, "out": str(tmp_path), "seed": 2}
         )
         summary = runner.run(cfg).summary
-        base = fock_sim.FockConfig(8, 2.0, (1, -1), v0=3e-3, n_max=3, alpha=1.0)
+        base = fock_sim.FockConfig(8, 2.0, (1, -1), v0=3e-3, n_max=3)
         rep = fock_sim.error_sweep_stationary(base, [1.0, 2.0], 0.5, n_samples=4)
         with open(tmp_path / "errors.csv") as fh:
             rows = [(float(r["t"]), float(r["alpha"]), float(r["err"])) for r in csv.DictReader(fh)]
@@ -481,9 +481,9 @@ class TestCli:
         with open(tmp_path / "resolvent_norms.csv") as fh:
             rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
         assert [r["alpha"] for r in rows] == [1.0, 2.0]
-        base = fock_sim.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=2, alpha=1.0)
+        basis = fock_sim.FockBasis(fock_sim.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=2))
         for row in rows:
-            ops = fock_sim.assemble(base.with_alpha(row["alpha"]))
+            ops = fock_sim.assemble(basis, row["alpha"])
             dense = dense_weighted_resolvent_norm(ops, fock_sim.discrete_pekar(ops))
             assert row["norm"] == pytest.approx(dense, rel=1e-12)
 
