@@ -293,16 +293,31 @@ class TestGroundState:
         e0, psi = fs.ground_state(ops)
         assert abs(e0 - eigvalsh(ops.hamiltonian.toarray())[0]) <= 1e-12
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        # the two-sided bound (1+eps)(K + alpha^-2 N) + c_eps - H of inequality_suite
+        basis, alpha = ops.basis, ops.alpha
+        for eps in (0.25, 0.5):
+            c_eps = eps * alpha**-2 + mode_norm_sq(basis.grid, basis.v) / eps
+            upper = (1 + eps) * (ops.kinetic + alpha**-2 * ops.number) - ops.hamiltonian
+            dense = eigvalsh(upper.toarray() + c_eps * np.eye(basis.dim_total))[0]
+            sector, _, _ = fs._lowest_by_sector(basis, eps, eps * alpha**-2, c_eps, -alpha**-1)
+            assert abs(sector - dense) <= 1e-12
 
     def test_sector_above_the_dense_limit_is_refused_before_it_is_built(self, monkeypatch):
-        ops = assembled(fs.FockConfig(2, 2.0, (0,), v0=0.05, n_max=fs._SECTOR_LIMIT), 1.0)
+        config = fs.FockConfig(2, 2.0, (0,), v0=0.05, n_max=fs._SECTOR_LIMIT)
 
         def build_forbidden(*args):
-            raise AssertionError("sector coupling built before the size check")
+            raise AssertionError("work done before the sector size check")
 
-        monkeypatch.setattr(ops.basis, "field_occ", build_forbidden)
+        class UntouchedRng:
+            def __getattr__(self, name):
+                raise AssertionError("random stream used before the sector size check")
+
+        monkeypatch.setattr(fs.FockBasis, "field_occ", build_forbidden)
+        monkeypatch.setattr(fs, "aliased_cv_constant", build_forbidden)
         with pytest.raises(SizingError, match="sector"):
-            fs.ground_state(ops)
+            fs.ground_state(assembled(config, 1.0))
+        with pytest.raises(SizingError, match="sector"):
+            fs.inequality_suite(config, rng=UntouchedRng(), n_random=10)
 
     def test_variational_ordering(self, ops_id, pekar_id):
         e_f, psi = fs.ground_state(ops_id)
@@ -605,6 +620,14 @@ class TestInequalities:
         for key, val in rep["two_sided_bound_min_eigs"].items():
             assert val >= -1e-10, key
         assert rep["resolvent_spread_nonincreasing"]
+        assert rep["failures"] == []
+
+    def test_spread_verdict_does_not_depend_on_the_alpha_order(self, rng):
+        # norms 1.0, 1.366, 1.543 at alpha 1, 2, 4; in the order (2, 1, 4) the steps would grow
+        rep = fs.inequality_suite(QUICK_LEMMAS, alphas=(2.0, 1.0, 4.0), rng=rng, n_random=10)
+        assert list(rep["resolvent_norms"]) == [2.0, 1.0, 4.0]
+        assert rep["resolvent_spread_nonincreasing"]
+        assert rep["failures"] == []
 
     def test_resolvent_norm_matches_dense_reference(self):
         for config in (QUICK_LEMMAS, BENCH_LEMMAS):

@@ -466,6 +466,12 @@ class TestCli:
         assert code == 3
         assert "exceeds budget" in capsys.readouterr().err
 
+    def test_sector_limit_exit_code(self, tmp_path, capsys):
+        # 6 modes at n_max 8 give sectors of 3003 occupations, above the dense limit of 2000
+        code = cli_main(["lemma-suite", "--nmax", "8", "--out", str(tmp_path)])
+        assert code == 3
+        assert "dense limit" in capsys.readouterr().err
+
     def test_success_exit_code(self, tmp_path):
         code = cli_main(
             [
