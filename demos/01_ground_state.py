@@ -31,7 +31,7 @@ print(f"gap      = {sol.gap:.5f}  (lowest mean-field level is isolated)")
 fsq = mode_norm_sq(grid, sol.f)
 print(f"\nE_P - (lambda - mu)      = {sol.e_p - (sol.lam - sol.mu):+.2e}")
 print(f"||f||^2 - D/2            = {fsq - parts.hartree / 2:+.2e}")
-print(f"virial |gD - 2T| / gD    = {abs(parts.interaction - 2 * parts.kinetic) / parts.interaction:.2e}")
+print(f"virial |gD - 2T| / gD    = {parts.virial_defect:.2e}")
 
 oracle = radial_ground_state(1.0)
 print(f"\nradial reference E       = {oracle['E']:.8f}")

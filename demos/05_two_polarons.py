@@ -14,7 +14,7 @@ from polaron_lab.spectral_core import FormFactor
 
 grid = Grid(3, 32, 32.0)
 print("repulsion scan (product ansatz, N = 2):")
-for row in binding_scan(grid, [0.0, 0.25, 0.5, 1.0]):
+for row in binding_scan(PTConfig(2, 0.0, grid), [0.0, 0.25, 0.5, 1.0])[1]:
     marker = "bound" if row["bound"] else "unbound"
     print(f"  U = {row['U']:<5}: E_2 = {row['E_N']:+.6f}   2 E_1 = {row['N_E_single']:+.6f}   {marker}")
 

@@ -240,6 +240,10 @@ class FockBasis:
         """V(x) = -2 Re sum_j w v_j f_j e^{i k_j x}, the LP potential of the label z = -alpha f."""
         return _label_potential(self.to_lattice(f_values), self.form, -1.0)
 
+    def mean_field(self, f_values: np.ndarray) -> np.ndarray:
+        """Dense ring mean-field operator h_e = -Lap + V_f, V_f = ``potential(f_values)``."""
+        return self.kinetic_electron + np.diag(self.potential(f_values))
+
 
 def _kron(a, b):
     return sp.kron(sp.csr_matrix(a), sp.csr_matrix(b), format="csr")
@@ -440,7 +444,7 @@ def discrete_pekar(ops: FockOperatorSet, tol: float = 1e-12, max_iter: int = 500
     f = basis.displacement(np.ones(n) / np.sqrt(n))
     energy = np.inf
     for _ in range(max_iter):
-        vals, vecs = eigh(basis.kinetic_electron + np.diag(basis.potential(f)))
+        vals, vecs = eigh(basis.mean_field(f))
         psi, lam, f_prev, e_prev = vecs[:, 0], float(vals[0]), f, energy
         f = basis.displacement(psi)
         energy = lam + mode_norm_sq(basis.grid, f)
@@ -454,8 +458,7 @@ def discrete_pekar(ops: FockOperatorSet, tol: float = 1e-12, max_iter: int = 500
     mu = -fsq
     eta, leakage = coherent_state(basis, -alpha * f)
     # stationarity checks
-    h_e = basis.kinetic_electron + np.diag(basis.potential(f))
-    e_res = float(np.linalg.norm(h_e @ psi - lam * psi))
+    e_res = float(np.linalg.norm(basis.mean_field(f) @ psi - lam * psi))
     h_ph = (alpha**-2) * basis.number_occ + (alpha**-1) * basis.field_occ(f)
     p_res = float(np.linalg.norm(h_ph @ eta - mu * eta))
     return DiscretePekar(
@@ -923,8 +926,7 @@ def _weighted_resolvent_norm(ops: FockOperatorSet, pek: DiscretePekar) -> float:
     """
     basis = ops.basis
     q_e = _orthonormal_complement(pek.phi)
-    h_e = basis.kinetic_electron + np.diag(basis.potential(pek.f))
-    eps, u = eigh(q_e.conj().T @ h_e @ q_e)
+    eps, u = eigh(q_e.conj().T @ basis.mean_field(pek.f) @ q_e)
     b = basis.electron_momentum_weight(0.5) @ q_e @ u
     gram = b.conj().T @ b
     shells = np.unique(basis.occ_totals[1:])[:, None]

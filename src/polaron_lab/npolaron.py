@@ -21,7 +21,6 @@ Identities carried by a solution: f(k) = v(k) rhohat(k), mu = -||f||^2 =
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +49,6 @@ __all__ = [
     "pt_energy",
     "minimize_pt",
     "binding_scan",
-    "single_polaron_energy",
     "dfn_evolve",
     "PairState",
 ]
@@ -217,13 +215,7 @@ class PTSolution:
     binding: dict
 
 
-def single_polaron_energy(grid: Grid, form: FormFactor, tol: float = 1e-7, rng=None) -> float:
-    """E_1, the one-electron energy (g = 1/2) the binding diagnostic compares N E_1 with,
-    from ``rng``'s start (default_rng(0) when not given)."""
-    return minimize_pekar(grid, g=0.5, tol=tol, form=form, rng=rng, compute_gap=False).e_p
-
-
-def _orbital_solver(grid: Grid, form: FormFactor, tol: float, seed: int = 0):
+def _orbital_solver(grid: Grid, form: FormFactor, tol: float, seed: int):
     """g -> minimize_pekar at (grid, form, tol) from a fresh default_rng(seed), without the gap.
 
     Each distinct g is solved once per solver: the product orbital at U = 1 is the single
@@ -288,7 +280,7 @@ def _product_solution(cfg: PTConfig, sol, e_single: float) -> PTSolution:
     )
 
 
-def _minimize_pair(cfg: PTConfig, tol: float, max_iter: int, e_single: float) -> PTSolution:
+def _minimize_pair(cfg: PTConfig, tol: float, e_single: float) -> PTSolution:
     """Minimization over the real, non-negative, exchange-symmetric pair state.
 
     Same sphere minimizer as the single orbital, with the pair kinetic preconditioner.
@@ -321,7 +313,7 @@ def _minimize_pair(cfg: PTConfig, tol: float, max_iter: int, e_single: float) ->
         project,
         weight=grid.cell_volume**2,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=2000,
         tau=0.4,
         tau_max=50.0,
         shift_floor=0.5,
@@ -348,63 +340,39 @@ def _exchange(pair: np.ndarray, d: int) -> np.ndarray:
     return np.transpose(pair, axes=tuple(range(d, 2 * d)) + tuple(range(d)))
 
 
-def minimize_pt(
-    cfg: PTConfig, tol: float = 1e-7, max_iter: int = 2000, rng=None, e_single=None
-) -> PTSolution:
-    """Minimize the N-electron functional; E_1 (``e_single``) is solved when not given, from
-    a copy of ``rng``'s state, so that E_1 and the orbital start from the same draw."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if e_single is None:
-        e_single = single_polaron_energy(cfg.grid, cfg.form, tol, rng=copy.deepcopy(rng))
-    if cfg.statistics == "boson_product":
-        sol = minimize_pekar(
-            cfg.grid, g=cfg.effective_orbital_coupling, tol=tol, form=cfg.form, rng=rng,
-            compute_gap=False,
-        )
-        return _product_solution(cfg, sol, e_single)
-    return _minimize_pair(cfg, tol, max_iter, e_single)
+def minimize_pt(cfg: PTConfig, tol: float = 1e-7, seed: int = 0) -> PTSolution:
+    """Minimize the N-electron functional: ``binding_scan``'s solution at cfg, with no scan."""
+    return binding_scan(cfg, (), tol, seed)[0]
 
 
-def binding_scan(grid: Grid, u_values, n_particles: int = 2, tol: float = 1e-7, form=None):
-    """E_N over a repulsion grid plus the binding diagnostic per point.
+def binding_scan(cfg: PTConfig, u_values=(), tol: float = 1e-7, seed: int = 0) -> tuple:
+    """(the N-electron minimizer at cfg, one binding row per U of ``u_values``).
 
-    Each distinct orbital coupling is solved once, E_1's included; the rows equal those
-    of a ``minimize_pt`` at each U.
+    The rows take cfg's N, grid and form under the product ansatz. Every orbital solve
+    starts from a fresh default_rng(seed), and each distinct orbital coupling is solved
+    once per call, E_1's (g = 1/2) included; so the solution and each row equal a
+    ``minimize_pt`` at their U.
     """
-    form = _default_form(grid) if form is None else form
-    solve = _orbital_solver(grid, form, tol)
-    return _scan_rows(grid, u_values, n_particles, form, solve, solve(0.5).e_p)
-
-
-def _binding_study(cfg: PTConfig, u_values, tol: float = 1e-7, seed: int = 0) -> tuple:
-    """(minimize_pt(cfg), binding_scan over u_values at cfg's N and form), as those return
-    them, with each distinct orbital coupling solved once across both, each orbital solve
-    from a fresh default_rng(seed)."""
     solve = _orbital_solver(cfg.grid, cfg.form, tol, seed)
     e_single = solve(0.5).e_p
     if cfg.statistics == "boson_product":
         sol = _product_solution(cfg, solve(cfg.effective_orbital_coupling), e_single)
     else:
-        sol = minimize_pt(cfg, tol=tol, rng=np.random.default_rng(seed), e_single=e_single)
-    return sol, _scan_rows(cfg.grid, u_values, cfg.n_particles, cfg.form, solve, e_single)
-
-
-def _scan_rows(grid: Grid, u_values, n_particles: int, form: FormFactor, solve, e_single):
+        sol = _minimize_pair(cfg, tol, e_single)
     rows = []
     for u in u_values:
-        cfg = PTConfig(n_particles, float(u), grid, form=form)
-        sol = _product_solution(cfg, solve(cfg.effective_orbital_coupling), e_single)
+        row_cfg = PTConfig(cfg.n_particles, float(u), cfg.grid, form=cfg.form)
+        row = _product_solution(row_cfg, solve(row_cfg.effective_orbital_coupling), e_single)
         rows.append(
             {
                 "U": float(u),
-                "E_N": sol.e_n,
-                "N_E_single": sol.binding["n_times_single"],
-                "bound": sol.binding["bound"],
-                "rms_radius": sol.binding["rms_radius"],
+                "E_N": row.e_n,
+                "N_E_single": row.binding["n_times_single"],
+                "bound": row.binding["bound"],
+                "rms_radius": row.binding["rms_radius"],
             }
         )
-    return rows
+    return sol, rows
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,11 @@ class PekarEnergy:
         """Magnitude g*D of the attractive term actually entering the energy."""
         return self.g * self.hartree
 
+    @property
+    def virial_defect(self) -> float:
+        """|gD - 2T| / gD, which vanishes at a free-space minimizer (virial theorem)."""
+        return abs(self.interaction - 2 * self.kinetic) / max(self.interaction, 1e-300)
+
 
 def pekar_energy(phi: WaveField, g: float, form: FormFactor | None = None) -> PekarEnergy:
     """Evaluate E(phi) = T - g*D together with its (T, D) decomposition."""
@@ -259,14 +264,14 @@ def minimize_pekar(
     g: float,
     tol: float = 1e-6,
     max_iter: int = 2000,
-    kernel: str = "isolated",
     form: FormFactor | None = None,
     rng=None,
     compute_gap: bool = True,
 ) -> PekarSolution:
     """Minimize the polaron functional on the grid; see module docstring.
 
-    ``rng`` draws the perturbation of the Gaussian start (default_rng(0) when not given).
+    ``form`` defaults to the isolated Coulomb factor; ``rng`` draws the perturbation of the
+    Gaussian start (default_rng(0) when not given).
     With ``compute_gap``, the gap to the next level of the frozen mean-field operator is
     solved with the orbital deflated (``_spectral_gap``); no random draw enters it.
 
@@ -278,7 +283,7 @@ def minimize_pekar(
     if rng is None:
         rng = np.random.default_rng(0)
     if form is None:
-        form = _coulomb_form(grid, kernel)
+        form = _coulomb_form(grid, "isolated")
 
     if g <= 0:
         # Non-binding limit: the infimum 0 is attained only by the constant mode.

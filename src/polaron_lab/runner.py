@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .errors import GridMismatchError, SchemaError
 from .lp_dynamics import _sample_stride, _step_count
-from .spectral_core import Grid
+from .spectral_core import Grid, _coulomb_form
 
 # environment variables that set a thread count: BLAS reductions sum in a
 # thread-dependent order, so the last digits of a run depend on them
@@ -362,16 +362,16 @@ def _run_pekar(config: RunConfig, record: RunRecord):
     p = config.params
     rng = np.random.default_rng(config.seed)
     grid = Grid(3, p["grid"], p["box"])
-    sol = minimize_pekar(grid, g=p["g"], tol=p["tol"], kernel=p["kernel"], rng=rng)
+    form = _coulomb_form(grid, p["kernel"])
+    sol = minimize_pekar(grid, g=p["g"], tol=p["tol"], form=form, rng=rng)
     parts = pekar_energy(sol.phi0, sol.g, sol.form)
-    virial = abs(parts.interaction - 2 * parts.kinetic) / max(parts.interaction, 1e-300)
     record.summary = {
         "E_P": sol.e_p,
         "lambda": sol.lam,
         "mu": sol.mu,
         "residual": sol.residual,
         "gap": sol.gap,
-        "virial_defect": virial,
+        "virial_defect": parts.virial_defect,
         "kinetic": parts.kinetic,
         "hartree": parts.hartree,
         "flags": list(sol.flags),
@@ -384,26 +384,15 @@ def _run_pekar(config: RunConfig, record: RunRecord):
         save_solution(config.out_dir, sol)
 
 
-def _run_lp_evolve(config: RunConfig, record: RunRecord):
+def _lp_observables(sol, alpha: float, t_final: float, dt: float, sample_interval: float,
+                    reps=("quadrature", "oscillator")) -> list:
+    """One row per sample of the LP flow at coupling ``alpha`` from the ground state ``sol``
+    and its stationary label: the first of ``reps`` gives the norm defect, DF energy,
+    infidelity against ``sol.phi0`` and phase; the others give its representation gap."""
     from . import lp_dynamics as lp
-    from .pekar import load_solution
 
-    p = config.params
-    init = Path(p["init"])
-    tag = init.stem if init.suffix == ".json" else "pekar"
-    directory = init.parent if init.suffix == ".json" else init
-    try:
-        sol = load_solution(directory, tag=tag)
-    except (
-        OSError, EOFError, ValueError, KeyError, TypeError, BadZipFile, GridMismatchError
-    ) as exc:
-        raise SchemaError(
-            f"'init' {init} holds no readable ground state ({type(exc).__name__}: {exc}); run "
-            f"the pekar verb to write {tag}.json and {tag}.npz", keys=("init",)
-        ) from None
-    cfg = lp.LPConfig(sol.phi0.grid, sol.form, alpha=p["alpha"])
+    cfg = lp.LPConfig(sol.phi0.grid, sol.form, alpha=alpha)
     z0 = lp.stationary_label(cfg, sol.f)
-    reps = {"both": ("quadrature", "oscillator")}.get(p["rep"], (p["rep"],))
     phi_ref = sol.phi0.values
 
     def observe(primary, *other):
@@ -423,13 +412,33 @@ def _run_lp_evolve(config: RunConfig, record: RunRecord):
         }
 
     marches = [
-        lp._march(lp.initial_state(cfg, sol.phi0, z0=z0, rep=rep), p["T"], p["dt"], lp.step,
-                  p["sample_interval"])
+        lp._march(lp.initial_state(cfg, sol.phi0, z0=z0, rep=rep), t_final, dt, lp.step,
+                  sample_interval)
         for rep in reps
     ]
     # map, not a loop over zip: zip keeps the last sampled states alive while the
     # marches step on, map releases them once observed
-    rows = list(map(observe, *marches))
+    return list(map(observe, *marches))
+
+
+def _run_lp_evolve(config: RunConfig, record: RunRecord):
+    from .pekar import load_solution
+
+    p = config.params
+    init = Path(p["init"])
+    tag = init.stem if init.suffix == ".json" else "pekar"
+    directory = init.parent if init.suffix == ".json" else init
+    try:
+        sol = load_solution(directory, tag=tag)
+    except (
+        OSError, EOFError, ValueError, KeyError, TypeError, BadZipFile, GridMismatchError
+    ) as exc:
+        raise SchemaError(
+            f"'init' {init} holds no readable ground state ({type(exc).__name__}: {exc}); run "
+            f"the pekar verb to write {tag}.json and {tag}.npz", keys=("init",)
+        ) from None
+    reps = {"both": ("quadrature", "oscillator")}.get(p["rep"], (p["rep"],))
+    rows = _lp_observables(sol, p["alpha"], p["T"], p["dt"], p["sample_interval"], reps)
     e0 = rows[0]["energy"]
     record.tables["observables"] = (
         rows,
@@ -470,19 +479,26 @@ def _mode_numbers(count: int):
     return tuple(out)
 
 
-def _run_fock(config: RunConfig, record: RunRecord):
-    from . import fock_sim as fs
+def _fock_config(p: dict):
+    """The FockConfig of a params block's sites, box, modes (a count), v0 and nmax."""
+    from .fock_sim import FockConfig
 
-    p = config.params
-    rng = np.random.default_rng(config.seed)
-    alphas = _float_list(p["alpha_grid"], "alpha_grid")
-    base = fs.FockConfig(
+    return FockConfig(
         n_sites=p["sites"],
         box_length=p["box"],
         mode_numbers=_mode_numbers(p["modes"]),
         v0=p["v0"],
         n_max=p["nmax"],
     )
+
+
+def _run_fock(config: RunConfig, record: RunRecord):
+    from . import fock_sim as fs
+
+    p = config.params
+    rng = np.random.default_rng(config.seed)
+    alphas = _float_list(p["alpha_grid"], "alpha_grid")
+    base = _fock_config(p)
     experiment = p["experiment"]
     if experiment in ("theorem1", "theorem2"):
         if experiment == "theorem1":
@@ -537,7 +553,7 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
     grid = Grid(3, p["grid"], p["box"])
     statistics = "boson_product" if p["mode"] == "product" else "full_two_body"
     cfg = npl.PTConfig(p["N"], p["U"], grid, statistics=statistics)
-    sol, scan = npl._binding_study(cfg, _float_list(p["u_grid"], "u_grid"), seed=config.seed)
+    sol, scan = npl.binding_scan(cfg, _float_list(p["u_grid"], "u_grid"), seed=config.seed)
     record.summary = {
         "E_N": sol.e_n,
         "lambda": sol.lam,

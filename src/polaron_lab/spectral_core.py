@@ -266,20 +266,17 @@ class FormFactor:
         return cls(grid, vals, cutoff=cutoff, variant="coulomb_d3")
 
     @classmethod
-    def coulomb_d3_isolated(
-        cls, grid: Grid, r_cut: float | None = None, cutoff: float = np.inf
-    ) -> "FormFactor":
+    def coulomb_d3_isolated(cls, grid: Grid, cutoff: float = np.inf) -> "FormFactor":
         """Sphere-truncated Coulomb factor for isolated (image-free) systems.
 
         The induced kernel is exactly 1/r for r < r_cut and zero beyond, so a
         charge distribution that fits inside a ball of radius r_cut/2 feels no
-        periodic images at all. Default r_cut is half the box, the largest
-        wrap-free choice.
+        periodic images at all. r_cut is half the box, the largest wrap-free
+        choice.
         """
         if grid.dim != 3:
             raise UnsupportedKernelError("coulomb_d3_isolated requires a 3d grid")
-        if r_cut is None:
-            r_cut = grid.box_length / 2.0
+        r_cut = grid.box_length / 2.0
         kabs = grid.k_abs
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.sqrt(2.0) * np.abs(np.sin(kabs * r_cut / 2.0)) / (
@@ -328,24 +325,22 @@ def _coulomb_form(grid: Grid, kernel: str) -> FormFactor:
     raise UnsupportedKernelError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
 
 
-def _fftn(a: np.ndarray, axes=None) -> np.ndarray:
-    """``np.fft.fftn(a, axes=axes)``, bit for bit; see ``_fourier_multiply`` for the kernel."""
+def _fftn(a: np.ndarray) -> np.ndarray:
+    """``np.fft.fftn(a)``, bit for bit; see ``_fourier_multiply`` for the kernel."""
     if a.ndim < 2:
-        return np.fft.fftn(a, axes=axes)
+        return np.fft.fftn(a)
     import scipy.fft
 
-    axes = tuple(range(a.ndim) if axes is None else axes)
-    return scipy.fft.fftn(np.asarray(a, dtype=np.complex128), axes=axes[::-1])
+    return scipy.fft.fftn(np.asarray(a, dtype=np.complex128), axes=tuple(range(a.ndim))[::-1])
 
 
-def _ifftn(a: np.ndarray, axes=None) -> np.ndarray:
-    """``np.fft.ifftn(a, axes=axes)``, bit for bit; see ``_fourier_multiply`` for the kernel."""
+def _ifftn(a: np.ndarray) -> np.ndarray:
+    """``np.fft.ifftn(a)``, bit for bit; see ``_fourier_multiply`` for the kernel."""
     if a.ndim < 2:
-        return np.fft.ifftn(a, axes=axes)
+        return np.fft.ifftn(a)
     import scipy.fft
 
-    axes = tuple(range(a.ndim) if axes is None else axes)
-    return scipy.fft.ifftn(np.asarray(a, dtype=np.complex128), axes=axes[::-1])
+    return scipy.fft.ifftn(np.asarray(a, dtype=np.complex128), axes=tuple(range(a.ndim))[::-1])
 
 
 def _rfftn(a: np.ndarray) -> np.ndarray:

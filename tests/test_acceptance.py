@@ -105,6 +105,30 @@ class TestPekarGroundState:
         assert pekar_check.details["pinned_box_oracle_dev"] < 1e-2
 
 
+    def test_only_a_convergence_error_files_as_the_length_failure(self, monkeypatch):
+        # the desk branch at the quick preset's sizes: a ConvergenceError from the scaling
+        # check is the length_contraction failure, any other error propagates
+        from polaron_lab import pekar
+        from polaron_lab.errors import ConvergenceError
+
+        monkeypatch.setitem(
+            acceptance.PRESETS["desk"], "pekar", acceptance.PRESETS["quick"]["pekar"]
+        )
+
+        def raising(error):
+            def scaling_check(*args, **kwargs):
+                raise error
+
+            return scaling_check
+
+        monkeypatch.setattr(pekar, "scaling_check", raising(TypeError("not a solver failure")))
+        with pytest.raises(TypeError, match="not a solver failure"):
+            acceptance.check_pekar_ground_state("desk", seed=0)
+        monkeypatch.setattr(pekar, "scaling_check", raising(ConvergenceError("length", 1.0)))
+        res = acceptance.check_pekar_ground_state("desk", seed=0)
+        assert "length_contraction" in res.failures
+
+
 class TestLpStationarity:
     def test_infidelity(self, lp_check):
         assert lp_check.details["infidelity"] < 1e-6

@@ -150,7 +150,8 @@ class TestMinimization:
         assert sol_full.e_n <= prod.e_n + 1e-12
 
     def test_energy_nondecreasing_in_repulsion(self, grid1d, form1d):
-        rows = npl.binding_scan(grid1d, [0.0, 0.25, 0.5, 1.0], form=form1d, tol=1e-8)
+        cfg = npl.PTConfig(2, 0.0, grid1d, form=form1d)
+        rows = npl.binding_scan(cfg, [0.0, 0.25, 0.5, 1.0], tol=1e-8)[1]
         energies = [r["E_N"] for r in rows]
         assert all(a <= b + 1e-10 for a, b in zip(energies, energies[1:]))
 
@@ -197,12 +198,13 @@ class TestMinimization:
         assert written[0] != written[1]
 
     def test_seeded_call_solves_e_single_from_its_own_rng(self):
-        # E_1 starts from a copy of the caller's rng, as each solve of the seeded verb does
-        cfg = npl.PTConfig(2, 0.5, Grid(3, 16, 24.0))
-        sol = npl.minimize_pt(cfg, rng=np.random.default_rng(5))
-        study = npl._binding_study(cfg, [0.5], 1e-7, 5)[0]
-        assert sol.binding["n_times_single"] == study.binding["n_times_single"]
-        assert (sol.e_n, sol.residual) == (study.e_n, study.residual)
+        # E_1 starts from a fresh default_rng(seed), as each orbital solve of the call does
+        grid = Grid(3, 16, 24.0)
+        sol = npl.minimize_pt(npl.PTConfig(2, 0.5, grid), seed=5)
+        e_single = minimize_pekar(
+            grid, g=0.5, tol=1e-7, rng=np.random.default_rng(5), compute_gap=False
+        ).e_p
+        assert sol.binding["n_times_single"] == 2 * e_single
 
     def test_full_pair_verb_shares_e_single_with_the_scan(self, tmp_path, monkeypatch):
         # the pair summary takes E_1 from the scan's U = 1 orbital

@@ -384,6 +384,29 @@ class TestLpEvolve:
             }
         assert record.passed
 
+    def test_verb_reports_what_the_stationarity_check_gates(self, tmp_path):
+        # the check observes the verb's rows at t = 0 and t_final, so on the quick preset's
+        # ground state the verb sampled at t_final reports the check's numbers bit for bit
+        from polaron_lab import acceptance
+        from polaron_lab.spectral_core import Grid
+
+        p = acceptance.PRESETS["quick"]["lp"]
+        check = acceptance.check_lp_stationarity("quick", seed=0)
+        sol = pekar.minimize_pekar(
+            Grid(3, p["n"], p["box"]), g=p["g"], tol=1e-9, rng=np.random.default_rng(0),
+            compute_gap=False,
+        )
+        pekar.save_solution(tmp_path, sol)
+        params = {"init": str(tmp_path / "pekar.json"), "alpha": p["alpha"], "T": p["t_final"],
+                  "dt": p["dt"], "sample_interval": p["t_final"]}
+        record = runner.run(runner.validate_config({"scenario": "lp-evolve", "params": params}))
+        summary, details = record.summary, check.details
+        assert (
+            summary["final_infidelity"], summary["max_norm_defect"], summary["energy_drift"],
+            summary["max_rep_gap"],
+        ) == (details["infidelity"], details["norm_defect"], details["energy_drift"],
+              details["rep_gap"])
+
     @pytest.mark.parametrize("case", ["missing", "older-format", "garbage"])
     def test_unreadable_init_is_a_schema_error(self, tmp_path, capsys, case):
         init = tmp_path / "ground" / "pekar.json"

@@ -322,11 +322,11 @@ class TestSpectralProperties:
             _fourier_multiply(real, multiplier),
             np.fft.irfftn(half * np.fft.rfftn(real, axes=every), s=shape, axes=every),
         )
-        axes_choices = (None, every) + ((every[:3], every[3:]) if ndim == 6 else ())
         for values in (real, real + 1j * rng.standard_normal(shape)):
-            for axes in axes_choices:
-                assert np.array_equal(_fftn(values, axes), np.fft.fftn(values, axes=axes))
-                assert np.array_equal(_ifftn(values, axes), np.fft.ifftn(values, axes=axes))
+            assert np.array_equal(_fftn(values), np.fft.fftn(values))
+            assert np.array_equal(_fftn(values), np.fft.fftn(values, axes=every))
+            assert np.array_equal(_ifftn(values), np.fft.ifftn(values))
+            assert np.array_equal(_ifftn(values), np.fft.ifftn(values, axes=every))
         assert np.array_equal(
             _fourier_multiply(values, multiplier),
             np.fft.ifftn(multiplier * np.fft.fftn(values)),
