@@ -70,7 +70,7 @@ __all__ = [
 
 # largest product-space dimension a basis may have; checked before any occupation is formed
 _BASIS_BUDGET = 2_000_000
-# largest total-momentum sector ``_lowest_by_sector`` diagonalizes densely
+# largest total-momentum sector ``_sector_blocks`` builds densely
 _SECTOR_LIMIT = 2000
 
 
@@ -146,33 +146,42 @@ class FockBasis:
 
     # --- occupation-space operators -------------------------------------
     @cached_property
+    def _lowering_entries(self):
+        """(rows, cols, values, mode) of every entry <n - e_j| a_j |n> = sqrt(n_j), by mode j.
+
+        The modes' patterns are disjoint, so any combination of the a_j is one sparse matrix.
+        """
+        mode, cols = np.nonzero(self.occ.T)
+        target = self.occ[cols]
+        target[np.arange(len(cols)), mode] -= 1
+        rows = _occupation_rank(target, self.config.n_max)
+        values = np.sqrt(self.occ[cols, mode]).astype(complex)
+        return rows, cols, values, mode
+
+    @cached_property
     def lowering(self):
-        """Sparse a_j on the occupation factor, <n - e_j| a_j |n> = sqrt(n_j)."""
-        out = []
-        for j in range(len(self.k_modes)):
-            cols = np.flatnonzero(self.occ[:, j])
-            target = self.occ[cols]
-            target[:, j] -= 1
-            rows = _occupation_rank(target, self.config.n_max)
-            vals = np.sqrt(self.occ[cols, j])
-            out.append(
-                sp.csr_matrix(
-                    (vals, (rows, cols)), shape=(self.n_occ, self.n_occ), dtype=complex
-                )
+        """Sparse a_j on the occupation factor, one per mode."""
+        rows, cols, values, mode = self._lowering_entries
+        return [
+            sp.csr_matrix(
+                (values[mode == j], (rows[mode == j], cols[mode == j])),
+                shape=(self.n_occ, self.n_occ),
             )
-        return out
+            for j in range(len(self.k_modes))
+        ]
 
     @cached_property
     def number_occ(self):
         return sp.diags(self.occ_totals.astype(float)).tocsr()
 
     def annihilator_occ(self, f_values: np.ndarray):
-        """a(f) = sum_j sqrt(w) conj(f_j) a_j on the occupation factor."""
-        out = sp.csr_matrix((self.n_occ, self.n_occ), dtype=complex)
-        for fj, aj in zip(np.asarray(f_values), self.lowering):
-            if fj != 0:
-                out = out + np.sqrt(self.grid.mode_weight) * np.conj(fj) * aj
-        return out
+        """a(f) = sum_j sqrt(w) conj(f_j) a_j on the occupation factor, as one sparse matrix."""
+        rows, cols, values, mode = self._lowering_entries
+        scale = (np.sqrt(self.grid.mode_weight) * np.conj(np.asarray(f_values)))[mode]
+        keep = scale != 0
+        return sp.csr_matrix(
+            (scale[keep] * values[keep], (rows[keep], cols[keep])), shape=(self.n_occ, self.n_occ)
+        )
 
     def field_occ(self, f_values: np.ndarray):
         a = self.annihilator_occ(f_values)
@@ -341,27 +350,41 @@ def coherent_state(basis: FockBasis, label: np.ndarray, guard: bool = True):
 # --- eigensolving and propagation ------------------------------------------
 
 
-def _lowest_by_sector(basis: FockBasis, a: float, b: float, c: float, s: float):
-    """Lowest eigenpair ``(e, vec, p)`` of a ring operator diag(a k_p^2 + b |n| + c) + s phi(v).
-
-    It conserves the total momentum P = p + M(n) mod sites, M(n) = sum_j m_j n_j
-    (Lee-Low-Pines): in sector P each occupation n fixes the electron's ring index
-    p = P - M(n), so one dense block per P acts on the occupation factor. ``p`` holds those
-    indices in the lowest sector (the lowest P on a tie). SizingError for sectors above
-    ``_SECTOR_LIMIT`` occupations, before any is built.
-    """
-    n = basis.config.n_sites
+def _require_dense_sectors(basis: FockBasis):
+    """SizingError if a total-momentum sector has more than ``_SECTOR_LIMIT`` occupations."""
     if basis.n_occ > _SECTOR_LIMIT:
         raise SizingError(
             f"momentum sector of {basis.n_occ} occupations exceeds the dense limit {_SECTOR_LIMIT}"
         )
-    coupling = s * basis.field_occ(basis.v).toarray()
+
+
+def _sector_blocks(basis: FockBasis, a: float, b: float, c: float, s: float):
+    """The blocks ``(p, block)`` of a ring operator diag(a k_p^2 + b |n| + c) + s phi(v), one per P.
+
+    It conserves the total momentum P = p + M(n) mod sites, M(n) = sum_j m_j n_j
+    (Lee-Low-Pines): in sector P each occupation n fixes the electron's ring index
+    p = P - M(n), so one block per P, sectors in ascending order, acts on the occupation
+    factor. As v is real, each block is real symmetric. SizingError for sectors above
+    ``_SECTOR_LIMIT`` occupations, before any is built.
+    """
+    _require_dense_sectors(basis)
+    n = basis.config.n_sites
+    coupling = s * basis.field_occ(basis.v).toarray().real
     momentum = basis.occ @ np.array(basis.config.mode_numbers, dtype=np.int64)
     occ_part = b * basis.occ_totals + c
-    best = (np.inf, None, None)
     for sector in range(n):
         p = (sector - momentum) % n
-        block = coupling + np.diag(a * basis.grid.k_sq[p] + occ_part)
+        yield p, coupling + np.diag(a * basis.grid.k_sq[p] + occ_part)
+
+
+def _lowest_by_sector(basis: FockBasis, a: float, b: float, c: float, s: float):
+    """Lowest eigenpair ``(e, vec, p)`` of a ring operator diag(a k_p^2 + b |n| + c) + s phi(v).
+
+    One dense ``eigh`` per ``_sector_blocks`` block; ``p`` holds the electron's ring
+    indices in the lowest sector (the lowest P on a tie).
+    """
+    best = (np.inf, None, None)
+    for p, block in _sector_blocks(basis, a, b, c, s):
         vals, vecs = eigh(block, subset_by_index=[0, 0])
         if vals[0] < best[0]:
             best = (float(vals[0]), vecs[:, 0], p)
@@ -371,7 +394,7 @@ def _lowest_by_sector(basis: FockBasis, a: float, b: float, c: float, s: float):
 def ground_state(ops: FockOperatorSet):
     """Lowest eigenpair ``(e0, psi)`` of the assembled Hamiltonian (residual-checked).
 
-    H is the sector form (1, alpha^-2, 0, alpha^-1) of ``_lowest_by_sector``; its
+    H is the sector form (1, alpha^-2, 0, alpha^-1) of ``_sector_blocks``; its
     eigenvector maps back as psi(x, n) = c(n) e^{i k_p x} / sqrt(sites), site-major.
     """
     basis = ops.basis
@@ -385,34 +408,35 @@ def ground_state(ops: FockOperatorSet):
 
 
 class Propagator:
-    """e^{-iHt} by the truncated-Taylor action of ``expm_multiply`` on a cached sparse -iH.
+    """e^{-iHt} of an assembled Hamiltonian, exactly, from its total-momentum sectors.
 
-    No eigendecomposition is formed: ``apply`` costs only sparse matrix-vector
-    products, with the Taylor degree and step count chosen from 1-norm
-    estimates of -iHt (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+    H is the sector form (1, alpha^-2, 0, alpha^-1) of ``_sector_blocks``: each real
+    symmetric block is diagonalized once, here. ``apply`` moves a state to the momentum
+    basis e^{i k_p x} / sqrt(sites) by an orthonormal FFT over the site axis, rotates
+    each sector's eigen-coordinates by e^{-iEt} and transforms back. SizingError for
+    sectors above ``_SECTOR_LIMIT`` occupations.
     """
 
-    def __init__(self, h):
-        self._generator = -1j * sp.csr_matrix(h)
+    def __init__(self, ops: FockOperatorSet):
+        self._shape = (ops.basis.config.n_sites, ops.basis.n_occ)
+        self._sectors = [
+            (p, *eigh(block, driver="evd"))
+            for p, block in _sector_blocks(ops.basis, 1.0, ops.alpha**-2, 0.0, ops.alpha**-1)
+        ]
 
     def apply(self, psi: np.ndarray, t) -> np.ndarray:
-        """e^{-iHt} psi for a scalar ``t``.
-
-        For a uniform 1-d grid of times the result stacks one state per sample
-        (shape ``(len(t), dim)``), computed in one call that steps from sample
-        to sample.
-        """
-        psi = np.asarray(psi, dtype=complex)
+        """e^{-iHt} psi for a scalar ``t``; for a 1-d array of times, one row per sample."""
         times = np.asarray(t, dtype=float)
-        if times.ndim == 0:
-            return expm_multiply(float(times) * self._generator, psi)
-        if times.ndim != 1 or len(times) < 2 or not np.allclose(
-            times, np.linspace(times[0], times[-1], len(times)), rtol=1e-12, atol=1e-12
-        ):
-            raise ValueError("time grid must be a uniform 1-d array of at least two samples")
-        return expm_multiply(
-            self._generator, psi, start=times[0], stop=times[-1], num=len(times), endpoint=True
-        )
+        if times.ndim > 1:
+            raise ValueError(f"times must be a scalar or a 1-d array, got shape {times.shape}")
+        hat = np.fft.fft(np.reshape(psi, self._shape), axis=0, norm="ortho")
+        out = np.empty(times.shape + self._shape, dtype=complex)
+        occ = np.arange(self._shape[1])
+        for p, energies, vecs in self._sectors:
+            coeff = hat[p, occ] @ vecs
+            out[..., p, occ] = (np.exp(-1j * np.multiply.outer(times, energies)) * coeff) @ vecs.T
+        out = np.fft.ifft(out, axis=-2, norm="ortho")
+        return out.reshape(times.shape + (-1,))
 
 
 # --- discrete product-state (Pekar) data ------------------------------------
@@ -637,10 +661,12 @@ def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples
     """Stability of the stationary product state: err(t) = ||psi_t - e^{-iEt} u0||^2.
 
     Returns a dict with the (t, alpha, err) table, per-alpha sup, the log-log
-    fit, and the bound-form constant fitted at the smallest alpha.
+    fit, and the bound-form constant fitted at the smallest alpha. SizingError for
+    a sector above ``_SECTOR_LIMIT`` occupations, before any operator is assembled.
     """
     basis = FockBasis(config)
-    times = np.linspace(0.0, t_final, n_samples)
+    _require_dense_sectors(basis)
+    times = np.linspace(0.0, t_final, n_samples)[1:]  # psi_0 = u0: err(0) is 0
     rows = []
     sups = []
     leakages = []
@@ -652,11 +678,11 @@ def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples
         residuals.append(max(pek.electron_residual, pek.phonon_residual))
         u0 = np.kron(pek.phi, pek.eta)
         u0 = u0 / np.linalg.norm(u0)
-        psi = Propagator(ops.hamiltonian).apply(u0, times)
-        overlaps = (psi @ u0.conj()) * np.exp(1j * pek.energy * times)
-        errs = 2.0 * (1.0 - overlaps.real)
+        psi = Propagator(ops).apply(u0, times)
+        errs = np.linalg.norm(psi - np.exp(-1j * pek.energy * times)[:, None] * u0, axis=1) ** 2
+        rows.append((0.0, float(alpha), 0.0))
         rows.extend((float(t), float(alpha), float(err)) for t, err in zip(times, errs))
-        sups.append(float(max(np.max(errs), 0.0)))
+        sups.append(float(np.max(errs, initial=0.0)))
     return {
         "rows": rows,
         **_sweep_summary(alphas, rows, sups),
@@ -682,12 +708,14 @@ def error_sweep_coherent(
     sampled at the n_samples times linspace(0, t_final, n_samples); ValueError
     unless their spacing is a whole number of dt steps, so each LP sample sits at
     its exact-flow time. The comparison state is a(t) phi_t x eta_t with eta_t
-    reconstructed from (J_t, F_t).
+    reconstructed from (J_t, F_t). SizingError for a sector above ``_SECTOR_LIMIT``
+    occupations, before any operator is assembled.
     """
     from . import lp_dynamics as lp
 
     basis = FockBasis(config)
     _require_distinct_ring_modes(basis)
+    _require_dense_sectors(basis)
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     spacing = t_final / (n_samples - 1)
@@ -707,13 +735,13 @@ def error_sweep_coherent(
         leak_max = max(leak_max, leak)
         u0 = np.kron(phi0, eta0)
         u0 = u0 / np.linalg.norm(u0)
-        psi = Propagator(ops.hamiltonian).apply(u0, times)
+        psi = Propagator(ops).apply(u0, times[1:])  # psi_0 = u0: err(0) is 0
 
         errs = [0.0]
         rows.append((0.0, float(alpha), 0.0))
         omega = cfg.frequency
         samples = lp.evolve(state, t_final, dt, spacing)[1:]
-        for i, (t, current) in enumerate(zip(times[1:], samples, strict=True), start=1):
+        for psi_t, t, current in zip(psi, times[1:], samples, strict=True):
             # eta_t = e^{-iF} e^{-i omega N t} W(J_t) eta0
             j_t = basis.to_modes(current.rep.memory(cfg))
             eta_t, leak = weyl_apply(basis, j_t, eta0, guard=False)
@@ -722,7 +750,7 @@ def error_sweep_coherent(
             eta_t = np.exp(-1j * current.rep.f_acc) * eta_t
             psi_e = current.phi.values * np.sqrt(grid.dx)
             u_t = current.a_phase * np.kron(psi_e, eta_t)
-            err = float(np.linalg.norm(psi[i] - u_t) ** 2)
+            err = float(np.linalg.norm(psi_t - u_t) ** 2)
             errs.append(err)
             rows.append((float(t), float(alpha), err))
         sups.append(max(errs))

@@ -119,6 +119,19 @@ class TestAssembly:
             reference = sp.csr_matrix((vals, (rows, cols)), shape=aj.shape, dtype=complex)
             assert (aj != reference).nnz == 0
 
+    def test_annihilator_is_the_per_mode_sum_exactly(self, rng):
+        basis = fs.FockBasis(fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.1, n_max=5))
+        sqw = np.sqrt(basis.grid.mode_weight)
+        drawn = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        for f in (basis.v, drawn, drawn * [1, 0, 0, 1]):
+            reference = sp.csr_matrix((basis.n_occ, basis.n_occ), dtype=complex)
+            for fj, aj in zip(f, basis.lowering):
+                if fj != 0:
+                    reference = reference + sqw * np.conj(fj) * aj
+            a = basis.annihilator_occ(f)
+            assert a.nnz == reference.nnz
+            assert np.array_equal(a.toarray(), reference.toarray())
+
     def test_mode_set_must_close_under_negation(self):
         with pytest.raises(ValueError):
             fs.FockConfig(8, 4.0, (1, 2, -2), v0=0.1, n_max=2)
@@ -390,42 +403,48 @@ class TestDiscretePekar:
 class TestPropagation:
     def test_t_zero_identity(self, ops_id, rng):
         x = rng.standard_normal(ops_id.basis.dim_total) + 0j
-        out = fs.Propagator(ops_id.hamiltonian).apply(x, 0.0)
+        out = fs.Propagator(ops_id).apply(x, 0.0)
         assert np.allclose(out, x)
 
     def test_eigenvector_phase(self, ops_id):
         e0, psi = fs.ground_state(ops_id)
-        out = fs.Propagator(ops_id.hamiltonian).apply(psi, 0.7)
+        out = fs.Propagator(ops_id).apply(psi, 0.7)
         assert np.max(np.abs(out - np.exp(-1j * e0 * 0.7) * psi)) < 1e-10
 
     def test_matches_dense_eigh_reference(self, propagation_problem):
         ops, x = propagation_problem
         vals, vecs = eigh(ops.hamiltonian.toarray())
-        prop = fs.Propagator(ops.hamiltonian)
+        prop = fs.Propagator(ops)
         for t in (0.5, 3.0):
             dense = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ x))
             assert np.linalg.norm(dense - prop.apply(x, t)) < 1e-9
 
     def test_grid_matches_scalar_samples(self, propagation_problem):
         ops, x = propagation_problem
-        prop = fs.Propagator(ops.hamiltonian)
+        prop = fs.Propagator(ops)
         times = np.linspace(0.5, 3.0, 11)
         stacked = prop.apply(x, times)
         assert stacked.shape == (len(times), ops.basis.dim_total)
         for t, row in zip(times, stacked):
             assert np.linalg.norm(row - prop.apply(x, t)) < 1e-9
 
-    def test_grid_must_be_uniform(self, ops_id):
-        prop = fs.Propagator(ops_id.hamiltonian)
+    def test_grid_need_not_be_uniform(self, propagation_problem):
+        ops, x = propagation_problem
+        prop = fs.Propagator(ops)
+        times = np.array([0.0, 1.0, 3.0, -0.4])
+        for t, row in zip(times, prop.apply(x, times)):
+            assert np.linalg.norm(row - prop.apply(x, t)) < 1e-12
+
+    def test_grid_must_be_one_dimensional(self, ops_id):
+        prop = fs.Propagator(ops_id)
         x = np.zeros(ops_id.basis.dim_total, dtype=complex)
-        for bad in ([0.0, 1.0, 3.0], [1.0], [[0.0, 1.0]]):
-            with pytest.raises(ValueError):
-                prop.apply(x, np.array(bad))
+        with pytest.raises(ValueError, match="1-d"):
+            prop.apply(x, np.array([[0.0, 1.0]]))
 
     def test_norm_and_energy_preserved(self, ops_id, rng):
         x = rng.standard_normal(ops_id.basis.dim_total) + 0j
         x /= np.linalg.norm(x)
-        out = fs.Propagator(ops_id.hamiltonian).apply(x, 2.0)
+        out = fs.Propagator(ops_id).apply(x, 2.0)
         assert abs(np.linalg.norm(out) - 1) < 1e-10
         e0 = np.real(np.vdot(x, ops_id.hamiltonian @ x))
         e1 = np.real(np.vdot(out, ops_id.hamiltonian @ out))
@@ -439,7 +458,7 @@ def fock_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = ops.basis.dim_total
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return fs.Propagator(ops.hamiltonian), x / np.linalg.norm(x)
+    return fs.Propagator(ops), x / np.linalg.norm(x)
 
 
 any_time = st.floats(-3.0, 3.0)
@@ -447,6 +466,19 @@ properties = settings(max_examples=25, deadline=None, derandomize=True, database
 
 
 class TestPropagatorProperties:
+    # +-2 on 4 sites repeat ring index 2; at n_max 0 each sector is one occupation
+    @properties
+    @given(small_models(), st.integers(0, 2**32 - 1), any_time)
+    @example((fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.5, n_max=3), 1.0), 0, 2.5)
+    @example((fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.3, n_max=0), 0.7), 1, -1.5)
+    def test_sectors_match_sparse_expm_multiply(self, model, seed, t):
+        ops = assembled(*model)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(ops.basis.dim_total) + 1j * rng.standard_normal(ops.basis.dim_total)
+        x /= np.linalg.norm(x)
+        reference = expm_multiply(-1j * t * ops.hamiltonian, x)
+        assert np.linalg.norm(fs.Propagator(ops).apply(x, t) - reference) < 1e-10
+
     @properties
     @given(fock_problems(), any_time)
     def test_norm_preserved(self, problem, t):
@@ -547,7 +579,7 @@ class TestSweeps:
         pek = fs.discrete_pekar(ops)
         u0 = np.kron(pek.phi, pek.eta)
         u0 /= np.linalg.norm(u0)
-        prop = fs.Propagator(ops.hamiltonian)
+        prop = fs.Propagator(ops)
         for t in (0.7, 2.3):
             errs = []
             for sign in (1, -1):
@@ -578,6 +610,26 @@ class TestSweeps:
             fs.error_sweep_coherent(config, [1.0, 8.0], 2.5, phi0, g, dt=3e-3, n_samples=26)
         with pytest.raises(ValueError, match="at least 2"):
             fs.error_sweep_coherent(config, [1.0, 8.0], 2.5, phi0, g, dt=1e-2, n_samples=1)
+
+    def test_stationary_errors_are_exact_norms(self):
+        rep = fs.error_sweep_stationary(SWEEP, [1.0, 2.0, 4.0, 8.0], 5.0, n_samples=6)
+        assert [err for t, _, err in rep["rows"] if t == 0.0] == [0.0] * 4
+        assert all(err >= 0.0 for _, _, err in rep["rows"])
+
+    def test_sweeps_refuse_an_oversized_sector_before_any_work(self, monkeypatch):
+        # modes +-1..+-4 at n_max 6 give sectors of C(14, 6) = 3003 occupations
+        config = fs.FockConfig(16, 16.0, (1, -1, 2, -2, 3, -3, 4, -4), v0=3e-3, n_max=6)
+        phi0 = np.full(16, 0.25, dtype=complex)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done before the sector size check")
+
+        for name in ("assemble", "discrete_pekar", "coherent_state"):
+            monkeypatch.setattr(fs, name, forbidden)
+        with pytest.raises(SizingError, match="dense limit"):
+            fs.error_sweep_stationary(config, [1.0, 8.0], 2.5)
+        with pytest.raises(SizingError, match="dense limit"):
+            fs.error_sweep_coherent(config, [1.0, 8.0], 2.5, phi0, np.zeros(8), dt=1e-2)
 
     def test_coherent_reduces_to_stationary_for_pekar_data(self):
         # z0 = -alpha f with phi0 the self-consistent minimizer is the fixed
@@ -675,10 +727,14 @@ class TestInequalities:
         chi = fs._band_limited_vector(basis, rng, basis.config.n_max - 2)
         u0 = expm_multiply(-gen, chi)  # W(alpha f)^* chi
         t = 1.3
-        lhs_a = fs.Propagator(ops.hamiltonian).apply(u0, t)
-        lhs_b = fs.Propagator(h_effective(ops, f)).apply(u0, t)
-        rhs_a = fs.Propagator(ops.h_rotated(f)).apply(chi, t)
-        rhs_b = fs.Propagator(h_tilde(ops, f)).apply(chi, t)
+
+        def evolve(h, x):  # h_rotated, h_effective and h_tilde are not translation-invariant
+            return expm_multiply(-1j * t * h, x)
+
+        lhs_a = fs.Propagator(ops).apply(u0, t)
+        lhs_b = evolve(h_effective(ops, f), u0)
+        rhs_a = evolve(ops.h_rotated(f), chi)
+        rhs_b = evolve(h_tilde(ops, f), chi)
         assert np.linalg.norm(lhs_a - lhs_b) == pytest.approx(
             np.linalg.norm(rhs_a - rhs_b), abs=1e-8
         )

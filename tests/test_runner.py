@@ -495,6 +495,13 @@ class TestCli:
         assert code == 3
         assert "dense limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["theorem1", "theorem2"])
+    def test_sweep_sector_limit_exit_code(self, tmp_path, capsys, experiment):
+        # 8 modes at n_max 6 give sectors of 3003 occupations; the sweeps refuse them at once
+        argv = ["fock", "--modes", "8", "--nmax", "6", "--experiment", experiment]
+        assert cli_main([*argv, "--out", str(tmp_path)]) == 3
+        assert "dense limit" in capsys.readouterr().err
+
     def test_success_exit_code(self, tmp_path):
         code = cli_main(
             [
