@@ -408,7 +408,8 @@ def ground_state(ops: FockOperatorSet):
 
 
 class Propagator:
-    """e^{-iHt} of an assembled Hamiltonian, exactly, from its total-momentum sectors.
+    """e^{-iHt} of the Hamiltonian of coupling ``alpha`` on ``basis``, exactly, from its
+    total-momentum sectors; it assembles no product-space operator.
 
     H is the sector form (1, alpha^-2, 0, alpha^-1) of ``_sector_blocks``: each real
     symmetric block is diagonalized once, here. ``apply`` moves a state to the momentum
@@ -417,11 +418,11 @@ class Propagator:
     sectors above ``_SECTOR_LIMIT`` occupations.
     """
 
-    def __init__(self, ops: FockOperatorSet):
-        self._shape = (ops.basis.config.n_sites, ops.basis.n_occ)
+    def __init__(self, basis: FockBasis, alpha: float):
+        self._shape = (basis.config.n_sites, basis.n_occ)
         self._sectors = [
             (p, *eigh(block, driver="evd"))
-            for p, block in _sector_blocks(ops.basis, 1.0, ops.alpha**-2, 0.0, ops.alpha**-1)
+            for p, block in _sector_blocks(basis, 1.0, alpha**-2, 0.0, alpha**-1)
         ]
 
     def apply(self, psi: np.ndarray, t) -> np.ndarray:
@@ -678,7 +679,7 @@ def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples
         residuals.append(max(pek.electron_residual, pek.phonon_residual))
         u0 = np.kron(pek.phi, pek.eta)
         u0 = u0 / np.linalg.norm(u0)
-        psi = Propagator(ops).apply(u0, times)
+        psi = Propagator(ops.basis, ops.alpha).apply(u0, times)
         errs = np.linalg.norm(psi - np.exp(-1j * pek.energy * times)[:, None] * u0, axis=1) ** 2
         rows.append((0.0, float(alpha), 0.0))
         rows.extend((float(t), float(alpha), float(err)) for t, err in zip(times, errs))
@@ -703,13 +704,15 @@ def error_sweep_coherent(
     """Coherent-initial-data accuracy sweep against the effective product flow.
 
     phi0 is an l2-normalized ring orbital, g the displacement profile of the
-    initial coherent state (label -alpha g). The effective trajectory is
-    ``lp_dynamics.evolve`` on the same ring, which needs one mode per ring index,
-    sampled at the n_samples times linspace(0, t_final, n_samples); ValueError
-    unless their spacing is a whole number of dt steps, so each LP sample sits at
-    its exact-flow time. The comparison state is a(t) phi_t x eta_t with eta_t
-    reconstructed from (J_t, F_t). SizingError for a sector above ``_SECTOR_LIMIT``
-    occupations, before any operator is assembled.
+    initial coherent state (label -alpha g). The effective trajectories are
+    ``lp_dynamics.evolve_stack`` on the same ring, which needs one mode per ring index:
+    every alpha's LP state marches in one stack, each row bit for bit its own ``evolve``.
+    They are sampled at the n_samples times linspace(0, t_final, n_samples); ValueError
+    unless their spacing is a whole number of dt steps, so each LP sample sits at its
+    exact-flow time. The comparison state is a(t) phi_t x eta_t with eta_t reconstructed
+    from (J_t, F_t); the exact side is the sector ``Propagator``, and no product-space
+    operator is assembled. SizingError for a sector above ``_SECTOR_LIMIT`` occupations
+    and for an initial coherent state beyond the truncation guard, before any propagation.
     """
     from . import lp_dynamics as lp
 
@@ -722,26 +725,27 @@ def error_sweep_coherent(
     lp._step_count(0.0, spacing, dt)
     grid = basis.grid
     times = np.linspace(0.0, t_final, n_samples)
+    phi_field = WaveField(grid, phi0 / np.sqrt(grid.dx))
+    starts, coherent = [], []
+    for alpha in alphas:
+        label0 = -alpha * np.asarray(g_displacement)
+        cfg = lp.LPConfig(grid, basis.form, alpha=alpha)
+        starts.append(lp.initial_state(cfg, phi_field, z0=basis.to_lattice(label0)))
+        coherent.append(coherent_state(basis, label0))
+    trajectories = lp.evolve_stack(starts, t_final, dt, spacing)
     rows = []
     sups = []
-    leak_max = 0.0
-    for alpha in alphas:
-        ops = assemble(basis, alpha)
-        cfg = lp.LPConfig(grid, basis.form, alpha=alpha)
-        phi_field = WaveField(grid, phi0 / np.sqrt(grid.dx))
-        label0 = -alpha * np.asarray(g_displacement)
-        state = lp.initial_state(cfg, phi_field, z0=basis.to_lattice(label0))
-        eta0, leak = coherent_state(basis, label0)
-        leak_max = max(leak_max, leak)
+    leak_max = max(leak for _, leak in coherent)
+    for alpha, (eta0, _), trajectory in zip(alphas, coherent, trajectories):
         u0 = np.kron(phi0, eta0)
         u0 = u0 / np.linalg.norm(u0)
-        psi = Propagator(ops).apply(u0, times[1:])  # psi_0 = u0: err(0) is 0
+        psi = Propagator(basis, alpha).apply(u0, times[1:])  # psi_0 = u0: err(0) is 0
 
         errs = [0.0]
         rows.append((0.0, float(alpha), 0.0))
+        cfg = trajectory[0].cfg
         omega = cfg.frequency
-        samples = lp.evolve(state, t_final, dt, spacing)[1:]
-        for psi_t, t, current in zip(psi, times[1:], samples, strict=True):
+        for psi_t, t, current in zip(psi, times[1:], trajectory[1:], strict=True):
             # eta_t = e^{-iF} e^{-i omega N t} W(J_t) eta0
             j_t = basis.to_modes(current.rep.memory(cfg))
             eta_t, leak = weyl_apply(basis, j_t, eta0, guard=False)

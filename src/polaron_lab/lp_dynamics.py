@@ -40,6 +40,27 @@ Both carry z on every mode, also where v(k) = 0. ``initial_state``,
 ``from_label`` and ``label()`` take and return the full-lattice z. States are
 immutable snapshots; a step returns a new state.
 
+Stacks. ``evolve_stack`` marches states that differ only in alpha as one
+stack (``evolve`` is the stack of one): the arrays gain a leading coupling
+axis, phi as (couplings, *grid.shape) and P, Q, P0, Q0 and f as (couplings,
+*half shape), and the per-coupling scalars F and a become tuples with one
+entry per row. The grid transforms and the half-lattice helpers act on the
+trailing grid axes. The scalar arithmetic of a step (the rotation angles, the
+increments of F and the phase) stays in Python floats, one coupling at a time,
+exactly as for one state, and reaches the arrays as a column per quantity; a
+config is the stack of one with the same hooks (``_rows``, ``_columns``,
+``_packed``, ``_unpacked``). So each row equals its own march bit for bit. The
+pitfall is complex multiplication: numpy's complex multiply rounds differently
+from Python's, and its ``a*b`` from its ``b*a``, so the phase update stays a
+Python complex product per coupling, and every complex array product keeps its
+operand order (see the comment on the ifftn temporary in ``_strang_step`` and
+``_drifted``). On the ring a step's cost is numpy's per-call overhead, not its
+arithmetic, so stacking pays: on the 8-site Fock ring (alpha 1 and 8, 1250 steps
+of 2e-3, one thread, a shared 2-vCPU host, medians of 8 alternated runs) the
+stack took 0.251 s against 0.388 s for the two states' step loops, while a stack
+of one costs 1.2-1.4 times its step loop on rings of 8 and 32 sites and the same
+at 32^3.
+
 One step does two complex transforms, the drift's fftn and ifftn, and one
 real pair: the half-step potential's irfftn and the rfftn of f = v rhohat at
 the step's end. The state carries that f, so the next step starts from it
@@ -65,6 +86,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,10 +98,12 @@ from .spectral_core import (
     _fftn,
     _half_displacement,
     _half_inner,
-    _half_potential,
+    _half_potential_multiplier,
     _hermitian_fill,
     _hermitian_split,
     _ifftn,
+    _irfftn,
+    _real_vdot,
     kinetic_energy,
     mode_norm_sq,
 )
@@ -93,6 +117,7 @@ __all__ = [
     "stationary_label",
     "step",
     "evolve",
+    "evolve_stack",
     "df_energy",
     "df_error_integral",
 ]
@@ -109,15 +134,20 @@ class LPConfig:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
-    @property
+    @cached_property
     def coupling(self) -> float:
         """Prefactor of the interaction term (lam_c)."""
         return 1.0 / self.alpha
 
-    @property
+    @cached_property
     def frequency(self) -> float:
         """Phonon frequency (omega)."""
         return self.alpha**-2
+
+    @cached_property
+    def _potential_multiplier(self) -> np.ndarray:
+        """2 lam_c w_k N v(k) on the rfftn half lattice: V = irfftn(multiplier * H(z))."""
+        return _frozen(_half_potential_multiplier(self.form, self.coupling))
 
     def displacement_profile(self, phi_values: np.ndarray) -> np.ndarray:
         """f(k) = v(k) rhohat(k) for the given orbital values, as its rfftn half spectrum."""
@@ -126,7 +156,25 @@ class LPConfig:
     def label_potential(self, p: np.ndarray) -> np.ndarray:
         """V(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx} (real array) from the rfftn half
         spectrum p of the label's Hermitian part H(z)."""
-        return _half_potential(p, self.form, self.coupling)
+        return _irfftn(self._potential_multiplier * p, self.grid.shape)
+
+    # A config is the stack of one. The step reads its per-coupling scalars row by row from
+    # ``_rows``, puts back a per-row value with ``_packed`` and reads one with ``_unpacked``,
+    # and turns per-row tuples of scalars into factors of the arrays with ``_columns``; a
+    # _Couplings stack does the same.
+    @property
+    def _rows(self) -> tuple:
+        return (self,)
+
+    @staticmethod
+    def _packed(values):
+        return values[0]
+
+    _columns = _packed
+
+    @staticmethod
+    def _unpacked(value) -> tuple:
+        return (value,)
 
     def _drift(self, dt: float) -> np.ndarray:
         """Kinetic multiplier exp(-i dt k^2); only the last dt's is kept."""
@@ -140,6 +188,31 @@ class LPConfig:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+class _Couplings:
+    """The configs of a stack, one per row of its leading axis, and the grid and form they
+    share. A per-row value is a tuple, and an array factor a column over the rows."""
+
+    def __init__(self, cfgs):
+        self._rows = tuple(cfgs)
+        self.grid, self.form = cfgs[0].grid, cfgs[0].form
+        self._potential_multiplier = np.stack([c._potential_multiplier for c in cfgs])
+
+    def _columns(self, rows) -> np.ndarray:
+        """One column over the rows per entry of the rows' tuples, stacked on a first axis."""
+        table = np.array(rows).T
+        return table.reshape(table.shape + (1,) * self.grid.dim)
+
+    _packed = staticmethod(tuple)
+
+    @staticmethod
+    def _unpacked(values):
+        return values
+
+    # the config's own maps, which read only the grid, the form and the multiplier
+    displacement_profile = LPConfig.displacement_profile
+    label_potential = LPConfig.label_potential
 
 
 def stationary_label(cfg: LPConfig, f: np.ndarray) -> np.ndarray:
@@ -166,6 +239,13 @@ class OscillatorRep:
     def from_label(cls, cfg: LPConfig, z: np.ndarray):
         return cls(*_hermitian_split(np.asarray(z, dtype=complex)))
 
+    @classmethod
+    def stacked(cls, reps):
+        return cls(np.stack([r.p for r in reps]), np.stack([r.q for r in reps]))
+
+    def row(self, i: int):
+        return OscillatorRep(self.p[i], self.q[i])
+
     def label(self, cfg: LPConfig, t: float) -> np.ndarray:
         return _full_label(cfg, self.p, self.q)
 
@@ -175,9 +255,12 @@ class OscillatorRep:
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
         """Exact rotation of (P - P_p, Q) by omega h about the driven fixed point
         P_p = -(lam_c/omega) f, drive frozen."""
-        om = cfg.frequency
-        p_fixed = (-cfg.coupling / om) * f_drive
-        c, s = math.cos(om * h), math.sin(om * h)
+        rows = [
+            (-c.coupling / c.frequency, math.cos(c.frequency * h), math.sin(c.frequency * h))
+            for c in cfg._rows
+        ]
+        drive, c, s = cfg._columns(rows)
+        p_fixed = drive * f_drive
         dp = self.p - p_fixed
         return OscillatorRep(p=p_fixed + c * dp + s * self.q, q=c * self.q - s * dp)
 
@@ -198,39 +281,55 @@ class QuadratureRep:
         p, q = _hermitian_split(np.asarray(z, dtype=complex))
         return cls(p, q, p, q, 0.0)
 
+    @classmethod
+    def stacked(cls, reps):
+        """The reps' arrays on a leading coupling axis, F as a tuple."""
+        p, q, p0, q0 = (np.stack([getattr(r, n) for r in reps]) for n in ("p", "q", "p0", "q0"))
+        return cls(p, q, p0, q0, tuple(r.f_acc for r in reps))
+
+    def row(self, i: int):
+        return QuadratureRep(self.p[i], self.q[i], self.p0[i], self.q0[i], self.f_acc[i])
+
     def label(self, cfg: LPConfig, t: float) -> np.ndarray:
         return np.exp(-1j * cfg.frequency * t) * _full_label(cfg, self.p, self.q)
 
     def hermitian_label(self, cfg: LPConfig, t: float) -> np.ndarray:
         """H(e^{-i omega t}(P + iQ)) = cos(omega t) P + sin(omega t) Q."""
-        wt = cfg.frequency * t
-        return math.cos(wt) * self.p + math.sin(wt) * self.q
+        rows = [(math.cos(c.frequency * t), math.sin(c.frequency * t)) for c in cfg._rows]
+        c, s = cfg._columns(rows)
+        return c * self.p + s * self.q
 
     def memory(self, cfg: LPConfig) -> np.ndarray:
         """The memory integral J_t on the full lattice."""
         return _full_label(cfg, self.p - self.p0, self.q - self.q0)
 
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
-        om, lam = cfg.frequency, cfg.coupling
-        dc = math.cos(om * (t + h)) - math.cos(om * t)
-        ds = math.sin(om * (t + h)) - math.sin(om * t)
         # dF/ds = lam * Re[e^{-i om s} <f, J_s>_w]; J(s) analytic for frozen f. For Hermitian
         # f, <f, J>_w = <f, J_P>_w + i <f, J_Q>_w with both inner products real
         # (three _half_inner products that share one weighting of f)
+        dim = cfg.grid.dim
         weighted = cfg.grid.half_weight * f_drive
-        inner_p = np.vdot(weighted, self.p - self.p0).real
-        inner_q = np.vdot(weighted, self.q - self.q0).real
-        term1 = lam * (inner_p * ds - inner_q * dc) / om
-        fsq = np.vdot(weighted, f_drive).real
-        term2 = -(lam**2 / om) * fsq * (h - math.sin(om * h) / om)
-        # J += -(lam/om) f (e^{i om (t+h)} - e^{i om t}), whose pair is -(lam/om) f (dc, ds)
-        scale = -lam / om
+        inner_p = cfg._unpacked(_real_vdot(weighted, self.p - self.p0, dim))
+        inner_q = cfg._unpacked(_real_vdot(weighted, self.q - self.q0, dim))
+        fsq = cfg._unpacked(_real_vdot(weighted, f_drive, dim))
+        shifts, f_acc = [], []
+        for c, f, ip, iq, fs in zip(cfg._rows, cfg._unpacked(self.f_acc), inner_p, inner_q, fsq):
+            om, lam = c.frequency, c.coupling
+            dc = math.cos(om * (t + h)) - math.cos(om * t)
+            ds = math.sin(om * (t + h)) - math.sin(om * t)
+            term1 = lam * (ip * ds - iq * dc) / om
+            term2 = -(lam**2 / om) * fs * (h - math.sin(om * h) / om)
+            # J += -(lam/om) f (e^{i om (t+h)} - e^{i om t}), whose pair is -(lam/om) f (dc, ds)
+            scale = -lam / om
+            shifts.append((scale * dc, scale * ds))
+            f_acc.append(f + term1 + term2)
+        shift_p, shift_q = cfg._columns(shifts)
         return QuadratureRep(
-            self.p + (scale * dc) * f_drive,
-            self.q + (scale * ds) * f_drive,
+            self.p + shift_p * f_drive,
+            self.q + shift_q * f_drive,
             self.p0,
             self.q0,
-            self.f_acc + term1 + term2,
+            cfg._packed(f_acc),
         )
 
 
@@ -303,8 +402,7 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     t_mid = t + dt / 2.0
     p_mid = rep_mid.hermitian_label(cfg, t_mid)
     kick = np.exp(-0.5j * dt * lift(cfg.label_potential(p_mid)))
-    new = kick * values
-    new = _ifftn(drift * _fftn(new))
+    new = _drifted(kick * values, drift)
     # kept apart from the transform: numpy would multiply into the ifftn temporary in
     # place, which swaps the complex product's operands and changes its rounding
     new = kick * new
@@ -314,9 +412,32 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     f_after = displacement(new)
     rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
     # 2 Re <z_mid, (f_before + f_after)/2>_w, and Re <z, f>_w = <H(z), f>_w for Hermitian f
-    field_expectation = _half_inner(cfg.grid, p_mid, f_before + f_after)
-    a_new = a_phase * cmath.exp(1j * dt * cfg.coupling * field_expectation)
+    field_expectation = cfg._unpacked(_half_inner(cfg.grid, p_mid, f_before + f_after))
+    # Python complex arithmetic, one coupling at a time: numpy's complex multiply rounds
+    # differently from Python's
+    a_new = cfg._packed([
+        a * cmath.exp(1j * dt * c.coupling * e)
+        for c, a, e in zip(cfg._rows, cfg._unpacked(a_phase), field_expectation)
+    ])
     return new, rep_new, a_new, f_after
+
+
+# numpy's NPY_MIN_ELIDE_BYTES: from this size on, a binary operator whose operand is a
+# temporary of the result's shape may write into it in place (temporary elision)
+_ELIDE_BYTES = 256 * 1024
+
+
+def _drifted(values: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    """ifftn(drift * fftn(values)) over the drift's axes, the trailing ones of a stack.
+
+    For one field of 256 KiB or more numpy multiplies into the fftn temporary in place,
+    which swaps the complex product's operands and changes its rounding; it never does so
+    for a stack, whose shape is not the drift's. So rows that large run the one-field
+    expression each, and smaller ones share one product that gives each row its bits.
+    """
+    if values.ndim > drift.ndim and values[0].nbytes >= _ELIDE_BYTES:
+        return np.stack([_drifted(row, drift) for row in values])
+    return _ifftn(drift * _fftn(values, drift.ndim), drift.ndim)
 
 
 def _one_body(v: np.ndarray) -> np.ndarray:
@@ -378,9 +499,65 @@ def _march(state, t_final: float, dt: float, advance, sample_interval: float | N
             yield state
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """The raw arrays of a stack of LP states at one time, one row per coupling."""
+
+    t: float
+    values: np.ndarray
+    rep: object
+    a_phase: tuple
+    f: np.ndarray
+
+
+def evolve_stack(states, t_final: float, dt: float, sample_interval: float | None = None):
+    """``evolve`` of each state, marched as one stack: one list of sampled states per state.
+
+    The states may differ only in alpha. They must share a grid (GridMismatchError), and a
+    form factor, a representation and a start time (ValueError), all checked before any
+    step. Each row's samples equal its own ``evolve`` bit for bit.
+    """
+    first = states[0]
+    for other in states[1:]:
+        first.cfg.grid.require_same(other.cfg.grid)
+        if not np.array_equal(first.cfg.form.values, other.cfg.form.values):
+            raise ValueError("stacked states must share one form factor")
+        if type(other.rep) is not type(first.rep):
+            raise ValueError("stacked states must share one representation")
+        if other.t != first.t:
+            raise ValueError(f"stacked states must share one start time: {first.t} vs {other.t}")
+    cfgs = [s.cfg for s in states]
+    couplings = _Couplings(cfgs)
+    drift = first.cfg._drift(dt)
+
+    def advance(stack, dt):
+        values, rep, a_phase, f = _strang_step(
+            couplings, stack.rep, stack.t, stack.values, stack.f, stack.a_phase, dt, drift,
+            couplings.displacement_profile, _one_body,
+        )
+        return _Stack(stack.t + dt, values, rep, a_phase, f)
+
+    start = _Stack(
+        first.t,
+        np.stack([s.phi.values for s in states]),
+        type(first.rep).stacked([s.rep for s in states]),
+        tuple(s.a_phase for s in states),
+        np.stack([s.displacement() for s in states]),
+    )
+    samples = [
+        [
+            LPState(cfg, stack.t, WaveField(cfg.grid, stack.values[i]), stack.rep.row(i),
+                    stack.a_phase[i], _f=stack.f[i])
+            for i, cfg in enumerate(cfgs)
+        ]
+        for stack in _march(start, t_final, dt, advance, sample_interval)
+    ]
+    return [list(trajectory) for trajectory in zip(*samples)]
+
+
 def evolve(state: LPState, t_final: float, dt: float, sample_interval: float | None = None):
     """March to t_final, returning sampled states (always includes first/last)."""
-    return list(_march(state, t_final, dt, step, sample_interval))
+    return evolve_stack([state], t_final, dt, sample_interval)[0]
 
 
 def df_error_integral(states, defect) -> float:

@@ -194,10 +194,24 @@ def mode_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
 
 
-def _half_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+def _real_vdot(a: np.ndarray, b: np.ndarray, ndim: int):
+    """Re vdot(a, b) over the trailing ``ndim`` axes: a float, or for arrays stacked on a
+    leading axis a list of one float per row.
+
+    A row's value is ``np.vdot``'s bit for bit: ``np.vecdot`` runs the same BLAS dot.
+    """
+    if a.ndim == ndim:
+        return float(np.vdot(a, b).real)
+    if ndim > 1:
+        a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    return np.vecdot(a, b).real.tolist()
+
+
+def _half_inner(grid: Grid, a: np.ndarray, b: np.ndarray):
     """The momentum-space inner product sum_k w_k conj(A) B for Hermitian A, B (spectra of
-    real fields, so the sum is real) from their rfftn half spectra a, b."""
-    return float(np.vdot(a, grid.half_weight * b).real)
+    real fields, so the sum is real) from their rfftn half spectra a, b; one per row for
+    stacked halves."""
+    return _real_vdot(a, grid.half_weight * b, grid.dim)
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -220,10 +234,12 @@ def _hermitian_split(z: np.ndarray) -> tuple:
 
 
 def _hermitian_fill(half: np.ndarray, shape: tuple) -> np.ndarray:
-    """The full spectrum H on a lattice of ``shape`` from its rfftn half, by H(-k) = conj H(k)."""
+    """The full spectrum H on a lattice of ``shape`` from its rfftn half, by H(-k) = conj H(k);
+    row by row for halves stacked on leading axes."""
     m = half.shape[-1]
-    # last-axis index j > n/2 is the mirror of n - j, which runs n/2 - 1 down to 1
-    mirror = np.conj(_reflect(half[..., m - 2 : 0 : -1], range(len(shape) - 1)))
+    # last-axis index j > n/2 is the mirror of n - j, which runs n/2 - 1 down to 1; the
+    # reflection runs over the other grid axes, the trailing ones of a stack
+    mirror = np.conj(_reflect(half[..., m - 2 : 0 : -1], range(-len(shape), -1)))
     return np.concatenate([half, mirror], axis=-1)
 
 
@@ -325,41 +341,53 @@ def _coulomb_form(grid: Grid, kernel: str) -> FormFactor:
     raise UnsupportedKernelError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
 
 
-def _fftn(a: np.ndarray) -> np.ndarray:
-    """``np.fft.fftn(a)``, bit for bit; see ``_fourier_multiply`` for the kernel."""
-    if a.ndim < 2:
-        return np.fft.fftn(a)
+def _trailing(ndim: int) -> tuple:
+    """The last ``ndim`` axes, last first: numpy's order over an n-d grid."""
+    return tuple(range(-1, -ndim - 1, -1))
+
+
+def _fftn(a: np.ndarray, ndim: int | None = None) -> np.ndarray:
+    """``np.fft.fftn`` over the trailing ``ndim`` axes (every axis by default), bit for bit;
+    see ``_fourier_multiply`` for the kernel."""
+    ndim = a.ndim if ndim is None else ndim
+    if ndim < 2:
+        return np.fft.fft(a)
     import scipy.fft
 
-    return scipy.fft.fftn(np.asarray(a, dtype=np.complex128), axes=tuple(range(a.ndim))[::-1])
+    return scipy.fft.fftn(np.asarray(a, dtype=np.complex128), axes=_trailing(ndim))
 
 
-def _ifftn(a: np.ndarray) -> np.ndarray:
-    """``np.fft.ifftn(a)``, bit for bit; see ``_fourier_multiply`` for the kernel."""
-    if a.ndim < 2:
-        return np.fft.ifftn(a)
+def _ifftn(a: np.ndarray, ndim: int | None = None) -> np.ndarray:
+    """``np.fft.ifftn`` over the trailing ``ndim`` axes (every axis by default), bit for bit;
+    see ``_fourier_multiply`` for the kernel."""
+    ndim = a.ndim if ndim is None else ndim
+    if ndim < 2:
+        return np.fft.ifft(a)
     import scipy.fft
 
-    return scipy.fft.ifftn(np.asarray(a, dtype=np.complex128), axes=tuple(range(a.ndim))[::-1])
+    return scipy.fft.ifftn(np.asarray(a, dtype=np.complex128), axes=_trailing(ndim))
 
 
-def _rfftn(a: np.ndarray) -> np.ndarray:
-    """``np.fft.rfftn(a)`` of a real array, bit for bit; see ``_fourier_multiply``."""
-    if a.ndim < 2:
+def _rfftn(a: np.ndarray, ndim: int | None = None) -> np.ndarray:
+    """``np.fft.rfftn`` of a real array over the trailing ``ndim`` axes (every axis by
+    default), bit for bit; see ``_fourier_multiply``."""
+    ndim = a.ndim if ndim is None else ndim
+    if ndim < 2:
         return np.fft.rfft(a)
     import scipy.fft
 
-    axes = tuple(range(a.ndim))
-    return scipy.fft.rfftn(a, axes=axes[:-1][::-1] + axes[-1:])
+    axes = _trailing(ndim)
+    return scipy.fft.rfftn(a, axes=axes[1:] + axes[:1])
 
 
 def _irfftn(half: np.ndarray, shape: tuple) -> np.ndarray:
-    """``np.fft.irfftn(half, s=shape)``, the real field of ``shape``, bit for bit."""
+    """``np.fft.irfftn(half, s=shape)``, the real field of ``shape`` on the trailing axes,
+    bit for bit."""
     if len(shape) < 2:
         return np.fft.irfft(half, shape[0])
     import scipy.fft
 
-    return scipy.fft.irfftn(half, s=shape, axes=tuple(range(len(shape))))
+    return scipy.fft.irfftn(half, s=shape, axes=tuple(range(-len(shape), 0)))
 
 
 def _fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -373,9 +401,12 @@ def _fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     about half numpy's time, in numpy's axis order: numpy transforms the last axis first,
     and the complex transforms cast to complex128 as numpy does. The inverses scale by 1/n,
     a power of two on every Grid, which is exact whether applied per axis (numpy) or once
-    (scipy). A one-axis transform (the Fock ring) stays on numpy, which runs the same
-    per-line kernel with less call overhead, and ``scipy.fft`` (which imports
-    ``scipy.special``) is imported at the first multi-axis transform only.
+    (scipy). A one-axis transform (the Fock ring) stays on numpy's 1-d ``fft``, ``ifft``,
+    ``rfft`` or ``irfft`` along the last axis, which runs the same per-line kernel with less
+    call overhead than its n-d wrapper, and ``scipy.fft`` (which imports ``scipy.special``)
+    is imported at the first multi-axis transform only. Given the grid's number of axes,
+    the transforms run over the trailing ones, so each row of a stack of fields (a leading
+    axis) gets the bits of its own transform.
     """
     if np.iscomplexobj(values):
         return _ifftn(multiplier * _fftn(values))
@@ -390,8 +421,8 @@ def _density_potential(rho: np.ndarray, form: FormFactor) -> np.ndarray:
 
 def _half_displacement(rho: np.ndarray, form: FormFactor) -> np.ndarray:
     """Phonon displacement f(k) = v(k) rhohat(k) of a real density array on ``form.grid``,
-    as its rfftn half spectrum."""
-    return form.half_values * (_rfftn(rho) * form.grid.cell_volume)
+    as its rfftn half spectrum; row by row for densities stacked on leading axes."""
+    return form.half_values * (_rfftn(rho, form.grid.dim) * form.grid.cell_volume)
 
 
 def _density_displacement(rho: np.ndarray, form: FormFactor) -> np.ndarray:
@@ -399,12 +430,16 @@ def _density_displacement(rho: np.ndarray, form: FormFactor) -> np.ndarray:
     return _hermitian_fill(_half_displacement(rho, form), form.grid.shape)
 
 
+def _half_potential_multiplier(form: FormFactor, coupling: float) -> np.ndarray:
+    """2 coupling w_k N v(k) on the rfftn half lattice, the factor of ``_half_potential``."""
+    grid = form.grid
+    return (2.0 * coupling * grid.mode_weight * grid.size) * form.half_values
+
+
 def _half_potential(p: np.ndarray, form: FormFactor, coupling: float) -> np.ndarray:
     """V(x) = 2 coupling Re sum_k w_k v(k) z(k) e^{ikx} (real array) on ``form.grid``, from
     the rfftn half spectrum p of the label's Hermitian part: Re(v z) transforms as v P."""
-    grid = form.grid
-    scale = 2.0 * coupling * grid.mode_weight * grid.size
-    return _irfftn((scale * form.half_values) * p, grid.shape)
+    return _irfftn(_half_potential_multiplier(form, coupling) * p, form.grid.shape)
 
 
 def _label_potential(z: np.ndarray, form: FormFactor, coupling: float) -> np.ndarray:

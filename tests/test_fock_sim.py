@@ -403,25 +403,25 @@ class TestDiscretePekar:
 class TestPropagation:
     def test_t_zero_identity(self, ops_id, rng):
         x = rng.standard_normal(ops_id.basis.dim_total) + 0j
-        out = fs.Propagator(ops_id).apply(x, 0.0)
+        out = fs.Propagator(ops_id.basis, ops_id.alpha).apply(x, 0.0)
         assert np.allclose(out, x)
 
     def test_eigenvector_phase(self, ops_id):
         e0, psi = fs.ground_state(ops_id)
-        out = fs.Propagator(ops_id).apply(psi, 0.7)
+        out = fs.Propagator(ops_id.basis, ops_id.alpha).apply(psi, 0.7)
         assert np.max(np.abs(out - np.exp(-1j * e0 * 0.7) * psi)) < 1e-10
 
     def test_matches_dense_eigh_reference(self, propagation_problem):
         ops, x = propagation_problem
         vals, vecs = eigh(ops.hamiltonian.toarray())
-        prop = fs.Propagator(ops)
+        prop = fs.Propagator(ops.basis, ops.alpha)
         for t in (0.5, 3.0):
             dense = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ x))
             assert np.linalg.norm(dense - prop.apply(x, t)) < 1e-9
 
     def test_grid_matches_scalar_samples(self, propagation_problem):
         ops, x = propagation_problem
-        prop = fs.Propagator(ops)
+        prop = fs.Propagator(ops.basis, ops.alpha)
         times = np.linspace(0.5, 3.0, 11)
         stacked = prop.apply(x, times)
         assert stacked.shape == (len(times), ops.basis.dim_total)
@@ -430,13 +430,13 @@ class TestPropagation:
 
     def test_grid_need_not_be_uniform(self, propagation_problem):
         ops, x = propagation_problem
-        prop = fs.Propagator(ops)
+        prop = fs.Propagator(ops.basis, ops.alpha)
         times = np.array([0.0, 1.0, 3.0, -0.4])
         for t, row in zip(times, prop.apply(x, times)):
             assert np.linalg.norm(row - prop.apply(x, t)) < 1e-12
 
     def test_grid_must_be_one_dimensional(self, ops_id):
-        prop = fs.Propagator(ops_id)
+        prop = fs.Propagator(ops_id.basis, ops_id.alpha)
         x = np.zeros(ops_id.basis.dim_total, dtype=complex)
         with pytest.raises(ValueError, match="1-d"):
             prop.apply(x, np.array([[0.0, 1.0]]))
@@ -444,7 +444,7 @@ class TestPropagation:
     def test_norm_and_energy_preserved(self, ops_id, rng):
         x = rng.standard_normal(ops_id.basis.dim_total) + 0j
         x /= np.linalg.norm(x)
-        out = fs.Propagator(ops_id).apply(x, 2.0)
+        out = fs.Propagator(ops_id.basis, ops_id.alpha).apply(x, 2.0)
         assert abs(np.linalg.norm(out) - 1) < 1e-10
         e0 = np.real(np.vdot(x, ops_id.hamiltonian @ x))
         e1 = np.real(np.vdot(out, ops_id.hamiltonian @ out))
@@ -458,7 +458,7 @@ def fock_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = ops.basis.dim_total
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return fs.Propagator(ops), x / np.linalg.norm(x)
+    return fs.Propagator(ops.basis, ops.alpha), x / np.linalg.norm(x)
 
 
 any_time = st.floats(-3.0, 3.0)
@@ -477,7 +477,7 @@ class TestPropagatorProperties:
         x = rng.standard_normal(ops.basis.dim_total) + 1j * rng.standard_normal(ops.basis.dim_total)
         x /= np.linalg.norm(x)
         reference = expm_multiply(-1j * t * ops.hamiltonian, x)
-        assert np.linalg.norm(fs.Propagator(ops).apply(x, t) - reference) < 1e-10
+        assert np.linalg.norm(fs.Propagator(ops.basis, ops.alpha).apply(x, t) - reference) < 1e-10
 
     @properties
     @given(fock_problems(), any_time)
@@ -579,7 +579,7 @@ class TestSweeps:
         pek = fs.discrete_pekar(ops)
         u0 = np.kron(pek.phi, pek.eta)
         u0 /= np.linalg.norm(u0)
-        prop = fs.Propagator(ops)
+        prop = fs.Propagator(ops.basis, ops.alpha)
         for t in (0.7, 2.3):
             errs = []
             for sign in (1, -1):
@@ -602,14 +602,29 @@ class TestSweeps:
         config = fs.FockConfig(8, 2.0, (1, -1, 2, -2), v0=3e-3, n_max=2)
         phi0, g = fs._coherent_initial_data(fs.FockBasis(config), np.random.default_rng(0))
 
-        def assemble_forbidden(*args):
-            raise AssertionError("assembled before the step count was checked")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("worked before the step count was checked")
 
-        monkeypatch.setattr(fs, "assemble", assemble_forbidden)
+        for name in ("coherent_state", "Propagator"):
+            monkeypatch.setattr(fs, name, forbidden)
+        monkeypatch.setattr(lp, "evolve_stack", forbidden)
         with pytest.raises(ValueError, match="integer number of steps"):
             fs.error_sweep_coherent(config, [1.0, 8.0], 2.5, phi0, g, dt=3e-3, n_samples=26)
         with pytest.raises(ValueError, match="at least 2"):
             fs.error_sweep_coherent(config, [1.0, 8.0], 2.5, phi0, g, dt=1e-2, n_samples=1)
+
+    def test_coherent_sweep_assembles_nothing(self, monkeypatch):
+        # the sector Propagator and the LP stack read only the basis and alpha
+        config = fs.FockConfig(8, 2.0, (1, -1, 2, -2), v0=3e-3, n_max=2)
+        phi0, g = fs._coherent_initial_data(fs.FockBasis(config), np.random.default_rng(0))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("assembled a product-space operator")
+
+        monkeypatch.setattr(fs, "assemble", forbidden)
+        monkeypatch.setattr(fs, "FockOperatorSet", forbidden)
+        rep = fs.error_sweep_coherent(config, [1.0, 8.0], 0.5, phi0, g, dt=1e-2, n_samples=6)
+        assert len(rep["rows"]) == 12 and rep["sup_errors"][1] < rep["sup_errors"][0]
 
     def test_stationary_errors_are_exact_norms(self):
         rep = fs.error_sweep_stationary(SWEEP, [1.0, 2.0, 4.0, 8.0], 5.0, n_samples=6)
@@ -731,7 +746,7 @@ class TestInequalities:
         def evolve(h, x):  # h_rotated, h_effective and h_tilde are not translation-invariant
             return expm_multiply(-1j * t * h, x)
 
-        lhs_a = fs.Propagator(ops).apply(u0, t)
+        lhs_a = fs.Propagator(ops.basis, ops.alpha).apply(u0, t)
         lhs_b = evolve(h_effective(ops, f), u0)
         rhs_a = evolve(ops.h_rotated(f), chi)
         rhs_b = evolve(h_tilde(ops, f), chi)

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polaron_lab.errors import BlowUpError
+from polaron_lab.errors import BlowUpError, GridMismatchError
 from polaron_lab.spectral_core import FormFactor, Grid, WaveField
 from polaron_lab import lp_dynamics as lp
 from polaron_lab import spectral_core as sc
@@ -307,6 +309,98 @@ class TestIntegrator:
     def test_phase_update_unit_modulus(self, ring_state):
         a = lp.step(ring_state, 1e-2).a_phase
         assert abs(abs(a) - 1) < 1e-12
+
+
+def _assert_same_states(ours, theirs):
+    """Bit for bit: t, phi, every field of the rep (P, Q, and P0, Q0, F), a and f."""
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert a.cfg is b.cfg and a.t == b.t
+        assert np.array_equal(a.phi.values, b.phi.values)
+        assert type(a.rep) is type(b.rep)
+        for name in (f.name for f in fields(a.rep)):
+            assert np.array_equal(getattr(a.rep, name), getattr(b.rep, name)), name
+        assert a.a_phase == b.a_phase
+        assert np.array_equal(a.displacement(), b.displacement())
+
+
+def _random_state(cfg, rng, rep, scale=0.3):
+    shape = cfg.grid.shape
+    phi = WaveField(cfg.grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    z0 = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return lp.initial_state(cfg, phi.normalized(), z0=z0, rep=rep)
+
+
+class TestStack:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([4, 8, 16]),
+        st.lists(st.floats(0.5, 16.0), min_size=1, max_size=4),
+        st.sampled_from(["quadrature", "oscillator"]),
+        st.sampled_from([1e-2, -1e-2, 2.5e-3]),
+        st.integers(1, 5),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_is_the_per_state_step_loops(self, n, alphas, rep, dt, stride, n_steps, seed):
+        grid = Grid(1, n, 4.0)
+        form = FormFactor.toy(grid, 0.4, cutoff=5.0)
+        rng = np.random.default_rng(seed)
+        states = [_random_state(lp.LPConfig(grid, form, alpha), rng, rep) for alpha in alphas]
+        t_final = n_steps * dt
+        stacked = lp.evolve_stack(states, t_final, dt, sample_interval=stride * abs(dt))
+        assert len(stacked) == len(states)
+        for state, samples in zip(states, stacked):
+            loop = list(lp._march(state, t_final, dt, lp.step, stride * abs(dt)))
+            _assert_same_states(samples, loop)
+
+    @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
+    def test_evolve_on_a_cube_is_repeated_step(self, rep, rng):
+        grid = Grid(3, 8, 8.0)
+        cfg = lp.LPConfig(grid, FormFactor.coulomb_d3_isolated(grid), alpha=2.0)
+        state = _random_state(cfg, rng, rep, scale=0.05)
+        samples = lp.evolve(state, 5e-2, 1e-2, sample_interval=2e-2)
+        steps = [state]
+        for _ in range(5):
+            steps.append(lp.step(steps[-1], 1e-2))
+        _assert_same_states(samples, [steps[i] for i in (0, 2, 4, 5)])
+
+    @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
+    def test_stack_of_fields_above_the_elision_size_is_the_step_loops(self, rep, rng):
+        # a 32^3 field is 512 KiB, where numpy may write the drift product into the fftn
+        # temporary; the stack must give each row the bits of its own step all the same
+        grid = Grid(3, 32, 32.0)
+        form = FormFactor.coulomb_d3_isolated(grid)
+        states = [
+            _random_state(lp.LPConfig(grid, form, alpha), rng, rep, scale=0.05)
+            for alpha in (2.0, 4.0)
+        ]
+        for state, samples in zip(states, lp.evolve_stack(states, 3e-2, 1e-2)):
+            _assert_same_states(samples, list(lp._march(state, 3e-2, 1e-2, lp.step)))
+
+    def test_stack_refuses_mismatched_states_before_any_step(self, ring_state, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stepped before the stack was checked")
+
+        monkeypatch.setattr(lp, "_strang_step", forbidden)
+        cfg = ring_state.cfg
+        finer = Grid(1, 64, 16.0)
+        other_grid = lp.initial_state(
+            lp.LPConfig(finer, FormFactor.toy(finer, v0=0.08, cutoff=3.0), alpha=4.0),
+            WaveField(finer, np.ones(64)),
+        )
+        with pytest.raises(GridMismatchError):
+            lp.evolve_stack([ring_state, other_grid], 0.1, 1e-2)
+        oscillator = lp.initial_state(cfg, ring_state.phi, z0=ring_state.label(), rep="oscillator")
+        with pytest.raises(ValueError, match="representation"):
+            lp.evolve_stack([ring_state, oscillator], 0.1, 1e-2)
+        later = lp.LPState(cfg, 0.05, ring_state.phi, ring_state.rep)
+        with pytest.raises(ValueError, match="start time"):
+            lp.evolve_stack([ring_state, later], 0.1, 1e-2)
+        other_form = lp.LPConfig(cfg.grid, FormFactor.toy(cfg.grid, v0=0.1, cutoff=3.0), 2.0)
+        stronger = lp.LPState(other_form, 0.0, ring_state.phi, ring_state.rep)
+        with pytest.raises(ValueError, match="form factor"):
+            lp.evolve_stack([ring_state, stronger], 0.1, 1e-2)
 
 
 class TestErrorIntegral:
