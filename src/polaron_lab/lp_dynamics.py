@@ -41,15 +41,16 @@ Both carry z on every mode, also where v(k) = 0. ``initial_state``,
 immutable snapshots; a step returns a new state.
 
 Stacks. ``evolve_stack`` marches states that differ only in alpha as one
-stack (``evolve`` is the stack of one): the arrays gain a leading coupling
-axis, phi as (couplings, *grid.shape) and P, Q, P0, Q0 and f as (couplings,
-*half shape), and the per-coupling scalars F and a become tuples with one
-entry per row. The grid transforms and the half-lattice helpers act on the
-trailing grid axes. The scalar arithmetic of a step (the rotation angles, the
-increments of F and the phase) stays in Python floats, one coupling at a time,
-exactly as for one state, and reaches the arrays as a column per quantity; a
-config is the stack of one with the same hooks (``_rows``, ``_columns``,
-``_packed``, ``_unpacked``). So each row equals its own march bit for bit. The
+stack: the arrays gain a leading coupling axis, phi as (couplings,
+*grid.shape) and P, Q, P0, Q0 and f as (couplings, *half shape), and the
+per-coupling scalars F and a become tuples with one entry per row. The grid
+transforms, the drift and the potential and displacement maps act on the
+trailing grid axes. The scalar arithmetic of a step (the inner products, each
+one ``np.vdot`` of a row, the rotation angles, the increments of F and the
+phase) stays in Python floats, one coupling at a time, exactly as for one
+state, and reaches the arrays as a column per quantity; a config is the stack
+of one with the same hooks (``_rows``, ``_columns``, ``_packed``,
+``_unpacked``). So each row equals its own march bit for bit. The
 pitfall is complex multiplication: numpy's complex multiply rounds differently
 from Python's, and its ``a*b`` from its ``b*a``, so the phase update stays a
 Python complex product per coupling, and every complex array product keeps its
@@ -57,9 +58,9 @@ operand order (see the comment on the ifftn temporary in ``_strang_step`` and
 ``_drifted``). On the ring a step's cost is numpy's per-call overhead, not its
 arithmetic, so stacking pays: on the 8-site Fock ring (alpha 1 and 8, 1250 steps
 of 2e-3, one thread, a shared 2-vCPU host, medians of 8 alternated runs) the
-stack took 0.251 s against 0.388 s for the two states' step loops, while a stack
-of one costs 1.2-1.4 times its step loop on rings of 8 and 32 sites and the same
-at 32^3.
+stack took 0.130 s against 0.196 s for the two states' step loops. A stack of
+one costs 1.2-1.4 times its step loop on rings of 8 and 32 sites and the same at
+32^3, so ``evolve`` marches one state through ``step`` unstacked.
 
 One step does two complex transforms, the drift's fftn and ifftn, and one
 real pair: the half-step potential's irfftn and the rfftn of f = v rhohat at
@@ -103,7 +104,6 @@ from .spectral_core import (
     _hermitian_split,
     _ifftn,
     _irfftn,
-    _real_vdot,
     kinetic_energy,
     mode_norm_sq,
 )
@@ -159,9 +159,9 @@ class LPConfig:
         return _irfftn(self._potential_multiplier * p, self.grid.shape)
 
     # A config is the stack of one. The step reads its per-coupling scalars row by row from
-    # ``_rows``, puts back a per-row value with ``_packed`` and reads one with ``_unpacked``,
-    # and turns per-row tuples of scalars into factors of the arrays with ``_columns``; a
-    # _Couplings stack does the same.
+    # ``_rows``, puts back a per-row value with ``_packed`` and reads the per-row values of
+    # a scalar or an array's rows with ``_unpacked``, and turns per-row tuples of scalars
+    # into factors of the arrays with ``_columns``; a _Couplings stack does the same.
     @property
     def _rows(self) -> tuple:
         return (self,)
@@ -306,14 +306,15 @@ class QuadratureRep:
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
         # dF/ds = lam * Re[e^{-i om s} <f, J_s>_w]; J(s) analytic for frozen f. For Hermitian
         # f, <f, J>_w = <f, J_P>_w + i <f, J_Q>_w with both inner products real
-        # (three _half_inner products that share one weighting of f)
-        dim = cfg.grid.dim
+        # (three _half_inner products that share one weighting of f, np.vdot row by row)
         weighted = cfg.grid.half_weight * f_drive
-        inner_p = cfg._unpacked(_real_vdot(weighted, self.p - self.p0, dim))
-        inner_q = cfg._unpacked(_real_vdot(weighted, self.q - self.q0, dim))
-        fsq = cfg._unpacked(_real_vdot(weighted, f_drive, dim))
+        arrays = (weighted, self.p - self.p0, self.q - self.q0, f_drive)
+        rows = zip(cfg._rows, cfg._unpacked(self.f_acc), *map(cfg._unpacked, arrays))
         shifts, f_acc = [], []
-        for c, f, ip, iq, fs in zip(cfg._rows, cfg._unpacked(self.f_acc), inner_p, inner_q, fsq):
+        for c, f, w, jp, jq, fd in rows:
+            ip = float(np.vdot(w, jp).real)
+            iq = float(np.vdot(w, jq).real)
+            fs = float(np.vdot(w, fd).real)
             om, lam = c.frequency, c.coupling
             dc = math.cos(om * (t + h)) - math.cos(om * t)
             ds = math.sin(om * (t + h)) - math.sin(om * t)
@@ -412,12 +413,11 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     f_after = displacement(new)
     rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
     # 2 Re <z_mid, (f_before + f_after)/2>_w, and Re <z, f>_w = <H(z), f>_w for Hermitian f
-    field_expectation = cfg._unpacked(_half_inner(cfg.grid, p_mid, f_before + f_after))
     # Python complex arithmetic, one coupling at a time: numpy's complex multiply rounds
     # differently from Python's
+    rows = zip(cfg._rows, cfg._unpacked(a_phase), *map(cfg._unpacked, (p_mid, f_before + f_after)))
     a_new = cfg._packed([
-        a * cmath.exp(1j * dt * c.coupling * e)
-        for c, a, e in zip(cfg._rows, cfg._unpacked(a_phase), field_expectation)
+        a * cmath.exp(1j * dt * c.coupling * _half_inner(cfg.grid, p, f)) for c, a, p, f in rows
     ])
     return new, rep_new, a_new, f_after
 
@@ -557,7 +557,7 @@ def evolve_stack(states, t_final: float, dt: float, sample_interval: float | Non
 
 def evolve(state: LPState, t_final: float, dt: float, sample_interval: float | None = None):
     """March to t_final, returning sampled states (always includes first/last)."""
-    return evolve_stack([state], t_final, dt, sample_interval)[0]
+    return list(_march(state, t_final, dt, step, sample_interval))
 
 
 def df_error_integral(states, defect) -> float:

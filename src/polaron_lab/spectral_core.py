@@ -194,24 +194,10 @@ def mode_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
 
 
-def _real_vdot(a: np.ndarray, b: np.ndarray, ndim: int):
-    """Re vdot(a, b) over the trailing ``ndim`` axes: a float, or for arrays stacked on a
-    leading axis a list of one float per row.
-
-    A row's value is ``np.vdot``'s bit for bit: ``np.vecdot`` runs the same BLAS dot.
-    """
-    if a.ndim == ndim:
-        return float(np.vdot(a, b).real)
-    if ndim > 1:
-        a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-    return np.vecdot(a, b).real.tolist()
-
-
-def _half_inner(grid: Grid, a: np.ndarray, b: np.ndarray):
+def _half_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """The momentum-space inner product sum_k w_k conj(A) B for Hermitian A, B (spectra of
-    real fields, so the sum is real) from their rfftn half spectra a, b; one per row for
-    stacked halves."""
-    return _real_vdot(a, grid.half_weight * b, grid.dim)
+    real fields, so the sum is real) from their rfftn half spectra a, b."""
+    return float(np.vdot(a, grid.half_weight * b).real)
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -234,12 +220,10 @@ def _hermitian_split(z: np.ndarray) -> tuple:
 
 
 def _hermitian_fill(half: np.ndarray, shape: tuple) -> np.ndarray:
-    """The full spectrum H on a lattice of ``shape`` from its rfftn half, by H(-k) = conj H(k);
-    row by row for halves stacked on leading axes."""
+    """The full spectrum H on a lattice of ``shape`` from its rfftn half, by H(-k) = conj H(k)."""
     m = half.shape[-1]
-    # last-axis index j > n/2 is the mirror of n - j, which runs n/2 - 1 down to 1; the
-    # reflection runs over the other grid axes, the trailing ones of a stack
-    mirror = np.conj(_reflect(half[..., m - 2 : 0 : -1], range(-len(shape), -1)))
+    # last-axis index j > n/2 is the mirror of n - j, which runs n/2 - 1 down to 1
+    mirror = np.conj(_reflect(half[..., m - 2 : 0 : -1], range(len(shape) - 1)))
     return np.concatenate([half, mirror], axis=-1)
 
 

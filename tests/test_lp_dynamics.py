@@ -359,11 +359,13 @@ class TestStack:
         grid = Grid(3, 8, 8.0)
         cfg = lp.LPConfig(grid, FormFactor.coulomb_d3_isolated(grid), alpha=2.0)
         state = _random_state(cfg, rng, rep, scale=0.05)
-        samples = lp.evolve(state, 5e-2, 1e-2, sample_interval=2e-2)
         steps = [state]
         for _ in range(5):
             steps.append(lp.step(steps[-1], 1e-2))
-        _assert_same_states(samples, [steps[i] for i in (0, 2, 4, 5)])
+        expected = [steps[i] for i in (0, 2, 4, 5)]
+        _assert_same_states(lp.evolve(state, 5e-2, 1e-2, sample_interval=2e-2), expected)
+        (stacked,) = lp.evolve_stack([state], 5e-2, 1e-2, sample_interval=2e-2)
+        _assert_same_states(stacked, expected)
 
     @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
     def test_stack_of_fields_above_the_elision_size_is_the_step_loops(self, rep, rng):
