@@ -31,7 +31,7 @@ print(f"total dimension: {ops.basis.dim_total} "
       f"({config.n_sites} sites x {ops.basis.n_occ} occupations)")
 print(f"hermiticity defect: {ops.hermiticity_defect():.2e}")
 
-pek = discrete_pekar(ops)
+pek = discrete_pekar(ops.basis, ops.alpha)
 print(f"\nbest product state: E = {pek.energy:.8f} "
       f"(electron residual {pek.electron_residual:.1e}, "
       f"phonon residual {pek.phonon_residual:.1e})")

@@ -295,7 +295,7 @@ def check_fock_identities(preset: str = "desk", seed: int = 0) -> CheckResult:
 
     base = _fock_config(p)
     ops = fs.assemble(fs.FockBasis(base), p["alphas"][0])
-    pek = fs.discrete_pekar(ops)
+    pek = fs.discrete_pekar(ops.basis, ops.alpha)
     proj = fs.projector_identities(ops, pek, rng)
     for key, value in proj.items():
         gate.check(f"projector:{key}<1e-12", value < 1e-12)

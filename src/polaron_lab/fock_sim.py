@@ -456,15 +456,15 @@ class DiscretePekar:
     phonon_residual: float
 
 
-def discrete_pekar(ops: FockOperatorSet, tol: float = 1e-12, max_iter: int = 500):
-    """Alternating minimization over product states phi x coherent(z).
+def discrete_pekar(basis: FockBasis, alpha: float, tol: float = 1e-12, max_iter: int = 500):
+    """Alternating minimization over product states phi x coherent(z) at coupling ``alpha``.
 
     phi solves the electron problem for -Lap + V_z, z = -alpha f(phi) is the
     phonon fixed point. Verifies both stationarity relations; the coherent
-    one holds up to truncation leakage.
+    one holds up to truncation leakage. Assembles no product-space operator.
     """
-    basis = ops.basis
-    alpha = ops.alpha
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     n = basis.config.n_sites
     f = basis.displacement(np.ones(n) / np.sqrt(n))
     energy = np.inf
@@ -662,8 +662,10 @@ def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples
     """Stability of the stationary product state: err(t) = ||psi_t - e^{-iEt} u0||^2.
 
     Returns a dict with the (t, alpha, err) table, per-alpha sup, the log-log
-    fit, and the bound-form constant fitted at the smallest alpha. SizingError for
-    a sector above ``_SECTOR_LIMIT`` occupations, before any operator is assembled.
+    fit, and the bound-form constant fitted at the smallest alpha. ``discrete_pekar`` and
+    the sector ``Propagator`` read only the basis and alpha, so no product-space operator
+    is assembled. SizingError for a sector above ``_SECTOR_LIMIT`` occupations, before
+    any Pekar iteration.
     """
     basis = FockBasis(config)
     _require_dense_sectors(basis)
@@ -673,13 +675,12 @@ def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples
     leakages = []
     residuals = []
     for alpha in alphas:
-        ops = assemble(basis, alpha)
-        pek = discrete_pekar(ops)
+        pek = discrete_pekar(basis, alpha)
         leakages.append(pek.leakage)
         residuals.append(max(pek.electron_residual, pek.phonon_residual))
         u0 = np.kron(pek.phi, pek.eta)
         u0 = u0 / np.linalg.norm(u0)
-        psi = Propagator(ops.basis, ops.alpha).apply(u0, times)
+        psi = Propagator(basis, alpha).apply(u0, times)
         errs = np.linalg.norm(psi - np.exp(-1j * pek.energy * times)[:, None] * u0, axis=1) ** 2
         rows.append((0.0, float(alpha), 0.0))
         rows.extend((float(t), float(alpha), float(err)) for t, err in zip(times, errs))
@@ -809,7 +810,7 @@ def inequality_suite(config: FockConfig, alphas=(1.0, 2.0, 4.0), *, rng, n_rando
     res_norms = []
     for i, alpha in enumerate(alphas):
         ops_a = ops if i == 0 else assemble(basis, alpha)
-        res_norms.append(_weighted_resolvent_norm(ops_a, discrete_pekar(ops_a)))
+        res_norms.append(_weighted_resolvent_norm(ops_a, discrete_pekar(basis, alpha)))
     report["resolvent_norms"] = dict(zip(map(float, alphas), res_norms))
     diffs = np.abs(np.diff([norm for _, norm in sorted(report["resolvent_norms"].items())]))
     report["resolvent_spread_nonincreasing"] = bool(

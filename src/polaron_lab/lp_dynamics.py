@@ -54,13 +54,13 @@ of one with the same hooks (``_rows``, ``_columns``, ``_packed``,
 pitfall is complex multiplication: numpy's complex multiply rounds differently
 from Python's, and its ``a*b`` from its ``b*a``, so the phase update stays a
 Python complex product per coupling, and every complex array product keeps its
-operand order (see the comment on the ifftn temporary in ``_strang_step`` and
-``_drifted``). On the ring a step's cost is numpy's per-call overhead, not its
-arithmetic, so stacking pays: on the 8-site Fock ring (alpha 1 and 8, 1250 steps
-of 2e-3, one thread, a shared 2-vCPU host, medians of 8 alternated runs) the
-stack took 0.130 s against 0.196 s for the two states' step loops. A stack of
-one costs 1.2-1.4 times its step loop on rings of 8 and 32 sites and the same at
-32^3, so ``evolve`` marches one state through ``step`` unstacked.
+operand order (see Operand order below). On the ring a step's cost is numpy's
+per-call overhead, not its arithmetic, so stacking pays: on the 8-site Fock
+ring (alpha 1 and 8, 1250 steps of 2e-3, one thread, a shared 2-vCPU host,
+medians of 8 alternated runs) the stack took 0.130 s against 0.196 s for the
+two states' step loops. A stack of one costs 1.2-1.4 times its step loop on
+rings of 8 and 32 sites and the same at 32^3, so ``evolve`` marches one state
+through ``step`` unstacked.
 
 One step does two complex transforms, the drift's fftn and ifftn, and one
 real pair: the half-step potential's irfftn and the rfftn of f = v rhohat at
@@ -69,17 +69,46 @@ instead of transforming phi again. The drift exp(-i dt k^2) is built once per
 (config, dt); only the last dt is kept. The transforms are spectral_core's
 grid transforms, numpy's bits on scipy's n-d kernel on a 3d grid.
 
+Workspace. A step writes its transients into scratch memory that its config
+(or a stack's ``_Couplings``) owns, a ``_Workspace`` made at first use and
+sized from the arrays it serves: the phonon half step's weighted f and
+J = P - P0 (the oscillator's P_p and P - P_p), the mid-step pair, its
+Hermitian label, the potential's spectrum, the kick and the drifted field
+(transformed in place by scipy's ``overwrite_x``), |phi|^2 and
+f_before + f_after. Transients whose lifetimes do not overlap share one
+region of it, as a stack allocator would reuse a freed block, so a step
+touches less memory. The rule: transients only. Each is written before it
+is read within one call, and no array a state holds (phi, P, Q, P0, Q0, f)
+lies in the workspace; those are fresh arrays, and ``step`` hands its fresh
+phi to the WaveField frozen instead of copying it. So marches of one config
+interleave freely (the lp-evolve verb runs both representations in
+lockstep), but two threads must not step one config at once. The workspace
+dies with its config. Every ufunc takes ``out=`` with the operands in the
+order of the plain expressions it replaces, so the step keeps their bits
+(``tests/oracles.py`` holds the plain step as the reference).
+
+Operand order. numpy's complex multiply rounds a*b and b*a differently, so
+each complex product is written with one operand order. The drift product
+takes the order numpy's temporary elision gave the plain one-field
+expression ``drift * fftn(field)``: elision (arrays of 256 KiB and more,
+numpy's NPY_MIN_ELIDE_BYTES) wrote the product into the fftn temporary as
+``fftn(field) * drift``. So a row of 256 KiB or more (32^3 and up, and the
+3d pair flow) takes the spectrum first, and a smaller one the drift first,
+for one field and for a stack alike; the bits no longer depend on whether
+the interpreter elides.
+
 Step times at 32^3 (box 32, alpha 2, dt 1e-3, one thread, a shared 2-vCPU
 host), as medians of 16 blocks of 50 steps alternated in one process with the
 same step on the full complex lattice: quadrature 3.44 ms against 4.12 ms,
 oscillator 3.08 ms against 5.80 ms. On a slower spell of the host (12 blocks)
-they read 5.60 against 6.51 ms and 5.18 against 8.77 ms.
+they read 5.60 against 6.51 ms and 5.18 against 8.77 ms. With the workspace,
+60 blocks of 10 steps of both representations in lockstep (as the lp-evolve
+verb runs them), alternated in one process with the plain step, took a
+median 3.58 ms a step against 3.90 ms.
 
 The kick as cos + i sin equals the complex exp bit for bit on numpy 2.4.6
-(over 1.4e7 arguments of scales 1e-8 to 1e6) and saves about 0.2 ms of a step
-alone, but no time end to end: perfbench ``lp-flow`` read 1.320, 1.349 and
-1.327 s with it against 1.344, 1.313 and 1.335 s without, over 3 pairs of
-runs; it is not used.
+(over 1.4e7 arguments of scales 1e-8 to 1e6), but only on the host where that
+was checked, so the kick stays ``np.exp``, applied in place.
 """
 
 from __future__ import annotations
@@ -149,14 +178,21 @@ class LPConfig:
         """2 lam_c w_k N v(k) on the rfftn half lattice: V = irfftn(multiplier * H(z))."""
         return _frozen(_half_potential_multiplier(self.form, self.coupling))
 
+    @cached_property
+    def _scratch(self) -> "_Workspace":
+        """The scratch regions of this config's steps."""
+        return _Workspace()
+
     def displacement_profile(self, phi_values: np.ndarray) -> np.ndarray:
         """f(k) = v(k) rhohat(k) for the given orbital values, as its rfftn half spectrum."""
-        return _half_displacement(np.abs(phi_values) ** 2, self.form)
+        rho = np.abs(phi_values, out=self._scratch("a", phi_values.shape, float))
+        return _half_displacement(np.square(rho, out=rho), self.form)
 
     def label_potential(self, p: np.ndarray) -> np.ndarray:
         """V(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx} (real array) from the rfftn half
         spectrum p of the label's Hermitian part H(z)."""
-        return _irfftn(self._potential_multiplier * p, self.grid.shape)
+        spectrum = np.multiply(self._potential_multiplier, p, out=self._scratch("a", p.shape))
+        return _irfftn(spectrum, self.grid.shape)
 
     # A config is the stack of one. The step reads its per-coupling scalars row by row from
     # ``_rows``, puts back a per-row value with ``_packed`` and reads the per-row values of
@@ -190,6 +226,44 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Workspace:
+    """Scratch memory for the transients of a config's or a stack's steps, in regions.
+
+    ``ws(region, shape, dtype)`` is an array over the named region's memory, which grows
+    to the largest array asked of it; arrays over one region alias. Transients whose
+    lifetimes within a step do not overlap share a region, so a step touches less memory
+    and finds more of it in cache:
+
+    * "a": the drifted field, |phi|^2, and the half-lattice scratch: the weighted f, the
+      product s Q, the potential's spectrum and f_before + f_after;
+    * "b": the kick, and J_P = P - P0 (the oscillator's P_p) within a half step;
+    * "c": J_Q = Q - Q0 (the oscillator's P - P_p) within a half step;
+    * "p", "q" and "h": the mid-step pair and its Hermitian label.
+
+    A step writes each transient before it reads it within one call, and no array a state
+    holds lies in a region. So steps of one config may interleave (the lp-evolve verb
+    marches both representations in lockstep), but not run at once from two threads.
+    """
+
+    def __init__(self):
+        self._memory = {}
+        self._views = {}
+
+    def __call__(self, region: str, shape: tuple, dtype=complex) -> np.ndarray:
+        try:
+            return self._views[region, shape, dtype]
+        except KeyError:
+            pass
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        memory = self._memory.get(region)
+        if memory is None or memory.nbytes < nbytes:
+            # a larger region: the arrays over the old memory are dropped with it
+            memory = self._memory[region] = np.empty(nbytes, np.uint8)
+            self._views = {k: v for k, v in self._views.items() if k[0] != region}
+        arr = self._views[region, shape, dtype] = memory[:nbytes].view(dtype).reshape(shape)
+        return arr
+
+
 class _Couplings:
     """The configs of a stack, one per row of its leading axis, and the grid and form they
     share. A per-row value is a tuple, and an array factor a column over the rows."""
@@ -198,6 +272,7 @@ class _Couplings:
         self._rows = tuple(cfgs)
         self.grid, self.form = cfgs[0].grid, cfgs[0].form
         self._potential_multiplier = np.stack([c._potential_multiplier for c in cfgs])
+        self._scratch = _Workspace()
 
     def _columns(self, rows) -> np.ndarray:
         """One column over the rows per entry of the rows' tuples, stacked on a first axis."""
@@ -210,7 +285,8 @@ class _Couplings:
     def _unpacked(values):
         return values
 
-    # the config's own maps, which read only the grid, the form and the multiplier
+    # the config's own maps, which read only the grid, the form, the multiplier and the
+    # scratch regions
     displacement_profile = LPConfig.displacement_profile
     label_potential = LPConfig.label_potential
 
@@ -249,20 +325,28 @@ class OscillatorRep:
     def label(self, cfg: LPConfig, t: float) -> np.ndarray:
         return _full_label(cfg, self.p, self.q)
 
-    def hermitian_label(self, cfg: LPConfig, t: float) -> np.ndarray:
+    def hermitian_label(self, cfg: LPConfig, t: float, out=None) -> np.ndarray:
         return self.p
 
-    def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
+    def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray, out=(None, None)):
         """Exact rotation of (P - P_p, Q) by omega h about the driven fixed point
-        P_p = -(lam_c/omega) f, drive frozen."""
+        P_p = -(lam_c/omega) f, drive frozen; the new pair is written into ``out`` (fresh
+        arrays for None)."""
         rows = [
             (-c.coupling / c.frequency, math.cos(c.frequency * h), math.sin(c.frequency * h))
             for c in cfg._rows
         ]
         drive, c, s = cfg._columns(rows)
-        p_fixed = drive * f_drive
-        dp = self.p - p_fixed
-        return OscillatorRep(p=p_fixed + c * dp + s * self.q, q=c * self.q - s * dp)
+        shape = self.p.shape
+        p_fixed = np.multiply(drive, f_drive, out=cfg._scratch("b", shape))
+        dp = np.subtract(self.p, p_fixed, out=cfg._scratch("c", shape))
+        # P = P_p + c dP + s Q and Q = c Q - s dP; p_fixed and dp hold s Q and s dP once spent
+        p = np.multiply(c, dp, out=out[0])
+        np.add(p_fixed, p, out=p)
+        np.add(p, np.multiply(s, self.q, out=p_fixed), out=p)
+        q = np.multiply(c, self.q, out=out[1])
+        np.subtract(q, np.multiply(s, dp, out=dp), out=q)
+        return OscillatorRep(p, q)
 
 
 @dataclass(frozen=True)
@@ -293,22 +377,29 @@ class QuadratureRep:
     def label(self, cfg: LPConfig, t: float) -> np.ndarray:
         return np.exp(-1j * cfg.frequency * t) * _full_label(cfg, self.p, self.q)
 
-    def hermitian_label(self, cfg: LPConfig, t: float) -> np.ndarray:
-        """H(e^{-i omega t}(P + iQ)) = cos(omega t) P + sin(omega t) Q."""
+    def hermitian_label(self, cfg: LPConfig, t: float, out=None) -> np.ndarray:
+        """H(e^{-i omega t}(P + iQ)) = cos(omega t) P + sin(omega t) Q, written into ``out``
+        (a fresh array for None)."""
         rows = [(math.cos(c.frequency * t), math.sin(c.frequency * t)) for c in cfg._rows]
         c, s = cfg._columns(rows)
-        return c * self.p + s * self.q
+        h = np.multiply(c, self.p, out=out)
+        return np.add(h, np.multiply(s, self.q, out=cfg._scratch("a", self.q.shape)), out=h)
 
     def memory(self, cfg: LPConfig) -> np.ndarray:
         """The memory integral J_t on the full lattice."""
         return _full_label(cfg, self.p - self.p0, self.q - self.q0)
 
-    def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray):
+    def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray, out=(None, None)):
+        """The pair and F after h with the drive frozen at f; the new pair is written into
+        ``out`` (fresh arrays for None)."""
         # dF/ds = lam * Re[e^{-i om s} <f, J_s>_w]; J(s) analytic for frozen f. For Hermitian
         # f, <f, J>_w = <f, J_P>_w + i <f, J_Q>_w with both inner products real
         # (three _half_inner products that share one weighting of f, np.vdot row by row)
-        weighted = cfg.grid.half_weight * f_drive
-        arrays = (weighted, self.p - self.p0, self.q - self.q0, f_drive)
+        shape = self.p.shape
+        weighted = np.multiply(cfg.grid.half_weight, f_drive, out=cfg._scratch("a", shape))
+        jp = np.subtract(self.p, self.p0, out=cfg._scratch("b", shape))
+        jq = np.subtract(self.q, self.q0, out=cfg._scratch("c", shape))
+        arrays = (weighted, jp, jq, f_drive)
         rows = zip(cfg._rows, cfg._unpacked(self.f_acc), *map(cfg._unpacked, arrays))
         shifts, f_acc = [], []
         for c, f, w, jp, jq, fd in rows:
@@ -325,13 +416,11 @@ class QuadratureRep:
             shifts.append((scale * dc, scale * ds))
             f_acc.append(f + term1 + term2)
         shift_p, shift_q = cfg._columns(shifts)
-        return QuadratureRep(
-            self.p + shift_p * f_drive,
-            self.q + shift_q * f_drive,
-            self.p0,
-            self.q0,
-            cfg._packed(f_acc),
-        )
+        p = np.multiply(shift_p, f_drive, out=out[0])
+        q = np.multiply(shift_q, f_drive, out=out[1])
+        np.add(self.p, p, out=p)
+        np.add(self.q, q, out=q)
+        return QuadratureRep(p, q, self.p0, self.q0, cfg._packed(f_acc))
 
 
 @dataclass(frozen=True)
@@ -397,47 +486,54 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     kinetic multiplier exp(-i dt k^2) there, ``displacement`` maps values to
     that half f(k), and ``lift`` carries the one-body potential onto the field's
     lattice. Returns (values, rep, a_phase, f) at t + dt; the caller hands f on
-    as the next step's ``f_before``.
+    as the next step's ``f_before``. The transients go to the scratch regions
+    ``cfg._scratch`` (see ``_Workspace``); the returned arrays are fresh.
     """
-    rep_mid = rep.stepped(cfg, t, dt / 2.0, f_before)
+    ws, half = cfg._scratch, f_before.shape
+    rep_mid = rep.stepped(cfg, t, dt / 2.0, f_before, out=(ws("p", half), ws("q", half)))
     t_mid = t + dt / 2.0
-    p_mid = rep_mid.hermitian_label(cfg, t_mid)
-    kick = np.exp(-0.5j * dt * lift(cfg.label_potential(p_mid)))
-    new = _drifted(kick * values, drift)
-    # kept apart from the transform: numpy would multiply into the ifftn temporary in
-    # place, which swaps the complex product's operands and changes its rounding
-    new = kick * new
+    p_mid = rep_mid.hermitian_label(cfg, t_mid, ws("h", half))
+    kick = np.multiply(-0.5j * dt, lift(cfg.label_potential(p_mid)), out=ws("b", values.shape))
+    np.exp(kick, out=kick)
+    new = np.multiply(kick, _drifted(np.multiply(kick, values, out=ws("a", values.shape)), drift))
     if not np.all(np.isfinite(new)):
         raise BlowUpError("electron field became non-finite", last_valid_time=t)
 
     f_after = displacement(new)
     rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
-    # 2 Re <z_mid, (f_before + f_after)/2>_w, and Re <z, f>_w = <H(z), f>_w for Hermitian f
+    # 2 Re <z_mid, (f_before + f_after)/2>_w, and Re <z, f>_w = <H(z), f>_w for Hermitian f,
+    # each one _half_inner of a row (the weighting done once, in place)
+    f_sum = np.add(f_before, f_after, out=ws("a", half))
+    np.multiply(cfg.grid.half_weight, f_sum, out=f_sum)
     # Python complex arithmetic, one coupling at a time: numpy's complex multiply rounds
     # differently from Python's
-    rows = zip(cfg._rows, cfg._unpacked(a_phase), *map(cfg._unpacked, (p_mid, f_before + f_after)))
+    rows = zip(cfg._rows, cfg._unpacked(a_phase), *map(cfg._unpacked, (p_mid, f_sum)))
     a_new = cfg._packed([
-        a * cmath.exp(1j * dt * c.coupling * _half_inner(cfg.grid, p, f)) for c, a, p, f in rows
+        a * cmath.exp(1j * dt * c.coupling * float(np.vdot(p, f).real)) for c, a, p, f in rows
     ])
     return new, rep_new, a_new, f_after
 
 
-# numpy's NPY_MIN_ELIDE_BYTES: from this size on, a binary operator whose operand is a
-# temporary of the result's shape may write into it in place (temporary elision)
+# numpy's NPY_MIN_ELIDE_BYTES: from this size on, numpy's temporary elision computed the
+# drift product of the plain expression drift * fftn(field) as fftn(field) * drift
 _ELIDE_BYTES = 256 * 1024
 
 
 def _drifted(values: np.ndarray, drift: np.ndarray) -> np.ndarray:
-    """ifftn(drift * fftn(values)) over the drift's axes, the trailing ones of a stack.
+    """ifftn(drift * fftn(values)) over the drift's axes, the trailing ones of a stack,
+    computed in place of ``values`` where the transform allows it (scipy's on a multi-axis
+    grid; numpy's 1-d ones allocate).
 
-    For one field of 256 KiB or more numpy multiplies into the fftn temporary in place,
-    which swaps the complex product's operands and changes its rounding; it never does so
-    for a stack, whose shape is not the drift's. So rows that large run the one-field
-    expression each, and smaller ones share one product that gives each row its bits.
+    numpy's complex multiply rounds a*b and b*a differently. The product takes the operand
+    order numpy's elision gave the plain one-field expression: the spectrum first for rows
+    (the drift's shape and dtype) of 256 KiB or more, the drift first below that.
     """
-    if values.ndim > drift.ndim and values[0].nbytes >= _ELIDE_BYTES:
-        return np.stack([_drifted(row, drift) for row in values])
-    return _ifftn(drift * _fftn(values, drift.ndim), drift.ndim)
+    spectrum = _fftn(values, drift.ndim, overwrite_x=True)
+    if drift.nbytes >= _ELIDE_BYTES:
+        np.multiply(spectrum, drift, out=spectrum)
+    else:
+        np.multiply(drift, spectrum, out=spectrum)
+    return _ifftn(spectrum, drift.ndim, overwrite_x=True)
 
 
 def _one_body(v: np.ndarray) -> np.ndarray:
@@ -458,7 +554,8 @@ def step(state: LPState, dt: float) -> LPState:
         cfg._drift(dt), cfg.displacement_profile, _one_body,
     )
     return LPState(
-        cfg=cfg, t=state.t + dt, phi=WaveField(cfg.grid, phi), rep=rep, a_phase=a_phase, _f=f
+        cfg=cfg, t=state.t + dt, phi=WaveField(cfg.grid, _frozen(phi)), rep=rep, a_phase=a_phase,
+        _f=f,
     )
 
 

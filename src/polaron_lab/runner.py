@@ -538,7 +538,7 @@ def _run_fock(config: RunConfig, record: RunRecord):
         record.passed = not rep["failures"]
     elif experiment == "projectors":
         ops = fs.assemble(fs.FockBasis(base), alphas[0])
-        pek = fs.discrete_pekar(ops)
+        pek = fs.discrete_pekar(ops.basis, ops.alpha)
         rep = fs.projector_identities(ops, pek, rng)
         record.summary = dict(rep)
         record.summary["E_P_disc"] = pek.energy

@@ -171,7 +171,10 @@ class WaveField:
             raise GridMismatchError(
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        object.__setattr__(self, "values", _freeze(vals))
+        # an array already frozen that owns its data is held as it is, anything else copied
+        if vals.flags.writeable or vals.base is not None:
+            vals = _freeze(vals)
+        object.__setattr__(self, "values", vals)
 
     def spectrum(self) -> np.ndarray:
         return _fftn(self.values) * self.grid.cell_volume
@@ -330,26 +333,29 @@ def _trailing(ndim: int) -> tuple:
     return tuple(range(-1, -ndim - 1, -1))
 
 
-def _fftn(a: np.ndarray, ndim: int | None = None) -> np.ndarray:
+def _fftn(a: np.ndarray, ndim: int | None = None, overwrite_x: bool = False) -> np.ndarray:
     """``np.fft.fftn`` over the trailing ``ndim`` axes (every axis by default), bit for bit;
-    see ``_fourier_multiply`` for the kernel."""
+    see ``_fourier_multiply`` for the kernel. ``overwrite_x`` lets a multi-axis transform
+    of a complex128 array write its result into that array and return it."""
     ndim = a.ndim if ndim is None else ndim
     if ndim < 2:
         return np.fft.fft(a)
     import scipy.fft
 
-    return scipy.fft.fftn(np.asarray(a, dtype=np.complex128), axes=_trailing(ndim))
+    a = np.asarray(a, dtype=np.complex128)
+    return scipy.fft.fftn(a, axes=_trailing(ndim), overwrite_x=overwrite_x)
 
 
-def _ifftn(a: np.ndarray, ndim: int | None = None) -> np.ndarray:
+def _ifftn(a: np.ndarray, ndim: int | None = None, overwrite_x: bool = False) -> np.ndarray:
     """``np.fft.ifftn`` over the trailing ``ndim`` axes (every axis by default), bit for bit;
-    see ``_fourier_multiply`` for the kernel."""
+    see ``_fourier_multiply`` for the kernel and ``_fftn`` for ``overwrite_x``."""
     ndim = a.ndim if ndim is None else ndim
     if ndim < 2:
         return np.fft.ifft(a)
     import scipy.fft
 
-    return scipy.fft.ifftn(np.asarray(a, dtype=np.complex128), axes=_trailing(ndim))
+    a = np.asarray(a, dtype=np.complex128)
+    return scipy.fft.ifftn(a, axes=_trailing(ndim), overwrite_x=overwrite_x)
 
 
 def _rfftn(a: np.ndarray, ndim: int | None = None) -> np.ndarray:

@@ -5,11 +5,24 @@ direct DFT sums, radial finite-difference self-consistent field, brute-force
 pair sums. Slow but trustworthy.
 """
 
+import cmath
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
+from polaron_lab import lp_dynamics as lp
 from polaron_lab.fock_sim import _orthonormal_complement
+from polaron_lab.spectral_core import (
+    WaveField,
+    _fftn,
+    _half_displacement,
+    _half_inner,
+    _half_potential_multiplier,
+    _ifftn,
+    _irfftn,
+)
 from polaron_lab.radial_oracle import radial_ground_state as _radial_ground_state
 from polaron_lab.radial_oracle import (  # noqa: F401  (re-exported for direct validation)
     radial_newton_potential,
@@ -158,3 +171,59 @@ def dense_weighted_resolvent_norm(ops, pek):
     inv_sqrt = (vecs / np.sqrt(np.maximum(vals - pek.energy, 1e-14))) @ vecs.conj().T
     w_full = np.kron(basis.electron_momentum_weight(0.5), np.eye(basis.n_occ))
     return float(np.linalg.norm(w_full @ q @ inv_sqrt, ord=2))
+
+
+def lp_step_reference(state, dt):
+    """One ``lp_dynamics.step`` of one state written as plain numpy expressions, each
+    array a fresh temporary.
+
+    The package's step writes its transients into a per-config workspace; this is the
+    step before that change, kept as its bit-for-bit reference. Unlike the rest of this
+    module it runs the package's grid transforms: what it pins is the step's arithmetic
+    and the order of every product's operands. From 256 KiB a field on (32^3 and up)
+    numpy's temporary elision computes ``drift * _fftn(...)`` below as
+    ``_fftn(...) * drift``, the order the package's step writes out.
+    """
+    cfg, grid, t = state.cfg, state.cfg.grid, state.t
+    lam, om = cfg.coupling, cfg.frequency
+    quadrature = isinstance(state.rep, lp.QuadratureRep)
+
+    def stepped(rep, t, h, f):
+        if not quadrature:
+            c, s = math.cos(om * h), math.sin(om * h)
+            p_fixed = (-lam / om) * f
+            dp = rep.p - p_fixed
+            return lp.OscillatorRep(p_fixed + c * dp + s * rep.q, c * rep.q - s * dp)
+        weighted = grid.half_weight * f
+        ip = float(np.vdot(weighted, rep.p - rep.p0).real)
+        iq = float(np.vdot(weighted, rep.q - rep.q0).real)
+        fs = float(np.vdot(weighted, f).real)
+        dc = math.cos(om * (t + h)) - math.cos(om * t)
+        ds = math.sin(om * (t + h)) - math.sin(om * t)
+        term1 = lam * (ip * ds - iq * dc) / om
+        term2 = -(lam**2 / om) * fs * (h - math.sin(om * h) / om)
+        shift = -lam / om
+        return lp.QuadratureRep(
+            rep.p + (shift * dc) * f, rep.q + (shift * ds) * f, rep.p0, rep.q0,
+            rep.f_acc + term1 + term2,
+        )
+
+    def hermitian_label(rep, t):
+        if not quadrature:
+            return rep.p
+        return math.cos(om * t) * rep.p + math.sin(om * t) * rep.q
+
+    f_before = state.displacement()
+    drift = np.exp(-1j * dt * grid.k_sq)
+    rep_mid = stepped(state.rep, t, dt / 2.0, f_before)
+    t_mid = t + dt / 2.0
+    p_mid = hermitian_label(rep_mid, t_mid)
+    multiplier = _half_potential_multiplier(cfg.form, lam)
+    kick = np.exp(-0.5j * dt * _irfftn(multiplier * p_mid, grid.shape))
+    new = _ifftn(drift * _fftn(kick * state.phi.values))
+    new = kick * new
+    f_after = _half_displacement(np.abs(new) ** 2, cfg.form)
+    rep_new = stepped(rep_mid, t_mid, dt / 2.0, f_after)
+    inner = _half_inner(grid, p_mid, f_before + f_after)
+    a_phase = state.a_phase * cmath.exp(1j * dt * lam * inner)
+    return lp.LPState(cfg, t + dt, WaveField(grid, new), rep_new, a_phase, _f=f_after)

@@ -45,7 +45,7 @@ def ops_id():
 
 @pytest.fixture(scope="module")
 def pekar_id(ops_id):
-    return fs.discrete_pekar(ops_id)
+    return fs.discrete_pekar(ops_id.basis, ops_id.alpha)
 
 
 @pytest.fixture(scope="module")
@@ -349,14 +349,15 @@ class TestDiscretePekar:
         assert pekar_id.phonon_residual < 1e-8
 
     def test_zero_coupling_free_mode(self):
-        pek = fs.discrete_pekar(assembled(fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2), 1.0))
+        basis = fs.FockBasis(fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2))
+        pek = fs.discrete_pekar(basis, 1.0)
         assert np.allclose(np.abs(pek.phi), 1 / np.sqrt(8))
         assert np.all(pek.f == 0)
         assert pek.energy == pytest.approx(0.0, abs=1e-12)
 
     def test_exhausted_iterations_raise(self, ops_id):
         with pytest.raises(ConvergenceError):
-            fs.discrete_pekar(ops_id, max_iter=1)
+            fs.discrete_pekar(ops_id.basis, ops_id.alpha, max_iter=1)
 
     def test_energy_is_product_expectation(self, ops_id, pekar_id):
         u0 = np.kron(pekar_id.phi, pekar_id.eta)
@@ -371,7 +372,7 @@ class TestDiscretePekar:
         alpha = 2.0
         ops = assembled(fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.35, n_max=3), alpha)
         basis = ops.basis
-        pek = fs.discrete_pekar(ops)
+        pek = fs.discrete_pekar(ops.basis, ops.alpha)
         n, m = 8, 4
 
         def unpack(x):
@@ -520,7 +521,7 @@ class TestProjectors:
         defects = []
         for alpha in (2.0, 4.0):
             ops = assembled(IDENTITIES, alpha)
-            pek = fs.discrete_pekar(ops)
+            pek = fs.discrete_pekar(ops.basis, ops.alpha)
             defects.append(
                 fs.perp_defect(ops.basis, pek.phi, pek.eta, ops.hamiltonian)
             )
@@ -576,7 +577,7 @@ class TestSweeps:
 
     def test_error_symmetric_in_time_reversal(self):
         ops = assembled(SWEEP, 2.0)
-        pek = fs.discrete_pekar(ops)
+        pek = fs.discrete_pekar(ops.basis, ops.alpha)
         u0 = np.kron(pek.phi, pek.eta)
         u0 /= np.linalg.norm(u0)
         prop = fs.Propagator(ops.basis, ops.alpha)
@@ -626,6 +627,16 @@ class TestSweeps:
         rep = fs.error_sweep_coherent(config, [1.0, 8.0], 0.5, phi0, g, dt=1e-2, n_samples=6)
         assert len(rep["rows"]) == 12 and rep["sup_errors"][1] < rep["sup_errors"][0]
 
+    def test_stationary_sweep_assembles_nothing(self, monkeypatch):
+        # discrete_pekar and the sector Propagator read only the basis and alpha
+        def forbidden(*args, **kwargs):
+            raise AssertionError("assembled a product-space operator")
+
+        monkeypatch.setattr(fs, "assemble", forbidden)
+        monkeypatch.setattr(fs, "FockOperatorSet", forbidden)
+        rep = fs.error_sweep_stationary(SWEEP, [1.0, 8.0], 1.0, n_samples=6)
+        assert len(rep["rows"]) == 12 and rep["leakage_max"] < 1e-6
+
     def test_stationary_errors_are_exact_norms(self):
         rep = fs.error_sweep_stationary(SWEEP, [1.0, 2.0, 4.0, 8.0], 5.0, n_samples=6)
         assert [err for t, _, err in rep["rows"] if t == 0.0] == [0.0] * 4
@@ -651,7 +662,7 @@ class TestSweeps:
         # point; the coherent machinery must reproduce the stationary errors
         alphas = [2.0, 4.0]
         ops = assembled(SWEEP, alphas[0])
-        pek = fs.discrete_pekar(ops)
+        pek = fs.discrete_pekar(ops.basis, ops.alpha)
         coh = fs.error_sweep_coherent(
             SWEEP, alphas, 2.0, pek.phi, pek.f, dt=1e-3, n_samples=11
         )
@@ -666,7 +677,7 @@ class TestDefectIntegral:
         integrals = []
         for alpha in (2.0, 4.0):
             ops = fs.assemble(ring, alpha)
-            pek = fs.discrete_pekar(ops)
+            pek = fs.discrete_pekar(ops.basis, ops.alpha)
             cfg = lp.LPConfig(ring.grid, ring.form, alpha=alpha)
             phi = WaveField(ring.grid, pek.phi / np.sqrt(ring.grid.dx))
             state = lp.initial_state(cfg, phi, z0=ring.to_lattice(-alpha * pek.f))
@@ -700,7 +711,7 @@ class TestInequalities:
         for config in (QUICK_LEMMAS, BENCH_LEMMAS):
             for alpha in (1.0, 2.0, 4.0):
                 ops = assembled(config, alpha)
-                pek = fs.discrete_pekar(ops)
+                pek = fs.discrete_pekar(ops.basis, ops.alpha)
                 dense = dense_weighted_resolvent_norm(ops, pek)
                 assert fs._weighted_resolvent_norm(ops, pek) == pytest.approx(dense, rel=1e-12)
 
@@ -721,7 +732,7 @@ class TestInequalities:
         # being an eigenvector of h_e, and gaps below the 1e-14 floor get clamped
         modes = tuple(m for k in range(1, pairs + 1) for m in (k, -k))
         ops = assembled(fs.FockConfig(sites, float(sites), modes, v0, n_max), alpha)
-        pek = fs.discrete_pekar(ops)
+        pek = fs.discrete_pekar(ops.basis, ops.alpha)
         phi = np.random.default_rng(seed).standard_normal((sites, 2)) @ [1.0, 1j]
         pek = dataclasses.replace(pek, phi=phi / np.linalg.norm(phi), energy=pek.energy + lift)
         dense = dense_weighted_resolvent_norm(ops, pek)

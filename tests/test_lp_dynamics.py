@@ -9,6 +9,7 @@ from polaron_lab.errors import BlowUpError, GridMismatchError
 from polaron_lab.spectral_core import FormFactor, Grid, WaveField
 from polaron_lab import lp_dynamics as lp
 from polaron_lab import spectral_core as sc
+from oracles import lp_step_reference
 
 
 @pytest.fixture(scope="module")
@@ -263,9 +264,9 @@ class TestIntegrator:
         calls = []
         label = lp.QuadratureRep.hermitian_label
 
-        def counted(self, cfg, t):
+        def counted(self, cfg, t, *out):
             calls.append(t)
-            return label(self, cfg, t)
+            return label(self, cfg, t, *out)
 
         monkeypatch.setattr(lp.QuadratureRep, "hermitian_label", counted)
         state = ring_state
@@ -403,6 +404,70 @@ class TestStack:
         stronger = lp.LPState(other_form, 0.0, ring_state.phi, ring_state.rep)
         with pytest.raises(ValueError, match="form factor"):
             lp.evolve_stack([ring_state, stronger], 0.1, 1e-2)
+
+
+def _field_grid(dim, n, box):
+    grid = Grid(dim, n, box)
+    if dim == 1:
+        return grid, FormFactor.toy(grid, 0.4, cutoff=3.0)
+    return grid, FormFactor.coulomb_d3_isolated(grid)
+
+
+def _snapshot(state):
+    """Copies of everything a state holds, taken when it is made."""
+    arrays = [getattr(state.rep, f.name) for f in fields(state.rep)]
+    return (state.t, state.phi.values.copy(), [np.copy(a) for a in arrays], state.a_phase,
+            state.displacement().copy())
+
+
+def _assert_same_snapshots(ours, theirs):
+    assert len(ours) == len(theirs)
+    for (t, phi, rep, a, f), (t2, phi2, rep2, a2, f2) in zip(ours, theirs):
+        assert t == t2 and a == a2
+        assert np.array_equal(phi, phi2) and np.array_equal(f, f2)
+        assert all(np.array_equal(x, y) for x, y in zip(rep, rep2))
+
+
+class TestWorkspace:
+    """The step writes its transients into a per-config workspace: every state it returns
+    must equal the plain-expression step bit for bit and hold none of those buffers."""
+
+    @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
+    @pytest.mark.parametrize("dt", [1e-2, -1e-2])
+    @pytest.mark.parametrize("shape", [(1, 32, 16.0), (3, 8, 8.0), (3, 32, 32.0)])
+    def test_step_is_the_reference_step(self, shape, dt, rep, rng):
+        # 32^3 is the size whose fields (512 KiB) cross numpy's 256 KiB elision threshold
+        grid, form = _field_grid(*shape)
+        state = _random_state(lp.LPConfig(grid, form, 2.0), rng, rep, scale=0.05)
+        expected = state
+        for _ in range(3):
+            state, expected = lp.step(state, dt), lp_step_reference(expected, dt)
+            _assert_same_states([state], [expected])
+
+    @pytest.mark.parametrize("shape", [(1, 32, 16.0), (3, 8, 8.0)])
+    def test_interleaved_marches_are_the_marches_apart(self, shape, rng):
+        # as runner._lp_observables runs them: both representations of one config in
+        # lockstep, each sample observed before the next step
+        grid, form = _field_grid(*shape)
+        cfg = lp.LPConfig(grid, form, 2.0)
+        starts = [_random_state(cfg, rng, rep, scale=0.05) for rep in ("quadrature", "oscillator")]
+        marches = [lp._march(s, 6e-2, 1e-2, lp.step, 2e-2) for s in starts]
+        kept, together = [], []
+        for samples in zip(*marches):
+            for state in samples:
+                state.potential(), lp.df_energy(state)
+            kept.append(samples)
+            together.append([_snapshot(state) for state in samples])
+        for i, start in enumerate(starts):
+            apart = [_snapshot(s) for s in lp._march(start, 6e-2, 1e-2, lp.step, 2e-2)]
+            _assert_same_snapshots([row[i] for row in together], apart)
+            _assert_same_snapshots([_snapshot(row[i]) for row in kept], apart)
+        regions = list(cfg._scratch._memory.values())
+        assert regions
+        for state in (s for row in kept for s in row):
+            held = [state.phi.values, state.displacement()]
+            held += [getattr(state.rep, f.name) for f in fields(state.rep) if f.name != "f_acc"]
+            assert not any(np.shares_memory(a, b) for a in held for b in regions)
 
 
 class TestErrorIntegral:

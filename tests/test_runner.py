@@ -520,7 +520,8 @@ class TestCli:
         basis = fock_sim.FockBasis(fock_sim.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=2))
         for row in rows:
             ops = fock_sim.assemble(basis, row["alpha"])
-            dense = dense_weighted_resolvent_norm(ops, fock_sim.discrete_pekar(ops))
+            pek = fock_sim.discrete_pekar(basis, row["alpha"])
+            dense = dense_weighted_resolvent_norm(ops, pek)
             assert row["norm"] == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("experiment", ["theorem1", "theorem2"])
