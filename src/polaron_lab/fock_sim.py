@@ -806,18 +806,17 @@ def inequality_suite(config: FockConfig, alphas=(1.0, 2.0, 4.0), *, rng, n_rando
     report["two_sided_bound_min_eigs"] = a5
 
     # (d) resolvent norms ||(1+p^2)^{1/2} R^{1/2} Q0||
-    ops = assemble(basis, alphas[0])
-    res_norms = []
-    for i, alpha in enumerate(alphas):
-        ops_a = ops if i == 0 else assemble(basis, alpha)
-        res_norms.append(_weighted_resolvent_norm(ops_a, discrete_pekar(basis, alpha)))
-    report["resolvent_norms"] = dict(zip(map(float, alphas), res_norms))
+    report["resolvent_norms"] = {
+        float(alpha): _weighted_resolvent_norm(basis, alpha, discrete_pekar(basis, alpha))
+        for alpha in alphas
+    }
     diffs = np.abs(np.diff([norm for _, norm in sorted(report["resolvent_norms"].items())]))
     report["resolvent_spread_nonincreasing"] = bool(
         all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     )
 
     # (a) creation/annihilation bounds against sqrt(C_v)
+    ops = assemble(basis, alphas[0])
     c_v = aliased_cv_constant(basis)
     sqrt_cv = np.sqrt(c_v)
     p_half = basis.electron_momentum_weight(0.5)
@@ -945,7 +944,7 @@ def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
     return h[:, 1:]
 
 
-def _weighted_resolvent_norm(ops: FockOperatorSet, pek: DiscretePekar) -> float:
+def _weighted_resolvent_norm(basis: FockBasis, alpha: float, pek: DiscretePekar) -> float:
     """||(1+p^2)^{1/2} R^{1/2} Q0|| with R the reduced resolvent of H~ - E.
 
     Exact tensor factorisation: H~ = h_e x 1 + 1 x alpha^-2 N + ||f||^2
@@ -957,12 +956,11 @@ def _weighted_resolvent_norm(ops: FockOperatorSet, pek: DiscretePekar) -> float:
     diag(max(eps + alpha^-2 n + ||f||^2 - E, 1e-14)^-1/2): one (sites-1)-sized
     problem per shell, never a product-space matrix.
     """
-    basis = ops.basis
     q_e = _orthonormal_complement(pek.phi)
     eps, u = eigh(q_e.conj().T @ basis.mean_field(pek.f) @ q_e)
     b = basis.electron_momentum_weight(0.5) @ q_e @ u
     gram = b.conj().T @ b
     shells = np.unique(basis.occ_totals[1:])[:, None]
-    gaps = eps + ops.alpha**-2 * shells + mode_norm_sq(basis.grid, pek.f) - pek.energy
+    gaps = eps + alpha**-2 * shells + mode_norm_sq(basis.grid, pek.f) - pek.energy
     d = 1.0 / np.sqrt(np.maximum(gaps, 1e-14))  # one row per shell: the diagonal of D_n
     return float(np.sqrt(np.linalg.eigvalsh(d[:, :, None] * gram * d[:, None, :])[:, -1].max()))

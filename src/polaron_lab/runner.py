@@ -496,10 +496,13 @@ def _run_fock(config: RunConfig, record: RunRecord):
     from . import fock_sim as fs
 
     p = config.params
+    experiment = p["experiment"]
+    if experiment == "lemmas":
+        _run_lemmas(config, record)
+        return
     rng = np.random.default_rng(config.seed)
     alphas = _float_list(p["alpha_grid"], "alpha_grid")
     base = _fock_config(p)
-    experiment = p["experiment"]
     if experiment in ("theorem1", "theorem2"):
         if experiment == "theorem1":
             rep = fs.error_sweep_stationary(base, alphas, p["T"], n_samples=p["samples"])
@@ -517,25 +520,6 @@ def _run_fock(config: RunConfig, record: RunRecord):
             for k in ("alphas", "sup_errors", "slope", "intercept", "r_squared", "leakage_max")
         }
         record.summary.update(extra)
-    elif experiment == "lemmas":
-        rep = fs.inequality_suite(base, alphas=tuple(alphas), rng=rng)
-        record.summary = {
-            "annihilator_bounds_hold": rep["annihilator_bounds_hold"],
-            "annihilator_bound_ratios": list(rep["annihilator_bound_ratios"]),
-            "c_v": rep["c_v"],
-            "conjugation_residuals": rep["conjugation_residuals"],
-            "two_sided_bound_min_eigs": {
-                f"alpha={a},eps={e}": v for (a, e), v in rep["two_sided_bound_min_eigs"].items()
-            },
-            "resolvent_norms": rep["resolvent_norms"],
-            "resolvent_spread_nonincreasing": rep["resolvent_spread_nonincreasing"],
-            "failures": rep["failures"],
-        }
-        record.tables["resolvent_norms"] = (
-            [{"alpha": a, "norm": v} for a, v in rep["resolvent_norms"].items()],
-            ["alpha", "norm"],
-        )
-        record.passed = not rep["failures"]
     elif experiment == "projectors":
         ops = fs.assemble(fs.FockBasis(base), alphas[0])
         pek = fs.discrete_pekar(ops.basis, ops.alpha)
@@ -544,6 +528,35 @@ def _run_fock(config: RunConfig, record: RunRecord):
         record.summary["E_P_disc"] = pek.energy
         record.passed = bool(all(v < 1e-12 for v in rep.values()))
     record.summary["experiment"] = experiment
+
+
+def _run_lemmas(config: RunConfig, record: RunRecord):
+    """The operator-bound suite of the lemma-suite verb and of fock --experiment lemmas."""
+    from . import fock_sim as fs
+
+    p = config.params
+    rng = np.random.default_rng(config.seed)
+    alphas = _float_list(p["alpha_grid"], "alpha_grid")
+    base = _fock_config(p)
+    rep = fs.inequality_suite(base, alphas=tuple(alphas), rng=rng)
+    record.summary = {
+        "annihilator_bounds_hold": rep["annihilator_bounds_hold"],
+        "annihilator_bound_ratios": list(rep["annihilator_bound_ratios"]),
+        "c_v": rep["c_v"],
+        "conjugation_residuals": rep["conjugation_residuals"],
+        "two_sided_bound_min_eigs": {
+            f"alpha={a},eps={e}": v for (a, e), v in rep["two_sided_bound_min_eigs"].items()
+        },
+        "resolvent_norms": rep["resolvent_norms"],
+        "resolvent_spread_nonincreasing": rep["resolvent_spread_nonincreasing"],
+        "failures": rep["failures"],
+        "experiment": "lemmas",
+    }
+    record.tables["resolvent_norms"] = (
+        [{"alpha": a, "norm": v} for a, v in rep["resolvent_norms"].items()],
+        ["alpha", "norm"],
+    )
+    record.passed = not rep["failures"]
 
 
 def _run_npolaron(config: RunConfig, record: RunRecord):
@@ -566,13 +579,6 @@ def _run_npolaron(config: RunConfig, record: RunRecord):
     record.tables["binding"] = (scan, _BINDING_HEADER)
     energies = [r["E_N"] for r in scan]
     record.passed = all(a <= b + 1e-10 for a, b in zip(energies, energies[1:]))
-
-
-def _run_lemma_suite(config: RunConfig, record: RunRecord):
-    inner = validate_config(
-        {"scenario": "fock", "params": {**config.params, "experiment": "lemmas"}, "seed": config.seed}
-    )
-    _run_fock(inner, record)
 
 
 def _run_full_acceptance(config: RunConfig, record: RunRecord):
@@ -610,7 +616,7 @@ _DISPATCH = {
     "lp-evolve": _run_lp_evolve,
     "fock": _run_fock,
     "npolaron": _run_npolaron,
-    "lemma-suite": _run_lemma_suite,
+    "lemma-suite": _run_lemmas,
     "full-acceptance": _run_full_acceptance,
 }
 

@@ -16,52 +16,45 @@ from polaron_lab import npolaron as npl
 from polaron_lab.pekar import minimize_pekar
 
 
-def _report(result):
-    tag = "PASS" if result.status == "pass" else "FAIL"
-    print(f"[{tag}] {result.name} ({result.elapsed:.1f}s): {result.headline()}")
-    for key, value in result.expected_defects.items():
-        print(f"    [EXPECTED-DEFECT] {key}: measured {value:.4g}")
-
-
 @pytest.fixture(scope="session")
 def pekar_check():
     res = acceptance.check_pekar_ground_state("desk", seed=0)
-    _report(res)
+    acceptance._print_result(res)
     return res
 
 
 @pytest.fixture(scope="session")
 def lp_check():
     res = acceptance.check_lp_stationarity("desk", seed=0)
-    _report(res)
+    acceptance._print_result(res)
     return res
 
 
 @pytest.fixture(scope="session")
 def fock_check():
     res = acceptance.check_fock_identities("desk", seed=0)
-    _report(res)
+    acceptance._print_result(res)
     return res
 
 
 @pytest.fixture(scope="session")
 def stationary_check():
     res = acceptance.check_error_scaling_stationary("desk", seed=0)
-    _report(res)
+    acceptance._print_result(res)
     return res
 
 
 @pytest.fixture(scope="session")
 def coherent_check(stationary_check):
     res = acceptance.check_error_scaling_coherent("desk", seed=0, stationary=stationary_check)
-    _report(res)
+    acceptance._print_result(res)
     return res
 
 
 @pytest.fixture(scope="session")
 def npolaron_check():
     res = acceptance.check_npolaron("desk", seed=0)
-    _report(res)
+    acceptance._print_result(res)
     return res
 
 
@@ -71,8 +64,37 @@ def hygiene_check(tmp_path_factory):
     res = acceptance.check_numerics_hygiene(
         "desk", seed=0, include_determinism=True, work_dir=work
     )
-    _report(res)
+    acceptance._print_result(res)
     return res
+
+
+class TestCheckResult:
+    def test_failing_gates_are_kept_in_order_and_set_the_status(self, capsys):
+        res = acceptance.CheckResult("demo")
+        assert res.status == "pass"
+        res.gate("first", True)
+        res.gate("second", False)
+        res.gate("third", True)
+        res.gate("fourth", False)
+        assert res.failures == ["second", "fourth"]
+        assert res.status == "fail"
+        res.details["x"] = 0.5
+        res.expected_defects["y>=0"] = -0.25
+        acceptance._print_result(res)
+        assert capsys.readouterr().out == (
+            "[FAIL] demo (0.0s): x=0.5, failures=second;fourth\n"
+            "    [EXPECTED-DEFECT] demo:y>=0 measured=-0.25\n"
+        )
+
+    def test_a_zero_budget_fails_the_runtime_gate_last(self, monkeypatch):
+        monkeypatch.setitem(acceptance.PRESETS["quick"]["sweep"], "budget_s", 0.0)
+        res = acceptance.check_error_scaling_stationary("quick")
+        assert res.failures == ["runtime"]
+        assert res.status == "fail"
+        # a stationary run that the coherent one cannot sit above fails a gate first
+        above = acceptance.CheckResult("stationary", details={"slope": 0.0, "intercept": 0.0})
+        res = acceptance.check_error_scaling_coherent("quick", stationary=above)
+        assert res.failures == ["strictly_worse_than_stationary", "runtime"]
 
 
 class TestPekarGroundState:
@@ -262,3 +284,28 @@ class TestNumericsHygiene:
 
     def test_overall(self, hygiene_check):
         assert hygiene_check.status == "pass", hygiene_check.failures
+
+    def test_double_run_without_a_work_dir_leaves_nothing_behind(self, monkeypatch, tmp_path):
+        from polaron_lab import runner
+
+        out_dirs = []
+
+        def recording(config):
+            out_dirs.append(config.out_dir)
+            config.out_dir.mkdir(parents=True)
+            (config.out_dir / "acceptance.csv").write_text("check,status,detail\n")
+
+        monkeypatch.setattr(runner, "run", recording)
+        monkeypatch.chdir(tmp_path)
+        res = acceptance.check_numerics_hygiene("quick")
+        assert res.details["determinism_identical"] is True
+        assert [out.name for out in out_dirs] == ["a", "b"]
+        assert out_dirs[0].parent == out_dirs[1].parent
+        assert not out_dirs[0].parent.exists()
+        assert list(tmp_path.iterdir()) == []
+
+        # a given work dir is used and kept
+        out_dirs.clear()
+        acceptance.check_numerics_hygiene("quick", work_dir=tmp_path / "work")
+        assert out_dirs == [tmp_path / "work" / "a", tmp_path / "work" / "b"]
+        assert (tmp_path / "work" / "b" / "acceptance.csv").exists()

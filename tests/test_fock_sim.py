@@ -707,13 +707,28 @@ class TestInequalities:
         assert rep["resolvent_spread_nonincreasing"]
         assert rep["failures"] == []
 
+    def test_suite_assembles_one_operator_set(self, monkeypatch, rng):
+        # the resolvent norms read only the basis and alpha; parts (a) and (b) use alphas[0]
+        alphas = []
+        assemble = fs.assemble
+
+        def counted(basis, alpha):
+            alphas.append(alpha)
+            return assemble(basis, alpha)
+
+        monkeypatch.setattr(fs, "assemble", counted)
+        rep = fs.inequality_suite(QUICK_LEMMAS, alphas=(2.0, 1.0, 4.0), rng=rng, n_random=10)
+        assert alphas == [2.0]
+        assert rep["failures"] == []
+
     def test_resolvent_norm_matches_dense_reference(self):
         for config in (QUICK_LEMMAS, BENCH_LEMMAS):
             for alpha in (1.0, 2.0, 4.0):
                 ops = assembled(config, alpha)
                 pek = fs.discrete_pekar(ops.basis, ops.alpha)
                 dense = dense_weighted_resolvent_norm(ops, pek)
-                assert fs._weighted_resolvent_norm(ops, pek) == pytest.approx(dense, rel=1e-12)
+                norm = fs._weighted_resolvent_norm(ops.basis, alpha, pek)
+                assert norm == pytest.approx(dense, rel=1e-12)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
@@ -736,7 +751,8 @@ class TestInequalities:
         phi = np.random.default_rng(seed).standard_normal((sites, 2)) @ [1.0, 1j]
         pek = dataclasses.replace(pek, phi=phi / np.linalg.norm(phi), energy=pek.energy + lift)
         dense = dense_weighted_resolvent_norm(ops, pek)
-        assert fs._weighted_resolvent_norm(ops, pek) == pytest.approx(dense, rel=1e-12)
+        norm = fs._weighted_resolvent_norm(ops.basis, alpha, pek)
+        assert norm == pytest.approx(dense, rel=1e-12)
 
     def test_zero_factor_degenerate_case(self, rng):
         ops = assembled(fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2), 1.0)

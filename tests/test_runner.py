@@ -311,6 +311,30 @@ class TestFockVerb:
         for key in ("slope", "intercept", "r_squared", "leakage_max", "residuals"):
             assert key in record.summary
 
+    def test_lemma_suite_is_the_lemmas_experiment_validated_once(self, tmp_path, monkeypatch):
+        lemmas = {"sites": 8, "box": 8.0, "modes": 4, "nmax": 2, "alpha_grid": "1,2"}
+        fock = runner.validate_config(
+            {
+                "scenario": "fock",
+                "params": {**lemmas, "experiment": "lemmas"},
+                "out": str(tmp_path / "fock"),
+            }
+        )
+        suite = runner.validate_config(
+            {"scenario": "lemma-suite", "params": lemmas, "out": str(tmp_path / "suite")}
+        )
+
+        def forbidden(raw):
+            raise AssertionError("a validated config was validated again")
+
+        monkeypatch.setattr(runner, "validate_config", forbidden)
+        runner.run(fock)
+        runner.run(suite)
+        fock_dir, suite_dir = tmp_path / "fock", tmp_path / "suite"
+        for name in ("summary.json", "resolvent_norms.csv"):
+            assert (suite_dir / name).read_bytes() == (fock_dir / name).read_bytes()
+        assert json.loads((suite_dir / "summary.json").read_text())["experiment"] == "lemmas"
+
 
 class TestPlotData:
     def _record(self):
