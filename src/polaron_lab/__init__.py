@@ -40,7 +40,6 @@ from .pekar import (
     minimize_pekar,
     pekar_energy,
     save_solution,
-    scaling_check,
 )
 from .lp_dynamics import (
     LPConfig,

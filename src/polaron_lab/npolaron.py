@@ -102,10 +102,6 @@ class PTEnergy:
     repulsion: float
     hartree: float  # the full D(rho); the functional carries -D/2
 
-    @property
-    def attraction(self) -> float:
-        return -0.5 * self.hartree
-
 
 def _pair_kinetic_multiplier(grid: Grid) -> np.ndarray:
     d = grid.dim
@@ -237,10 +233,8 @@ def _orbital_solver(grid: Grid, form: FormFactor, tol: float, seed: int):
 def _binding_diagnostic(cfg: PTConfig, e_n: float, rho: np.ndarray, e_single: float) -> dict:
     grid = cfg.grid
     n_single = cfg.n_particles * e_single
-    mesh = np.meshgrid(*([grid.x_axis_centered] * grid.dim), indexing="ij")
-    r2 = sum(c**2 for c in mesh)
     total = float(np.sum(rho) * grid.cell_volume)
-    rms = float(np.sqrt(np.sum(r2 * rho) * grid.cell_volume / total))
+    rms = float(np.sqrt(np.sum(grid.r_sq * rho) * grid.cell_volume / total))
     delocalized = rms > grid.box_length / 4.0
     bound = (e_n < n_single - 1e-12) and not delocalized
     return {
@@ -290,10 +284,8 @@ def _minimize_pair(cfg: PTConfig, tol: float, e_single: float) -> PTSolution:
     ksq2 = _pair_kinetic_multiplier(grid)
     kernel = cfg.repulsion * _pair_kernel(grid, form)
 
-    mesh = np.meshgrid(*([grid.x_axis_centered] * d), indexing="ij")
-    r2 = sum(c**2 for c in mesh)
     sigma = max(1.5, 3 * grid.dx)
-    seed = np.exp(-r2 / (4 * sigma**2))
+    seed = np.exp(-grid.r_sq / (4 * sigma**2))
     pair = np.multiply.outer(seed, seed)
     pair /= _pair_norm(grid, pair)
 

@@ -32,7 +32,6 @@ from .spectral_core import (
     FormFactor,
     Grid,
     WaveField,
-    _coulomb_form,
     _density_displacement,
     _density_potential,
     _fourier_multiply,
@@ -48,10 +47,12 @@ __all__ = [
     "energy_gradient",
     "minimize_pekar",
     "coherent_displacement",
-    "scaling_check",
     "save_solution",
     "load_solution",
 ]
+
+# sweeps of the sphere minimizer before ``minimize_pekar`` gives up
+_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,8 @@ class PekarEnergy:
         return abs(self.interaction - 2 * self.kinetic) / max(self.interaction, 1e-300)
 
 
-def pekar_energy(phi: WaveField, g: float, form: FormFactor | None = None) -> PekarEnergy:
+def pekar_energy(phi: WaveField, g: float, form: FormFactor) -> PekarEnergy:
     """Evaluate E(phi) = T - g*D together with its (T, D) decomposition."""
-    if form is None:
-        form = _coulomb_form(phi.grid, "isolated")
     t = kinetic_energy(phi)
     rho = WaveField(phi.grid, phi.density())
     d = hartree_energy(rho, form=form).value
@@ -96,17 +95,13 @@ def _mean_field_apply(values: np.ndarray, g: float, form: FormFactor, v=None) ->
     return t - g * d, kin + 2.0 * g * v * values, v
 
 
-def energy_gradient(phi: WaveField, g: float, form: FormFactor | None = None) -> np.ndarray:
+def energy_gradient(phi: WaveField, g: float, form: FormFactor) -> np.ndarray:
     """H_mf phi with H_mf = -Lap + 2 g V[rho]; pairs with variations via 2 Re<., .>."""
-    if form is None:
-        form = _coulomb_form(phi.grid, "isolated")
     return _mean_field_apply(phi.values, g, form)[1]
 
 
-def coherent_displacement(phi: WaveField, form: FormFactor | None = None) -> np.ndarray:
+def coherent_displacement(phi: WaveField, form: FormFactor) -> np.ndarray:
     """Stationary phonon displacement profile f(k) = v(k) rhohat(k)."""
-    if form is None:
-        form = _coulomb_form(phi.grid, "isolated")
     return _density_displacement(phi.density(), form)
 
 
@@ -131,9 +126,7 @@ class PekarSolution:
 
 def _gaussian_seed(grid: Grid, g: float, rng) -> WaveField:
     sigma = max(1.5 / max(g, 1e-3), 2.5 * grid.dx)
-    mesh = np.meshgrid(*([grid.x_axis_centered] * grid.dim), indexing="ij")
-    r2 = sum(c**2 for c in mesh)
-    vals = np.exp(-r2 / (4.0 * sigma**2)) * (1.0 + 0.01 * rng.standard_normal(grid.shape))
+    vals = np.exp(-grid.r_sq / (4.0 * sigma**2)) * (1.0 + 0.01 * rng.standard_normal(grid.shape))
     return WaveField(grid, vals).normalized()
 
 
@@ -263,7 +256,6 @@ def minimize_pekar(
     grid: Grid,
     g: float,
     tol: float = 1e-6,
-    max_iter: int = 2000,
     form: FormFactor | None = None,
     rng=None,
     compute_gap: bool = True,
@@ -276,14 +268,14 @@ def minimize_pekar(
     solved with the orbital deflated (``_spectral_gap``); no random draw enters it.
 
     Raises ConvergenceError if the Euler-Lagrange residual does not reach
-    ``tol`` within ``max_iter`` sweeps or if the gap solve finds a level at or below
+    ``tol`` within ``_MAX_ITER`` sweeps or if the gap solve finds a level at or below
     lambda, and ProjectionError if the iterate develops genuine sign changes that the
     positivity projection cannot heal.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if form is None:
-        form = _coulomb_form(grid, "isolated")
+        form = FormFactor.coulomb_d3_isolated(grid)
 
     if g <= 0:
         # Non-binding limit: the infimum 0 is attained only by the constant mode.
@@ -323,7 +315,7 @@ def minimize_pekar(
         project,
         weight=dv,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=_MAX_ITER,
         tau=0.5 / max(g, 1.0),
         tau_max=100.0,
         shift_floor=0.05,
@@ -366,63 +358,9 @@ def minimize_pekar(
     )
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    g1: float
-    g2: float
-    e1: float
-    e2: float
-    ratio: float
-    expected_ratio: float
-    ratio_defect: float
-    length1: float
-    length2: float
-    length_ratio_defect: float
-
-
 def _rms_radius(phi: WaveField) -> float:
     grid = phi.grid
-    mesh = np.meshgrid(*([grid.x_axis_centered] * grid.dim), indexing="ij")
-    r2 = sum(c**2 for c in mesh)
-    rho = phi.density()
-    return float(np.sqrt(np.sum(r2 * rho) * grid.cell_volume))
-
-
-def scaling_check(
-    sol1: PekarSolution,
-    sol2: PekarSolution,
-    ratio_tol: float = 1e-3,
-    length_tol: float = 1e-2,
-) -> ScalingReport:
-    """Verify the dilation law E_P(g2)/E_P(g1) = (g2/g1)^2 and the 1/g length scale."""
-    expected = (sol2.g / sol1.g) ** 2
-    ratio = sol2.e_p / sol1.e_p
-    ratio_defect = abs(ratio - expected) / expected
-    r1, r2 = _rms_radius(sol1.phi0), _rms_radius(sol2.phi0)
-    length_defect = abs(r1 / r2 - sol2.g / sol1.g) / (sol2.g / sol1.g)
-    report = ScalingReport(
-        g1=sol1.g,
-        g2=sol2.g,
-        e1=sol1.e_p,
-        e2=sol2.e_p,
-        ratio=ratio,
-        expected_ratio=expected,
-        ratio_defect=ratio_defect,
-        length1=r1,
-        length2=r2,
-        length_ratio_defect=length_defect,
-    )
-    if ratio_defect > ratio_tol:
-        raise ConvergenceError(
-            f"energy scaling ratio {ratio} deviates from {expected} beyond {ratio_tol}",
-            residual=ratio_defect,
-        )
-    if length_defect > length_tol:
-        raise ConvergenceError(
-            f"length-scale contraction defect {length_defect} exceeds {length_tol}",
-            residual=length_defect,
-        )
-    return report
+    return float(np.sqrt(np.sum(grid.r_sq * phi.density()) * grid.cell_volume))
 
 
 def save_solution(directory, sol: PekarSolution, tag: str = "pekar") -> Path:

@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .errors import GridMismatchError, SchemaError
 from .lp_dynamics import _sample_stride, _step_count
-from .spectral_core import Grid, _coulomb_form
+from .spectral_core import FormFactor, Grid
 
 # environment variables that set a thread count: BLAS reductions sum in a
 # thread-dependent order, so the last digits of a run depend on them
@@ -85,8 +85,11 @@ _SCHEMAS = {
     },
 }
 
+# the pekar verb's --kernel: the Coulomb factor of each name
+_KERNEL_FORMS = {"isolated": FormFactor.coulomb_d3_isolated, "periodic": FormFactor.coulomb_d3}
+
 _CHOICES = {
-    ("pekar", "kernel"): ("isolated", "periodic"),
+    ("pekar", "kernel"): tuple(_KERNEL_FORMS),
     ("lp-evolve", "rep"): ("both", "oscillator", "quadrature"),
     ("fock", "experiment"): ("theorem1", "theorem2", "lemmas", "projectors"),
     ("npolaron", "mode"): ("product", "full"),
@@ -362,7 +365,7 @@ def _run_pekar(config: RunConfig, record: RunRecord):
     p = config.params
     rng = np.random.default_rng(config.seed)
     grid = Grid(3, p["grid"], p["box"])
-    form = _coulomb_form(grid, p["kernel"])
+    form = _KERNEL_FORMS[p["kernel"]](grid)
     sol = minimize_pekar(grid, g=p["g"], tol=p["tol"], form=form, rng=rng)
     parts = pekar_energy(sol.phi0, sol.g, sol.form)
     record.summary = {

@@ -126,6 +126,13 @@ class Grid:
         return out
 
     @cached_property
+    def r_sq(self) -> np.ndarray:
+        """|x|^2 in the signed minimum-image coordinates of ``x_axis_centered``."""
+        out = sum(c**2 for c in np.meshgrid(*([self.x_axis_centered] * self.dim), indexing="ij"))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def k_mesh(self) -> tuple:
         return np.meshgrid(*([self.k_axis] * self.dim), indexing="ij")
 
@@ -258,18 +265,17 @@ class FormFactor:
         object.__setattr__(self, "values", _freeze(vals))
 
     @classmethod
-    def coulomb_d3(cls, grid: Grid, cutoff: float = np.inf) -> "FormFactor":
+    def coulomb_d3(cls, grid: Grid) -> "FormFactor":
         """Bare periodic Coulomb factor v(k) = 1/(2pi|k|), v(0) = 0."""
         if grid.dim != 3:
             raise UnsupportedKernelError("coulomb_d3 requires a 3d grid")
         kabs = grid.k_abs
         with np.errstate(divide="ignore"):
             vals = np.where(kabs > 0, 1.0 / (2.0 * np.pi * np.maximum(kabs, 1e-300)), 0.0)
-        vals = np.where(kabs <= cutoff, vals, 0.0)
-        return cls(grid, vals, cutoff=cutoff, variant="coulomb_d3")
+        return cls(grid, vals, cutoff=np.inf, variant="coulomb_d3")
 
     @classmethod
-    def coulomb_d3_isolated(cls, grid: Grid, cutoff: float = np.inf) -> "FormFactor":
+    def coulomb_d3_isolated(cls, grid: Grid) -> "FormFactor":
         """Sphere-truncated Coulomb factor for isolated (image-free) systems.
 
         The induced kernel is exactly 1/r for r < r_cut and zero beyond, so a
@@ -287,8 +293,7 @@ class FormFactor:
             )
         # k -> 0 limit of sqrt(2)|sin(k r/2)|/(2 pi k)
         vals = np.where(kabs > 0, vals, np.sqrt(2.0) * r_cut / (4.0 * np.pi))
-        vals = np.where(kabs <= cutoff, vals, 0.0)
-        return cls(grid, vals, cutoff=cutoff, variant="coulomb_d3_isolated")
+        return cls(grid, vals, cutoff=np.inf, variant="coulomb_d3_isolated")
 
     @classmethod
     def toy(
@@ -315,17 +320,6 @@ class FormFactor:
         out = 2.0 * (2.0 * np.pi) ** self.grid.dim * self.values**2
         out.flags.writeable = False
         return out
-
-
-_KERNELS = ("periodic", "isolated")
-
-
-def _coulomb_form(grid: Grid, kernel: str) -> FormFactor:
-    if kernel == "periodic":
-        return FormFactor.coulomb_d3(grid)
-    if kernel == "isolated":
-        return FormFactor.coulomb_d3_isolated(grid)
-    raise UnsupportedKernelError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
 
 
 def _trailing(ndim: int) -> tuple:
@@ -458,22 +452,13 @@ class HartreeEnergy:
         return self.momentum
 
 
-def hartree_energy(
-    rho: WaveField,
-    kernel: str = "periodic",
-    form: FormFactor | None = None,
-    rtol: float = 1e-10,
-) -> HartreeEnergy:
+def hartree_energy(rho: WaveField, form: FormFactor, rtol: float = 1e-10) -> HartreeEnergy:
     """Compute D(rho) both as 2 sum_k w_k v^2 |rhohat|^2 and as -<rho, V rho>.
 
     The two evaluations must agree to ``rtol`` (relative); any discrepancy
     means the lattice measure weights are inconsistent somewhere, so this
     doubles as the package-wide measure self-test.
     """
-    if form is None:
-        if rho.grid.dim != 3:
-            raise UnsupportedKernelError("hartree_energy without a form factor requires dim=3")
-        form = _coulomb_form(rho.grid, kernel)
     rho.grid.require_same(form.grid)
     rhohat = rho.spectrum()
     d_momentum = 2.0 * float(

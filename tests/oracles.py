@@ -118,6 +118,29 @@ def displaced_oscillator_ground_energy(omega, coupling):
     return -(coupling**2) / omega
 
 
+def mode_lowering(basis):
+    """Sparse a_j on the occupation factor, one per mode: the mode's own ``_lowering_entries``."""
+    rows, cols, values, mode = basis._lowering_entries
+    return [
+        sp.csr_matrix(
+            (values[mode == j], (rows[mode == j], cols[mode == j])),
+            shape=(basis.n_occ, basis.n_occ),
+        )
+        for j in range(len(basis.k_modes))
+    ]
+
+
+def per_mode_annihilator_g(basis):
+    """a(G) = sum_j sqrt(w) v_j e^{i k_j x} (x) a_j, summed one sparse kron product per mode."""
+    a_total = sp.csr_matrix((basis.dim_total, basis.dim_total), dtype=complex)
+    sqw = np.sqrt(basis.grid.mode_weight)
+    for k, vj, aj in zip(basis.k_modes, basis.v, mode_lowering(basis)):
+        if vj != 0:
+            phase = sp.csr_matrix(np.diag(np.exp(1j * k * basis.x)))
+            a_total = a_total + sqw * vj * sp.kron(phase, aj, format="csr")
+    return a_total
+
+
 def ring_density_transform(basis, psi_e):
     """rhohat(k_j) = sum_x e^{-i k_j x} |psi_x|^2 of an l2-normalized ring orbital, summed."""
     rho = np.abs(psi_e) ** 2
@@ -169,7 +192,7 @@ def dense_weighted_resolvent_norm(ops, pek):
     q = np.kron(q_e, q_p)
     vals, vecs = eigh(q.conj().T @ h_t @ q)
     inv_sqrt = (vecs / np.sqrt(np.maximum(vals - pek.energy, 1e-14))) @ vecs.conj().T
-    w_full = np.kron(basis.electron_momentum_weight(0.5), np.eye(basis.n_occ))
+    w_full = np.kron(basis.electron_momentum_weight(), np.eye(basis.n_occ))
     return float(np.linalg.norm(w_full @ q @ inv_sqrt, ord=2))
 
 

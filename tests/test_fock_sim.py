@@ -20,6 +20,8 @@ from oracles import (
     displaced_oscillator_ground_energy,
     h_effective,
     h_tilde,
+    mode_lowering,
+    per_mode_annihilator_g,
     ring_density_transform,
     ring_mode_potential,
 )
@@ -107,7 +109,7 @@ class TestAssembly:
         basis = fs.FockBasis(fs.FockConfig(8, 4.0, (1, -1, 2, -2), v0=0.1, n_max=5))
         occupations = [tuple(row) for row in basis.occ.tolist()]
         index = {occ: i for i, occ in enumerate(occupations)}
-        for j, aj in enumerate(basis.lowering):
+        for j, aj in enumerate(mode_lowering(basis)):
             rows, cols, vals = [], [], []
             for i, occ in enumerate(occupations):
                 if occ[j] > 0:
@@ -125,12 +127,29 @@ class TestAssembly:
         drawn = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         for f in (basis.v, drawn, drawn * [1, 0, 0, 1]):
             reference = sp.csr_matrix((basis.n_occ, basis.n_occ), dtype=complex)
-            for fj, aj in zip(f, basis.lowering):
+            for fj, aj in zip(f, mode_lowering(basis)):
                 if fj != 0:
                     reference = reference + sqw * np.conj(fj) * aj
             a = basis.annihilator_occ(f)
             assert a.nnz == reference.nnz
             assert np.array_equal(a.toarray(), reference.toarray())
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            fs.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=2),
+            fs.FockConfig(16, 16.0, (1, -1, 2, -2, 3, -3), v0=0.05, n_max=3),
+            fs.FockConfig(8, 8.0, (1, -1, 2, -2), v0=0.05, n_max=5),
+            fs.FockConfig(4, 4.0, (1, -1, 2, -2), v0=0.3, n_max=3),  # +-2 share ring index 2
+            fs.FockConfig(8, 4.0, (1, -1), v0=0.0, n_max=2),
+        ],
+    )
+    def test_product_space_annihilator_is_the_per_mode_kron_sum_as_stored(self, config):
+        # H @ psi sums each row in stored order, so the entry order must match too
+        a = assembled(config, 1.0).annihilate_g
+        reference = per_mode_annihilator_g(fs.FockBasis(config))
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, attr), getattr(reference, attr))
 
     def test_mode_set_must_close_under_negation(self):
         with pytest.raises(ValueError):
@@ -146,7 +165,8 @@ class TestWeyl:
 
     def test_unitary_on_random_states(self, ops_id, rng):
         basis = ops_id.basis
-        f = fs._small_test_displacement(basis, rng, scale=0.05)
+        f = fs._symmetric_draw(basis, rng)
+        f = 0.05 * f / np.sqrt(mode_norm_sq(basis.grid, f))
         for _ in range(5):
             x = rng.standard_normal(basis.n_occ) + 1j * rng.standard_normal(basis.n_occ)
             out, _ = fs.weyl_apply(basis, f, x)
@@ -157,7 +177,7 @@ class TestWeyl:
         f = np.array([0.02 + 0.01j, 0.02 - 0.01j])
         eta, leak = fs.coherent_state(basis, -alpha * f)
         assert leak < 1e-8
-        for j, aj in enumerate(basis.lowering):
+        for j, aj in enumerate(mode_lowering(basis)):
             label = np.vdot(eta, aj @ eta) / np.sqrt(basis.grid.mode_weight)
             assert label == pytest.approx(-alpha * f[j], rel=1e-6)
 
@@ -330,7 +350,7 @@ class TestGroundState:
         with pytest.raises(SizingError, match="sector"):
             fs.ground_state(assembled(config, 1.0))
         with pytest.raises(SizingError, match="sector"):
-            fs.inequality_suite(config, rng=UntouchedRng(), n_random=10)
+            fs.inequality_suite(config, (1.0, 2.0, 4.0), rng=UntouchedRng(), n_random=10)
 
     def test_variational_ordering(self, ops_id, pekar_id):
         e_f, psi = fs.ground_state(ops_id)
@@ -355,9 +375,10 @@ class TestDiscretePekar:
         assert np.all(pek.f == 0)
         assert pek.energy == pytest.approx(0.0, abs=1e-12)
 
-    def test_exhausted_iterations_raise(self, ops_id):
+    def test_exhausted_iterations_raise(self, ops_id, monkeypatch):
+        monkeypatch.setattr(fs, "_PEKAR_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            fs.discrete_pekar(ops_id.basis, ops_id.alpha, max_iter=1)
+            fs.discrete_pekar(ops_id.basis, ops_id.alpha)
 
     def test_energy_is_product_expectation(self, ops_id, pekar_id):
         u0 = np.kron(pekar_id.phi, pekar_id.eta)

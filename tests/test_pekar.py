@@ -18,13 +18,13 @@ from polaron_lab.pekar import (
     PekarSolution,
     _mean_field_apply,
     _residual,
+    _rms_radius,
     coherent_displacement,
     energy_gradient,
     load_solution,
     minimize_pekar,
     pekar_energy,
     save_solution,
-    scaling_check,
 )
 
 from polaron_lab import pekar as pekar_module
@@ -44,7 +44,7 @@ class TestEnergy:
     def test_constant_orbital_has_zero_kinetic(self):
         g = Grid(3, 16, 10.0)
         phi = WaveField(g, np.ones(g.shape)).normalized()
-        en = pekar_energy(phi, 1.0)
+        en = pekar_energy(phi, 1.0, FormFactor.coulomb_d3_isolated(g))
         assert en.kinetic == pytest.approx(0.0, abs=1e-13)
         assert en.total == pytest.approx(-en.hartree, rel=1e-12)
 
@@ -52,7 +52,7 @@ class TestEnergy:
         g = Grid(3, 64, 24.0)
         sigma = 1.0
         phi = gaussian_orbital(g, sigma)
-        en = pekar_energy(phi, 1.0)
+        en = pekar_energy(phi, 1.0, FormFactor.coulomb_d3_isolated(g))
         assert en.kinetic == pytest.approx(3 / (4 * sigma**2), rel=1e-6)
         assert en.hartree == pytest.approx(1 / (sigma * np.sqrt(np.pi)), rel=1e-4)
 
@@ -164,7 +164,7 @@ class TestMinimizer:
         g = Grid(3, 16, 10.0)
         sol = minimize_pekar(g, g=0.0)
         assert "free case" in sol.flags
-        assert pekar_energy(sol.phi0, 0.0).kinetic == pytest.approx(0.0, abs=1e-12)
+        assert pekar_energy(sol.phi0, 0.0, sol.form).kinetic == pytest.approx(0.0, abs=1e-12)
 
     def test_energy_invariant_under_grid_shift_and_phase(self, pekar_small):
         sol = pekar_small
@@ -175,9 +175,10 @@ class TestMinimizer:
         phased = WaveField(sol.phi0.grid, np.exp(0.7j) * sol.phi0.values)
         assert pekar_energy(phased, sol.g, sol.form).total == pytest.approx(e0, rel=1e-13)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(pekar_module, "_MAX_ITER", 3)
         with pytest.raises(ConvergenceError):
-            minimize_pekar(Grid(3, 16, 12.0), g=1.0, tol=1e-14, max_iter=3)
+            minimize_pekar(Grid(3, 16, 12.0), g=1.0, tol=1e-14)
 
     def test_lambda_is_lowest_eigenvalue_with_positive_gap(self):
         # box 16, not 12: at box 12 the minimizer is the uniform torus state, not a polaron
@@ -235,30 +236,37 @@ class TestMinimizer:
         assert load_solution(out).flags == ("gap_unconverged",)
 
 
+def length_defect(s1, s2):
+    """Relative defect of the 1/g length law r1 / r2 = g2 / g1 for the two rms radii."""
+    expected = s2.g / s1.g
+    return abs(_rms_radius(s1.phi0) / _rms_radius(s2.phi0) - expected) / expected
+
+
 class TestScaling:
+    # the dilation law E_P(g2) / E_P(g1) = (g2 / g1)^2, and the 1/g length scale
     def test_equal_couplings_ratio_one(self, pekar_small):
-        rep = scaling_check(pekar_small, pekar_small)
-        assert rep.ratio == pytest.approx(1.0)
+        assert pekar_small.e_p / pekar_small.e_p == pytest.approx(1.0)
+        assert length_defect(pekar_small, pekar_small) == 0.0
 
     def test_dilation_law_one_to_two(self):
         # boxes paired by the exact lattice dilation (g, L) -> (2g, L/2)
         s1 = minimize_pekar(Grid(3, 32, 24.0), g=1.0, tol=1e-8, compute_gap=False)
         s2 = minimize_pekar(Grid(3, 32, 12.0), g=2.0, tol=1e-8, compute_gap=False)
-        rep = scaling_check(s1, s2)
-        assert rep.ratio == pytest.approx(4.0, abs=4e-3)
-        assert rep.length_ratio_defect < 1e-2
+        assert s2.e_p / s1.e_p == pytest.approx(4.0, abs=4e-3)
+        assert length_defect(s1, s2) < 1e-2
 
     def test_one_to_three(self):
         s1 = minimize_pekar(Grid(3, 32, 24.0), g=1.0, tol=1e-8, compute_gap=False)
         s3 = minimize_pekar(Grid(3, 32, 8.0), g=3.0, tol=1e-8, compute_gap=False)
-        rep = scaling_check(s1, s3, ratio_tol=2e-3)
-        assert rep.ratio == pytest.approx(9.0, rel=2e-3)
+        assert s3.e_p / s1.e_p == pytest.approx(9.0, rel=2e-3)
+        assert length_defect(s1, s3) <= 1e-2
 
 
 class TestDisplacement:
     def test_zero_field(self):
         g = Grid(3, 16, 10.0)
-        f = coherent_displacement(WaveField(g, np.zeros(g.shape)))
+        zero = WaveField(g, np.zeros(g.shape))
+        f = coherent_displacement(zero, FormFactor.coulomb_d3_isolated(g))
         assert np.all(f == 0)
 
     def test_norm_squared_is_half_hartree(self, pekar_small):
@@ -360,7 +368,7 @@ class TestPersistence:
     ):
         grid = Grid(dim, 2**log_points, box)
         if coulomb and dim == 3:
-            form = FormFactor.coulomb_d3_isolated(grid, cutoff=cutoff)
+            form = FormFactor.coulomb_d3_isolated(grid)
         else:
             form = FormFactor.toy(grid, v0, exponent, cutoff=cutoff)
         rng = np.random.default_rng(seed)
@@ -379,5 +387,5 @@ class TestPersistence:
         assert np.array_equal(loaded.form.values, form.values)
         assert np.array_equal(loaded.f, sol.f)
         assert (loaded.kernel, loaded.form.cutoff, loaded.phi0.grid) == (
-            form.variant, cutoff, grid
+            form.variant, form.cutoff, grid
         )

@@ -192,7 +192,8 @@ class TestCoulomb:
 
 class TestHartree:
     def test_zero(self, grid16):
-        res = hartree_energy(WaveField(grid16, np.zeros(grid16.shape)))
+        zero = WaveField(grid16, np.zeros(grid16.shape))
+        res = hartree_energy(zero, FormFactor.coulomb_d3(grid16))
         assert res.value == 0.0
 
     def test_single_mode_closed_form(self):
@@ -201,8 +202,8 @@ class TestHartree:
         kvec = np.array([g.k_axis[1], 0, 0])
         mesh = np.meshgrid(*([g.x_axis] * 3), indexing="ij")
         rho = 1.0 + 0.25 * np.cos(kvec[0] * mesh[0])
-        res = hartree_energy(WaveField(g, rho))
         form = FormFactor.coulomb_d3(g)
+        res = hartree_energy(WaveField(g, rho), form)
         rhohat = WaveField(g, rho).spectrum()
         expected = 0.0
         for idx in [k_idx, tuple((-i) % 16 for i in k_idx)]:
@@ -213,7 +214,7 @@ class TestHartree:
         g = Grid(3, 64, 16.0)
         sigma = 1.0
         rho = gaussian_density(g, sigma)
-        res = hartree_energy(rho, kernel="isolated")
+        res = hartree_energy(rho, FormFactor.coulomb_d3_isolated(g))
         # radial momentum quadrature: (2pi)^-3 int 4pi/k^2 |rhohat|^2 d^3k
         val, _ = quad(lambda k: (2 / np.pi) * np.exp(-(sigma**2) * k**2), 0, np.inf)
         assert res.value == pytest.approx(val, rel=1e-4)
@@ -221,17 +222,17 @@ class TestHartree:
 
     def test_dual_evaluation_identity_random_smooth(self, rng):
         g = Grid(3, 16, 11.0)
-        for kernel in ("periodic", "isolated"):
+        for form in (FormFactor.coulomb_d3(g), FormFactor.coulomb_d3_isolated(g)):
             for _ in range(5):
                 base = gaussian_density(g, 1.8).values
                 rho = base * (1 + 0.5 * rng.random(g.shape))
-                res = hartree_energy(WaveField(g, rho), kernel=kernel)
+                res = hartree_energy(WaveField(g, rho), form)
                 assert res.momentum == pytest.approx(res.real_space, rel=1e-10)
 
     def test_inconsistent_measure_detected(self, grid16):
         rho = gaussian_density(grid16, 2.0)
         with pytest.raises(MeasureConsistencyError):
-            hartree_energy(rho, rtol=1e-22)
+            hartree_energy(rho, FormFactor.coulomb_d3(grid16), rtol=1e-22)
 
 
 class TestKernels:
