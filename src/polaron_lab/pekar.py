@@ -169,7 +169,7 @@ def _spectral_gap(phi: WaveField, g: float, form: FormFactor) -> tuple:
     """
     grid = phi.grid
     values = phi.values.real
-    v = _mean_field_apply(values, g, form)[2]
+    v = _density_potential(np.abs(values) ** 2, form)
     inverse_kinetic = 1.0 / (grid.k_sq + 0.3)
     ground = values.ravel() / np.linalg.norm(values)
 

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from polaron_lab import lp_dynamics as lp
-from polaron_lab.fock_sim import _orthonormal_complement
+from polaron_lab.fock_sim import _kron, _orthonormal_complement
 from polaron_lab.spectral_core import (
     WaveField,
     _fftn,
@@ -250,3 +250,29 @@ def lp_step_reference(state, dt):
     inner = _half_inner(grid, p_mid, f_before + f_after)
     a_phase = state.a_phase * cmath.exp(1j * dt * lam * inner)
     return lp.LPState(cfg, t + dt, WaveField(grid, new), rep_new, a_phase, _f=f_after)
+
+
+def annihilator_bounds_reference(ops, sqrt_cv, rng, n_random):
+    """(hold, worst1, worst2) of ``fock_sim._annihilator_bounds``, one random vector at a
+    time: the suite's loop before it drew its vectors in blocks, kept as its bit-for-bit
+    reference."""
+    basis = ops.basis
+    p_half = basis.electron_momentum_weight()
+    p_half_full = _kron(p_half, ops.eye_occ)
+    n_half = _kron(ops.eye_e, sp.diags(np.sqrt(basis.occ_totals.astype(float))))
+    n_inv_half = _kron(
+        ops.eye_e, sp.diags(1.0 / np.sqrt(basis.occ_totals.astype(float) + 1.0))
+    )
+    worst1 = worst2 = 0.0
+    ok1 = ok2 = True
+    for _ in range(n_random):
+        x = rng.standard_normal(basis.dim_total) + 1j * rng.standard_normal(basis.dim_total)
+        lhs1 = np.linalg.norm(ops.annihilate_g @ x)
+        rhs1 = sqrt_cv * np.linalg.norm(p_half_full @ (n_half @ x))
+        lhs2 = np.linalg.norm(n_inv_half @ (ops.annihilate_g @ x))
+        rhs2 = sqrt_cv * np.linalg.norm(p_half_full @ x)
+        ok1 &= lhs1 <= rhs1 * (1 + 1e-12)
+        ok2 &= lhs2 <= rhs2 * (1 + 1e-12)
+        worst1 = max(worst1, lhs1 / rhs1 if rhs1 > 0 else 0.0)
+        worst2 = max(worst2, lhs2 / rhs2 if rhs2 > 0 else 0.0)
+    return bool(ok1 and ok2), worst1, worst2

@@ -16,6 +16,7 @@ from polaron_lab import lp_dynamics as lp
 from polaron_lab.spectral_core import WaveField, mode_norm_sq
 
 from oracles import (
+    annihilator_bounds_reference,
     dense_weighted_resolvent_norm,
     displaced_oscillator_ground_energy,
     h_effective,
@@ -741,6 +742,49 @@ class TestInequalities:
         rep = fs.inequality_suite(QUICK_LEMMAS, alphas=(2.0, 1.0, 4.0), rng=rng, n_random=10)
         assert alphas == [2.0]
         assert rep["failures"] == []
+
+    @pytest.mark.parametrize("n_random", [0, -5])
+    def test_fewer_than_one_random_vector_is_refused_before_any_work(self, monkeypatch, n_random):
+        def build_forbidden(*args):
+            raise AssertionError("work done before the n_random check")
+
+        class UntouchedRng:
+            def __getattr__(self, name):
+                raise AssertionError("random stream used before the n_random check")
+
+        monkeypatch.setattr(fs, "FockBasis", build_forbidden)
+        with pytest.raises(ValueError, match="n_random"):
+            fs.inequality_suite(QUICK_LEMMAS, (1.0, 2.0), rng=UntouchedRng(), n_random=n_random)
+
+    @staticmethod
+    def assert_bounds_are_the_reference(config, alpha, n_random, seed):
+        ops = assembled(config, alpha)
+        sqrt_cv = np.sqrt(fs.aliased_cv_constant(ops.basis))
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = annihilator_bounds_reference(ops, sqrt_cv, rng_ref, n_random)
+        hold, worst1, worst2 = fs._annihilator_bounds(ops, sqrt_cv, rng, n_random)
+        assert hold is expected[0]
+        assert (worst1, worst2) == expected[1:]  # every bit
+        assert rng.standard_normal() == rng_ref.standard_normal()  # the stream ends in step
+
+    @pytest.mark.parametrize(
+        "config", [QUICK_LEMMAS, BENCH_LEMMAS, IDENTITIES], ids=["quick", "bench", "identities"]
+    )
+    @pytest.mark.parametrize(
+        "n_random",
+        [1, fs._BOUND_BLOCK - 1, fs._BOUND_BLOCK, fs._BOUND_BLOCK + 1, 1000],
+    )
+    def test_blocked_bounds_are_the_per_vector_loop(self, config, n_random):
+        self.assert_bounds_are_the_reference(config, 2.0, n_random, seed=0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        small_models(),
+        st.integers(1, 3 * fs._BOUND_BLOCK + 1),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_bounds_are_the_per_vector_loop_on_small_rings(self, model, n_random, seed):
+        self.assert_bounds_are_the_reference(*model, n_random, seed)
 
     def test_resolvent_norm_matches_dense_reference(self):
         for config in (QUICK_LEMMAS, BENCH_LEMMAS):
