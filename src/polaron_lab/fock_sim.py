@@ -26,6 +26,15 @@ z = -alpha f) are spectral_core's. A mode set may repeat a ring index (+-2 on
 4 sites): the exact model keeps both modes and the scatter adds them, but the
 LP flow on the ring has one mode per index, so ``error_sweep_coherent`` and
 ``make_defect_evaluator`` refuse such a set.
+
+A Weyl operator W(g) = exp(a*(g) - a(g)) is applied bit for bit as scipy's
+``expm_multiply`` (the Al-Mohy-Higham truncated Taylor method) would apply it,
+but set up once per generator. The generator has no diagonal, so
+``expm_multiply``'s trace shift is 0. Its CSC pattern is fixed by the basis and
+cached there, so a generator is only its data filled in. Its 1-norm and Taylor
+degree are chosen once, and each vector runs scipy's own Taylor loop. Vectors
+are never applied as a block: the loop's stopping test reads the norm of the
+whole block, so a block would change their bits.
 """
 
 from __future__ import annotations
@@ -37,7 +46,12 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg._expm_multiply import (
+    LazyOperatorNormInfo,
+    _exact_1_norm,
+    _expm_multiply_simple_core,
+    _fragment_3_1,
+)
 
 from .errors import ConvergenceError, SizingError
 from .spectral_core import (
@@ -176,6 +190,38 @@ class FockBasis:
         return sp.csr_matrix(
             (scale[keep] * values[keep], (rows[keep], cols[keep])), shape=(self.n_occ, self.n_occ)
         )
+
+    @cached_property
+    def _weyl_pattern(self):
+        """(indices, indptr, raising, lowering) of the CSC pattern of a*(g) - a(g).
+
+        Entry k of ``_lowering_entries`` sits at data position ``lowering[k]`` and its
+        adjoint at ``raising[k]``; rows are sorted within each column, as a sparse binop
+        leaves them. The two parts never overlap: they change the total occupation by +-1.
+        """
+        rows, cols, _, _ = self._lowering_entries
+        entry_rows, entry_cols = np.concatenate([cols, rows]), np.concatenate([rows, cols])
+        order = np.lexsort((entry_rows, entry_cols))
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        indptr = np.zeros(self.n_occ + 1, dtype=np.int32)
+        np.cumsum(np.bincount(entry_cols, minlength=self.n_occ), out=indptr[1:])
+        return (entry_rows[order].astype(np.int32), indptr, *np.split(position, 2))
+
+    def _weyl_generator(self, g: np.ndarray):
+        """a*(g) - a(g) as a CSC matrix with the bits of ``(a.conj().T - a).tocsc()``,
+        a = ``annihilator_occ(g)``: its pattern filled in, without explicit zeros."""
+        indices, indptr, raising, lowering = self._weyl_pattern
+        _, _, values, mode = self._lowering_entries
+        lowered = (np.sqrt(self.grid.mode_weight) * np.conj(np.asarray(g)))[mode] * values
+        data = np.empty(len(indices), dtype=complex)
+        data[raising] = np.conj(lowered)
+        data[lowering] = 0 - lowered  # the binop's 0 - x, whose zeros' signs -x does not keep
+        generator = sp.csc_matrix(
+            (data, indices.copy(), indptr.copy()), shape=(self.n_occ, self.n_occ)
+        )
+        generator.eliminate_zeros()  # a zero mode of g leaves no entries, as the binop drops them
+        return generator
 
     def field_occ(self, f_values: np.ndarray):
         a = self.annihilator_occ(f_values)
@@ -318,12 +364,37 @@ def assemble(basis: FockBasis, alpha: float) -> FockOperatorSet:
 # --- Weyl operators -------------------------------------------------------
 
 
+def _weyl_exponential(generator):
+    """``v -> expm_multiply(generator, v)`` for one vector v, bit for bit, with the set-up
+    done once per generator: scipy's own steps of ``expm_multiply``.
+
+    A Weyl generator has no diagonal, so its trace, and with it expm_multiply's shift mu,
+    is 0: ``generator - mu I`` and ``1.0 * generator`` are the generator itself. What is
+    left per generator is the exact 1-norm and the Taylor degree and step count of the
+    Al-Mohy-Higham code fragment (3.1), for one column; per vector, the Taylor loop. The
+    loop's stopping test reads the norm of its whole operand, so the vectors go one at a
+    time: a block would change their bits. Above the fragment's bound (a 1-norm of about
+    63) scipy estimates norms of powers from random starts of numpy's global generator;
+    there the choice is drawn once per generator, not once per vector.
+    """
+    norm = _exact_1_norm(generator)
+    if norm == 0:
+        m_star, s = 0, 1
+    else:
+        info = LazyOperatorNormInfo(generator, A_1_norm=norm, ell=2)
+        m_star, s = _fragment_3_1(info, 1, 2.0**-53, ell=2)
+    return lambda v: _expm_multiply_simple_core(generator, v, 1.0, 0.0, m_star, s)
+
+
 def weyl_apply(basis: FockBasis, displacement: np.ndarray, occ_vec: np.ndarray, guard: bool = True):
-    """Apply W(g) = exp(a*(g) - a(g)) on the occupation factor.
+    """Apply W(g) = exp(a*(g) - a(g)) to one vector of the occupation factor.
 
     ``displacement`` is in the continuum convention (the coherent label it
     creates on the vacuum). Unitary by construction; returns (vector, leakage)
-    where leakage is the probability weight on the saturated shell.
+    where leakage is the probability weight on the saturated shell. The vector
+    is bit for bit ``expm_multiply(a*(g) - a(g), occ_vec)``: the generator is
+    the basis's cached pattern filled in, and it runs scipy's own steps
+    (``_weyl_exponential``).
     """
     disp_sq = mode_norm_sq(basis.grid, displacement)
     if guard and disp_sq > basis.config.n_max / 4.0:
@@ -331,9 +402,9 @@ def weyl_apply(basis: FockBasis, displacement: np.ndarray, occ_vec: np.ndarray, 
             f"mean phonon number {disp_sq:.3g} exceeds the truncation guard "
             f"n_max/4 = {basis.config.n_max / 4:.3g}"
         )
-    a = basis.annihilator_occ(displacement)
-    generator = (a.conj().T - a).tocsc()
-    out = expm_multiply(generator, np.asarray(occ_vec, dtype=complex))
+    out = _weyl_exponential(basis._weyl_generator(displacement))(
+        np.asarray(occ_vec, dtype=complex)
+    )
     mask = basis.occ_totals == basis.config.n_max
     leakage = float(np.sum(np.abs(out[mask]) ** 2))
     return out, leakage
@@ -921,19 +992,21 @@ def _band_limited_vector(basis: FockBasis, rng, band: int):
 
 
 def _conjugation_residuals(ops: FockOperatorSet, f_values, rng):
-    """Worst residuals of the three displacement identities on six band-limited vectors each."""
+    """Worst residuals of the three displacement identities on six band-limited vectors each.
+
+    W(alpha f) and its adjoint W(-alpha f) on the product space are each set up once
+    (``_weyl_exponential``) for the 36 applies, every apply bit for bit its own
+    ``expm_multiply`` call, one vector at a time.
+    """
     basis = ops.basis
     alpha = ops.alpha
     band = max(0, basis.config.n_max - 2)
     fsq = mode_norm_sq(basis.grid, f_values)
-    a_occ = basis.annihilator_occ(alpha * np.asarray(f_values))
-    gen = (a_occ.conj().T - a_occ).tocsc()
-    gen_full = _kron(ops.eye_e, gen).tocsc()
+    gen_full = _kron(ops.eye_e, basis._weyl_generator(alpha * np.asarray(f_values))).tocsc()
+    weyl, weyl_dagger = _weyl_exponential(gen_full), _weyl_exponential(-gen_full)
 
     def conj_apply(op, x):
-        y = expm_multiply(-gen_full, x)  # W(alpha f)^dagger = W(-alpha f)
-        y = op @ y
-        return expm_multiply(gen_full, y)
+        return weyl(op @ weyl_dagger(x))  # W(alpha f)^dagger = W(-alpha f)
 
     phi_f = ops.field_of(f_values)
     v_diag = ops.potential_diag(basis.potential(f_values))

@@ -286,9 +286,12 @@ class _Couplings:
         return values
 
     # the config's own maps, which read only the grid, the form, the multiplier and the
-    # scratch regions
-    displacement_profile = LPConfig.displacement_profile
-    label_potential = LPConfig.label_potential
+    # scratch regions; looked up on LPConfig at each call, so a stack runs what a config runs
+    def displacement_profile(self, phi_values: np.ndarray) -> np.ndarray:
+        return LPConfig.displacement_profile(self, phi_values)
+
+    def label_potential(self, p: np.ndarray) -> np.ndarray:
+        return LPConfig.label_potential(self, p)
 
 
 def stationary_label(cfg: LPConfig, f: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.sparse.linalg import expm_multiply
 
 from polaron_lab import lp_dynamics as lp
-from polaron_lab.fock_sim import _kron, _orthonormal_complement
+from polaron_lab.fock_sim import _band_limited_vector, _kron, _orthonormal_complement
 from polaron_lab.spectral_core import (
     WaveField,
     _fftn,
@@ -22,6 +23,7 @@ from polaron_lab.spectral_core import (
     _half_potential_multiplier,
     _ifftn,
     _irfftn,
+    mode_norm_sq,
 )
 from polaron_lab.radial_oracle import radial_ground_state as _radial_ground_state
 from polaron_lab.radial_oracle import (  # noqa: F401  (re-exported for direct validation)
@@ -276,3 +278,58 @@ def annihilator_bounds_reference(ops, sqrt_cv, rng, n_random):
         worst1 = max(worst1, lhs1 / rhs1 if rhs1 > 0 else 0.0)
         worst2 = max(worst2, lhs2 / rhs2 if rhs2 > 0 else 0.0)
     return bool(ok1 and ok2), worst1, worst2
+
+
+def weyl_generator_reference(basis, g):
+    """a*(g) - a(g) on the occupation factor, built from ``annihilator_occ`` as
+    ``weyl_apply`` built it before it filled in a cached pattern: the bit-for-bit reference
+    of ``FockBasis._weyl_generator``."""
+    a = basis.annihilator_occ(g)
+    return (a.conj().T - a).tocsc()
+
+
+def weyl_apply_reference(basis, g, occ_vec):
+    """W(g) occ_vec through scipy's public ``expm_multiply``, set up afresh for the call:
+    the bit-for-bit reference of ``weyl_apply``'s vector."""
+    return expm_multiply(weyl_generator_reference(basis, g), np.asarray(occ_vec, dtype=complex))
+
+
+def conjugation_residuals_reference(ops, f_values, rng):
+    """``fock_sim._conjugation_residuals`` with one ``expm_multiply`` call per Weyl apply:
+    the suite's code before it set up each exponential once, kept as its bit-for-bit
+    reference."""
+    basis = ops.basis
+    alpha = ops.alpha
+    band = max(0, basis.config.n_max - 2)
+    fsq = mode_norm_sq(basis.grid, f_values)
+    a_occ = basis.annihilator_occ(alpha * np.asarray(f_values))
+    gen = (a_occ.conj().T - a_occ).tocsc()
+    gen_full = _kron(ops.eye_e, gen).tocsc()
+
+    def conj_apply(op, x):
+        y = expm_multiply(-gen_full, x)  # W(alpha f)^dagger = W(-alpha f)
+        y = op @ y
+        return expm_multiply(gen_full, y)
+
+    phi_f = ops.field_of(f_values)
+    v_diag = ops.potential_diag(basis.potential(f_values))
+    ident = sp.identity(basis.dim_total, format="csr")
+    checks = {
+        "number": (
+            alpha**-2 * ops.number,
+            alpha**-2 * ops.number - alpha**-1 * phi_f + fsq * ident,
+        ),
+        "field_f": (alpha**-1 * phi_f, alpha**-1 * phi_f - 2 * fsq * ident),
+        "field_g": (
+            alpha**-1 * ops.field_g,
+            alpha**-1 * ops.field_g + v_diag,
+        ),
+    }
+    out = {}
+    for name, (lhs_op, rhs_op) in checks.items():
+        worst = 0.0
+        for _ in range(6):
+            x = _band_limited_vector(basis, rng, band)
+            worst = max(worst, float(np.linalg.norm(conj_apply(lhs_op, x) - rhs_op @ x)))
+        out[name] = worst
+    return out

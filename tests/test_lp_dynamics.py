@@ -381,6 +381,20 @@ class TestStack:
         for state, samples in zip(states, lp.evolve_stack(states, 3e-2, 1e-2)):
             _assert_same_states(samples, list(lp._march(state, 3e-2, 1e-2, lp.step)))
 
+    @pytest.mark.parametrize("name", ["label_potential", "displacement_profile"])
+    def test_a_zeroed_config_map_reaches_the_stack(self, ring_state, monkeypatch, name):
+        # a mutant patched into LPConfig must move the stack as it moves a step
+        t_final, dt = 2e-2, 1e-2
+        step = lp.step(ring_state, dt)
+        (stack,) = lp.evolve_stack([ring_state], t_final, dt)
+        original = getattr(lp.LPConfig, name)
+        monkeypatch.setattr(lp.LPConfig, name, lambda cfg, x: 0.0 * original(cfg, x))
+        zeroed_step = lp.step(ring_state, dt)
+        (zeroed_stack,) = lp.evolve_stack([ring_state], t_final, dt)
+        assert not np.array_equal(zeroed_step.displacement(), step.displacement())
+        assert not np.array_equal(zeroed_stack[-1].displacement(), stack[-1].displacement())
+        _assert_same_states(zeroed_stack, list(lp._march(ring_state, t_final, dt, lp.step)))
+
     def test_stack_refuses_mismatched_states_before_any_step(self, ring_state, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("stepped before the stack was checked")
