@@ -704,19 +704,40 @@ def fit_loglog(alphas, sups):
     return float(slope), float(intercept), r2
 
 
-def _sweep_summary(alphas, rows, sups) -> dict:
-    """Log-log fit of the per-alpha sup errors and the bound form err <= C t / alpha^2.
+def _sweep_setup(config: FockConfig, alphas, t_final: float, n_samples: int):
+    """(basis, linspace(0, t_final, n_samples)) of an error sweep. ValueError unless the alphas
+    are one or more, positive and distinct, t_final > 0 and n_samples >= 2, and SizingError
+    for a sector above ``_SECTOR_LIMIT`` occupations, both before any other work."""
+    if not (len(set(alphas)) == len(alphas) > 0 and all(a > 0 for a in alphas)
+            and t_final > 0 and n_samples >= 2):
+        raise ValueError(
+            "an error sweep needs distinct alphas > 0, t_final > 0 and n_samples at least 2, "
+            f"got alphas {list(alphas)}, t_final {t_final} and n_samples {n_samples}"
+        )
+    basis = FockBasis(config)
+    _require_dense_sectors(basis)
+    return basis, np.linspace(0.0, t_final, n_samples)
 
-    C (``c_hat``) is fitted at the first alpha; ``bound_margin`` is the least slack of the
-    bound over the other alphas' samples. Both are 0 where there is nothing to fit: no
-    sample after t = 0, or a single alpha.
+
+def _sweep_report(alphas, times, errors) -> dict:
+    """Rows, sups and fits of a sweep from ``errors[i]``, alpha i's errors at ``times[1:]``.
+
+    Each alpha's rows open with err 0 at t = 0, where psi_0 = u0. The log-log fit runs over
+    the sups; C (``c_hat``) of the bound err <= C t / alpha^2 is fitted at the first alpha,
+    and ``bound_margin`` is the bound's least slack at the other alphas (0 for one alpha).
     """
+    rows, sups = [], []
+    for alpha, errs in zip(alphas, errors, strict=True):
+        rows.append((0.0, float(alpha), 0.0))
+        rows.extend((float(t), float(alpha), float(err)) for t, err in zip(times[1:], errs))
+        sups.append(float(np.max(errs, initial=0.0)))
     slope, intercept, r2 = fit_loglog(alphas, sups)
     a0 = alphas[0]
     c_hat = max((err * a0**2 / t for (t, a, err) in rows if a == a0 and t > 0), default=0.0)
     others = [(t, a, err) for (t, a, err) in rows if a != a0 and t > 0]
     margin = min(c_hat * t / a**2 - err for (t, a, err) in others) if others else 0.0
     return {
+        "rows": rows,
         "alphas": [float(a) for a in alphas],
         "sup_errors": sups,
         "slope": slope,
@@ -727,38 +748,40 @@ def _sweep_summary(alphas, rows, sups) -> dict:
     }
 
 
+def _lp_product_state(basis: FockBasis, eta0: np.ndarray, state, t: float):
+    """(u_t, leakage): the LP ``state`` at t on the product space, a(t) phi_t x eta_t, with
+    eta_t = e^{-iF_t} e^{-i omega N t} W(J_t) eta0 and leakage W(J_t) eta0's weight on the
+    saturated shell. The state's ring must have one mode per index."""
+    cfg = state.cfg
+    eta_t, leakage = weyl_apply(basis, basis.to_modes(state.rep.memory(cfg)), eta0, guard=False)
+    eta_t = np.exp(-1j * cfg.frequency * basis.occ_totals * t) * eta_t
+    eta_t = np.exp(-1j * state.rep.f_acc) * eta_t
+    return state.a_phase * np.kron(state.phi.values * np.sqrt(basis.grid.dx), eta_t), leakage
+
+
 def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples: int = 26):
     """Stability of the stationary product state: err(t) = ||psi_t - e^{-iEt} u0||^2.
 
     Returns a dict with the (t, alpha, err) table, per-alpha sup, the log-log
-    fit, and the bound-form constant fitted at the smallest alpha. ``discrete_pekar`` and
-    the sector ``Propagator`` read only the basis and alpha, so no product-space operator
-    is assembled. SizingError for a sector above ``_SECTOR_LIMIT`` occupations, before
-    any Pekar iteration.
+    fit, and the bound-form constant fitted at the smallest alpha. Each alpha's errors are
+    one ``np.linalg.norm(..., axis=1)``. ``discrete_pekar`` and the sector ``Propagator``
+    read only the basis and alpha, so no product-space operator is assembled; every
+    ``discrete_pekar`` runs before the first ``Propagator``, and ``_sweep_setup``'s checks
+    before any Pekar iteration.
     """
-    basis = FockBasis(config)
-    _require_dense_sectors(basis)
-    times = np.linspace(0.0, t_final, n_samples)[1:]  # psi_0 = u0: err(0) is 0
-    rows = []
-    sups = []
-    leakages = []
-    residuals = []
-    for alpha in alphas:
-        pek = discrete_pekar(basis, alpha)
-        leakages.append(pek.leakage)
-        residuals.append(max(pek.electron_residual, pek.phonon_residual))
+    basis, times = _sweep_setup(config, alphas, t_final, n_samples)
+    pekars = [discrete_pekar(basis, alpha) for alpha in alphas]
+    errors = []
+    for alpha, pek in zip(alphas, pekars):
         u0 = np.kron(pek.phi, pek.eta)
         u0 = u0 / np.linalg.norm(u0)
-        psi = Propagator(basis, alpha).apply(u0, times)
-        errs = np.linalg.norm(psi - np.exp(-1j * pek.energy * times)[:, None] * u0, axis=1) ** 2
-        rows.append((0.0, float(alpha), 0.0))
-        rows.extend((float(t), float(alpha), float(err)) for t, err in zip(times, errs))
-        sups.append(float(np.max(errs, initial=0.0)))
+        psi = Propagator(basis, alpha).apply(u0, times[1:])  # psi_0 = u0: err(0) is 0
+        phases = np.exp(-1j * pek.energy * times[1:])[:, None]
+        errors.append(np.linalg.norm(psi - phases * u0, axis=1) ** 2)
     return {
-        "rows": rows,
-        **_sweep_summary(alphas, rows, sups),
-        "leakage_max": float(max(leakages)),
-        "residual_max": float(max(residuals)),
+        **_sweep_report(alphas, times, errors),
+        "leakage_max": float(max(pek.leakage for pek in pekars)),
+        "residual_max": float(max(max(p.electron_residual, p.phonon_residual) for p in pekars)),
     }
 
 
@@ -779,22 +802,19 @@ def error_sweep_coherent(
     every alpha's LP state marches in one stack, each row bit for bit its own ``evolve``.
     They are sampled at the n_samples times linspace(0, t_final, n_samples); ValueError
     unless their spacing is a whole number of dt steps, so each LP sample sits at its
-    exact-flow time. The comparison state is a(t) phi_t x eta_t with eta_t reconstructed
-    from (J_t, F_t); the exact side is the sector ``Propagator``, and no product-space
-    operator is assembled. SizingError for a sector above ``_SECTOR_LIMIT`` occupations
-    and for an initial coherent state beyond the truncation guard, before any propagation.
+    exact-flow time. The comparison state is ``_lp_product_state``, and each error is one
+    vector's ``np.linalg.norm``, which rounds unlike the stationary sweep's ``axis=1``; the
+    exact side is the sector ``Propagator``, and no product-space operator is assembled.
+    ValueError and SizingError (``_sweep_setup``), and SizingError for an initial coherent
+    state beyond the truncation guard, before any propagation.
     """
     from . import lp_dynamics as lp
 
-    basis = FockBasis(config)
+    basis, times = _sweep_setup(config, alphas, t_final, n_samples)
     _require_distinct_ring_modes(basis)
-    _require_dense_sectors(basis)
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     spacing = t_final / (n_samples - 1)
     lp._step_count(0.0, spacing, dt)
     grid = basis.grid
-    times = np.linspace(0.0, t_final, n_samples)
     phi_field = WaveField(grid, phi0 / np.sqrt(grid.dx))
     starts, coherent = [], []
     for alpha in alphas:
@@ -803,36 +823,18 @@ def error_sweep_coherent(
         starts.append(lp.initial_state(cfg, phi_field, z0=basis.to_lattice(label0)))
         coherent.append(coherent_state(basis, label0))
     trajectories = lp.evolve_stack(starts, t_final, dt, spacing)
-    rows = []
-    sups = []
+    errors = []
     leak_max = max(leak for _, leak in coherent)
     for alpha, (eta0, _), trajectory in zip(alphas, coherent, trajectories):
         u0 = np.kron(phi0, eta0)
         u0 = u0 / np.linalg.norm(u0)
         psi = Propagator(basis, alpha).apply(u0, times[1:])  # psi_0 = u0: err(0) is 0
-
-        errs = [0.0]
-        rows.append((0.0, float(alpha), 0.0))
-        cfg = trajectory[0].cfg
-        omega = cfg.frequency
+        errors.append([])
         for psi_t, t, current in zip(psi, times[1:], trajectory[1:], strict=True):
-            # eta_t = e^{-iF} e^{-i omega N t} W(J_t) eta0
-            j_t = basis.to_modes(current.rep.memory(cfg))
-            eta_t, leak = weyl_apply(basis, j_t, eta0, guard=False)
+            u_t, leak = _lp_product_state(basis, eta0, current, t)
             leak_max = max(leak_max, leak)
-            eta_t = np.exp(-1j * omega * basis.occ_totals * t) * eta_t
-            eta_t = np.exp(-1j * current.rep.f_acc) * eta_t
-            psi_e = current.phi.values * np.sqrt(grid.dx)
-            u_t = current.a_phase * np.kron(psi_e, eta_t)
-            err = float(np.linalg.norm(psi_t - u_t) ** 2)
-            errs.append(err)
-            rows.append((float(t), float(alpha), err))
-        sups.append(max(errs))
-    return {
-        "rows": rows,
-        **_sweep_summary(alphas, rows, sups),
-        "leakage_max": float(leak_max),
-    }
+            errors[-1].append(float(np.linalg.norm(psi_t - u_t) ** 2))
+    return {**_sweep_report(alphas, times, errors), "leakage_max": float(leak_max)}
 
 
 # --- operator-inequality suite ------------------------------------------------

@@ -202,13 +202,13 @@ def validate_config(raw: dict) -> RunConfig:
         checks = (
             ("modes", resolved["modes"] >= 2 and resolved["modes"] % 2 == 0),  # pairs +-m
             ("nmax", resolved["nmax"] >= 0),
-            ("alpha_grid", all(a > 0 for a in alphas)),
+            ("alpha_grid", all(a > 0 for a in alphas) and len(set(alphas)) == len(alphas)),
         )
         bad = [k for k, ok in checks if not ok]
         if bad:
             raise SchemaError(
                 "Fock parameters out of range "
-                f"(need even modes >= 2, nmax >= 0, every alpha > 0): {bad}",
+                f"(need even modes >= 2, nmax >= 0, distinct alphas > 0): {bad}",
                 keys=tuple(bad),
             )
     if scenario == "fock":

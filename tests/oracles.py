@@ -14,7 +14,16 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
 from polaron_lab import lp_dynamics as lp
-from polaron_lab.fock_sim import _band_limited_vector, _kron, _orthonormal_complement
+from polaron_lab.fock_sim import (
+    FockBasis,
+    Propagator,
+    _band_limited_vector,
+    _kron,
+    _orthonormal_complement,
+    coherent_state,
+    discrete_pekar,
+    weyl_apply,
+)
 from polaron_lab.spectral_core import (
     WaveField,
     _fftn,
@@ -333,3 +342,61 @@ def conjugation_residuals_reference(ops, f_values, rng):
             worst = max(worst, float(np.linalg.norm(conj_apply(lhs_op, x) - rhs_op @ x)))
         out[name] = worst
     return out
+
+
+def stationary_sweep_reference(config, alphas, t_final, n_samples):
+    """(rows, sups, leakage_max) of ``error_sweep_stationary`` from its per-alpha loop before
+    the sweeps shared a report: the bit-for-bit reference of its reduction, one
+    ``np.linalg.norm(..., axis=1)`` over each alpha's samples."""
+    basis = FockBasis(config)
+    times = np.linspace(0.0, t_final, n_samples)[1:]
+    rows, sups, leakages = [], [], []
+    for alpha in alphas:
+        pek = discrete_pekar(basis, alpha)
+        leakages.append(pek.leakage)
+        u0 = np.kron(pek.phi, pek.eta)
+        u0 = u0 / np.linalg.norm(u0)
+        psi = Propagator(basis, alpha).apply(u0, times)
+        errs = np.linalg.norm(psi - np.exp(-1j * pek.energy * times)[:, None] * u0, axis=1) ** 2
+        rows.append((0.0, float(alpha), 0.0))
+        rows.extend((float(t), float(alpha), float(err)) for t, err in zip(times, errs))
+        sups.append(float(np.max(errs, initial=0.0)))
+    return rows, sups, float(max(leakages))
+
+
+def coherent_sweep_reference(config, alphas, t_final, phi0, g, dt, n_samples):
+    """(rows, sups, leakage_max) of ``error_sweep_coherent`` from its per-alpha loop before
+    the sweeps shared a report, with the LP state lifted to the product space inline: the
+    bit-for-bit reference of its reduction, one ``np.linalg.norm`` per sample vector."""
+    basis = FockBasis(config)
+    grid = basis.grid
+    times = np.linspace(0.0, t_final, n_samples)
+    phi_field = WaveField(grid, phi0 / np.sqrt(grid.dx))
+    starts, coherent = [], []
+    for alpha in alphas:
+        label0 = -alpha * np.asarray(g)
+        cfg = lp.LPConfig(grid, basis.form, alpha=alpha)
+        starts.append(lp.initial_state(cfg, phi_field, z0=basis.to_lattice(label0)))
+        coherent.append(coherent_state(basis, label0))
+    trajectories = lp.evolve_stack(starts, t_final, dt, t_final / (n_samples - 1))
+    rows, sups = [], []
+    leak_max = max(leak for _, leak in coherent)
+    for alpha, (eta0, _), trajectory in zip(alphas, coherent, trajectories):
+        u0 = np.kron(phi0, eta0)
+        u0 = u0 / np.linalg.norm(u0)
+        psi = Propagator(basis, alpha).apply(u0, times[1:])
+        errs = [0.0]
+        rows.append((0.0, float(alpha), 0.0))
+        cfg = trajectory[0].cfg
+        for psi_t, t, current in zip(psi, times[1:], trajectory[1:], strict=True):
+            j_t = basis.to_modes(current.rep.memory(cfg))
+            eta_t, leak = weyl_apply(basis, j_t, eta0, guard=False)
+            leak_max = max(leak_max, leak)
+            eta_t = np.exp(-1j * cfg.frequency * basis.occ_totals * t) * eta_t
+            eta_t = np.exp(-1j * current.rep.f_acc) * eta_t
+            u_t = current.a_phase * np.kron(current.phi.values * np.sqrt(grid.dx), eta_t)
+            err = float(np.linalg.norm(psi_t - u_t) ** 2)
+            errs.append(err)
+            rows.append((float(t), float(alpha), err))
+        sups.append(max(errs))
+    return rows, sups, float(leak_max)

@@ -17,6 +17,7 @@ from polaron_lab.spectral_core import WaveField, mode_norm_sq
 
 from oracles import (
     annihilator_bounds_reference,
+    coherent_sweep_reference,
     conjugation_residuals_reference,
     dense_weighted_resolvent_norm,
     displaced_oscillator_ground_energy,
@@ -26,6 +27,7 @@ from oracles import (
     per_mode_annihilator_g,
     ring_density_transform,
     ring_mode_potential,
+    stationary_sweep_reference,
     weyl_apply_reference,
     weyl_generator_reference,
 )
@@ -592,7 +594,8 @@ class TestQuadratureReconstruction:
 
         Evolve the coupled system, record f_s, then directly integrate
         i d(eta)/dt = (omega N + lam phi(f_s)) eta with midpoint steps and
-        compare with e^{-iF} e^{-i omega N t} W(J_t) eta0.
+        compare the sweeps' comparison state ``_lp_product_state``, a(t) phi_t x
+        e^{-iF} e^{-i omega N t} W(J_t) eta0, with a(t) phi_t x eta_direct.
         """
         basis, alpha = fs.FockBasis(fs.FockConfig(8, 2.0, (1, -1), v0=0.15, n_max=10)), 1.5
         grid = basis.grid
@@ -617,11 +620,9 @@ class TestQuadratureReconstruction:
             current = lp.step(mid, dt / 2)
             t += dt
 
-        j_t = basis.to_modes(current.rep.memory(cfg))
-        eta_rec, _ = fs.weyl_apply(basis, j_t, eta0, guard=False)
-        eta_rec = np.exp(-1j * omega * basis.occ_totals * t) * eta_rec
-        eta_rec = np.exp(-1j * current.rep.f_acc) * eta_rec
-        assert np.linalg.norm(eta_rec - eta_direct) < 1e-5
+        u_rec, _ = fs._lp_product_state(basis, eta0, current, t)
+        psi_e = current.phi.values * np.sqrt(grid.dx)
+        assert np.linalg.norm(u_rec - current.a_phase * np.kron(psi_e, eta_direct)) < 1e-5
 
 
 class TestSweeps:
@@ -714,6 +715,44 @@ class TestSweeps:
             fs.error_sweep_stationary(config, [1.0, 8.0], 2.5)
         with pytest.raises(SizingError, match="dense limit"):
             fs.error_sweep_coherent(config, [1.0, 8.0], 2.5, phi0, np.zeros(8), dt=1e-2)
+
+    @pytest.mark.parametrize(
+        "alphas, t_final, n_samples",
+        [([], 1.0, 6), ([1.0, -2.0], 1.0, 6), ([2.0, 2.0], 1.0, 6), ([1.0], 0.0, 6),
+         ([1.0], 1.0, 1), ([1.0], 1.0, 0)],
+        ids=["no-alpha", "negative-alpha", "repeated-alpha", "zero-T", "one-sample", "no-sample"],
+    )
+    def test_sweeps_refuse_bad_inputs_before_any_work(
+        self, monkeypatch, alphas, t_final, n_samples
+    ):
+        config = fs.FockConfig(8, 2.0, (1, -1, 2, -2), v0=3e-3, n_max=2)
+        phi0 = np.full(8, 8**-0.5, dtype=complex)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done before the input check")
+
+        for name in ("discrete_pekar", "coherent_state", "Propagator"):
+            monkeypatch.setattr(fs, name, forbidden)
+        with pytest.raises(ValueError, match="error sweep needs"):
+            fs.error_sweep_stationary(config, alphas, t_final, n_samples=n_samples)
+        with pytest.raises(ValueError, match="error sweep needs"):
+            fs.error_sweep_coherent(
+                config, alphas, t_final, phi0, np.zeros(4), dt=1e-2, n_samples=n_samples
+            )
+
+    def test_sweeps_keep_their_own_reductions(self):
+        # the stationary sweep reduces each alpha's errors with one axis=1 norm, the coherent
+        # sweep one vector at a time; the forms round differently, so each sweep must equal
+        # its own reference bit for bit (the quick preset's sweep)
+        config, alphas = fs.FockConfig(8, 2.0, (1, -1), v0=3e-3, n_max=4), [1.0, 2.0]
+        phi0, g = fs._coherent_initial_data(fs.FockBasis(config), np.random.default_rng(0))
+        stat = fs.error_sweep_stationary(config, alphas, 1.0, n_samples=6)
+        coh = fs.error_sweep_coherent(config, alphas, 1.0, phi0, g, dt=5e-3, n_samples=6)
+        for rep, ref in (
+            (stat, stationary_sweep_reference(config, alphas, 1.0, 6)),
+            (coh, coherent_sweep_reference(config, alphas, 1.0, phi0, g, 5e-3, 6)),
+        ):
+            assert (rep["rows"], rep["sup_errors"], rep["leakage_max"]) == ref
 
     def test_coherent_reduces_to_stationary_for_pekar_data(self):
         # z0 = -alpha f with phi0 the self-consistent minimizer is the fixed

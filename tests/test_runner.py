@@ -482,6 +482,7 @@ class TestCli:
                  "--T", "0.01", "--dt", "1e-3"],
                 "sample_interval",
             ),
+            (["fock", "--alpha-grid", "2,2"], "alpha_grid"),
         ],
     )
     def test_malformed_parameters_are_refused_before_the_manifest(
