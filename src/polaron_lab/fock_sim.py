@@ -31,10 +31,11 @@ A Weyl operator W(g) = exp(a*(g) - a(g)) is applied bit for bit as scipy's
 ``expm_multiply`` (the Al-Mohy-Higham truncated Taylor method) would apply it,
 but set up once per generator. The generator has no diagonal, so
 ``expm_multiply``'s trace shift is 0. Its CSC pattern is fixed by the basis and
-cached there, so a generator is only its data filled in. Its 1-norm and Taylor
-degree are chosen once, and each vector runs scipy's own Taylor loop. Vectors
-are never applied as a block: the loop's stopping test reads the norm of the
-whole block, so a block would change their bits.
+cached there, so a generator is only its data filled in. Its 1-norm (scipy's
+column sums of |data|, without scipy's matrix wrapping) and Taylor degree are
+chosen once, and each vector runs scipy's own Taylor loop. Vectors are never
+applied as a block: the loop's stopping test reads the norm of the whole block,
+so a block would change their bits.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg._expm_multiply import (
     LazyOperatorNormInfo,
-    _exact_1_norm,
     _expm_multiply_simple_core,
     _fragment_3_1,
 )
@@ -364,6 +364,15 @@ def assemble(basis: FockBasis, alpha: float) -> FockOperatorSet:
 # --- Weyl operators -------------------------------------------------------
 
 
+def _exact_1_norm(generator) -> float:
+    """max_j sum_i |G_ij| of a CSC generator, bit for bit scipy's ``_exact_1_norm``: the
+    same ``np.add.reduceat`` of |data| over the non-empty columns, without the |G| matrix
+    and the matrix it wraps the column sums in."""
+    indptr = generator.indptr
+    filled = np.flatnonzero(np.diff(indptr))
+    return np.add.reduceat(np.abs(generator.data), indptr[filled]).max(initial=0.0)
+
+
 def _weyl_exponential(generator):
     """``v -> expm_multiply(generator, v)`` for one vector v, bit for bit, with the set-up
     done once per generator: scipy's own steps of ``expm_multiply``.
@@ -530,9 +539,18 @@ def discrete_pekar(basis: FockBasis, alpha: float):
     phi solves the electron problem for -Lap + V_z, z = -alpha f(phi) is the
     phonon fixed point. Verifies both stationarity relations; the coherent
     one holds up to truncation leakage. Assembles no product-space operator.
+    The minimization reads only the basis (``_pekar_orbital``); alpha enters
+    through the coherent state and the phonon residual (``_pekar_at``).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    return _pekar_at(basis, _pekar_orbital(basis), alpha)
+
+
+def _pekar_orbital(basis: FockBasis) -> tuple:
+    """(phi, f, lam, electron residual) of the alternating minimization, which does not
+    depend on alpha: ``mean_field`` and ``displacement`` read only the basis. So a sweep over
+    alphas runs it once and hands it to ``_pekar_at`` for each alpha."""
     n = basis.config.n_sites
     f = basis.displacement(np.ones(n) / np.sqrt(n))
     energy = np.inf
@@ -548,11 +566,17 @@ def discrete_pekar(basis: FockBasis, alpha: float):
             f"discrete Pekar not converged in {_PEKAR_MAX_ITER} iterations",
             residual=abs(energy - e_prev),
         )
+    e_res = float(np.linalg.norm(basis.mean_field(f) @ psi - lam * psi))
+    return psi, f, lam, e_res
+
+
+def _pekar_at(basis: FockBasis, orbital: tuple, alpha: float) -> DiscretePekar:
+    """The ``DiscretePekar`` of a ``_pekar_orbital`` at coupling ``alpha``: the coherent state
+    of label -alpha f and the phonon stationarity residual."""
+    psi, f, lam, e_res = orbital
     fsq = mode_norm_sq(basis.grid, f)
     mu = -fsq
     eta, leakage = coherent_state(basis, -alpha * f)
-    # stationarity checks
-    e_res = float(np.linalg.norm(basis.mean_field(f) @ psi - lam * psi))
     h_ph = (alpha**-2) * basis.number_occ + (alpha**-1) * basis.field_occ(f)
     p_res = float(np.linalg.norm(h_ph @ eta - mu * eta))
     return DiscretePekar(
@@ -704,12 +728,16 @@ def fit_loglog(alphas, sups):
     return float(slope), float(intercept), r2
 
 
+def _distinct_positive(alphas) -> bool:
+    """Whether ``alphas`` holds one or more couplings, each positive and none repeated."""
+    return len(set(alphas)) == len(alphas) > 0 and all(a > 0 for a in alphas)
+
+
 def _sweep_setup(config: FockConfig, alphas, t_final: float, n_samples: int):
     """(basis, linspace(0, t_final, n_samples)) of an error sweep. ValueError unless the alphas
     are one or more, positive and distinct, t_final > 0 and n_samples >= 2, and SizingError
     for a sector above ``_SECTOR_LIMIT`` occupations, both before any other work."""
-    if not (len(set(alphas)) == len(alphas) > 0 and all(a > 0 for a in alphas)
-            and t_final > 0 and n_samples >= 2):
+    if not (_distinct_positive(alphas) and t_final > 0 and n_samples >= 2):
         raise ValueError(
             "an error sweep needs distinct alphas > 0, t_final > 0 and n_samples at least 2, "
             f"got alphas {list(alphas)}, t_final {t_final} and n_samples {n_samples}"
@@ -765,12 +793,14 @@ def error_sweep_stationary(config: FockConfig, alphas, t_final: float, n_samples
     Returns a dict with the (t, alpha, err) table, per-alpha sup, the log-log
     fit, and the bound-form constant fitted at the smallest alpha. Each alpha's errors are
     one ``np.linalg.norm(..., axis=1)``. ``discrete_pekar`` and the sector ``Propagator``
-    read only the basis and alpha, so no product-space operator is assembled; every
-    ``discrete_pekar`` runs before the first ``Propagator``, and ``_sweep_setup``'s checks
-    before any Pekar iteration.
+    read only the basis and alpha, so no product-space operator is assembled. The
+    alpha-free minimization runs once (``_pekar_orbital``), every alpha's Pekar state is
+    built from it before the first ``Propagator``, and ``_sweep_setup``'s checks run before
+    any Pekar iteration.
     """
     basis, times = _sweep_setup(config, alphas, t_final, n_samples)
-    pekars = [discrete_pekar(basis, alpha) for alpha in alphas]
+    orbital = _pekar_orbital(basis)
+    pekars = [_pekar_at(basis, orbital, alpha) for alpha in alphas]
     errors = []
     for alpha, pek in zip(alphas, pekars):
         u0 = np.kron(pek.phi, pek.eta)
@@ -907,9 +937,13 @@ def inequality_suite(config: FockConfig, alphas, *, rng, n_random: int = 1000):
     creation/annihilation bound uses sqrt(C_v): the Cauchy-Schwarz proof produces the
     square root of the Lorentzian sup (the unsquared constant fails simple scaling).
     Its ``n_random`` vectors are drawn in blocks from the same stream, and every number
-    equals that of a loop over one vector at a time (``_annihilator_bounds``). An
-    ``n_random`` below 1 raises ``ValueError`` before any work.
+    equals that of a loop over one vector at a time (``_annihilator_bounds``). The alpha-free
+    Pekar minimization of (d) runs once (``_pekar_orbital``). ``alphas`` that are empty,
+    repeated or not all positive, and an ``n_random`` below 1, raise ``ValueError`` before
+    any work.
     """
+    if not _distinct_positive(alphas):
+        raise ValueError(f"the inequality suite needs distinct alphas > 0, got {list(alphas)}")
     if n_random < 1:
         raise ValueError(f"n_random must be at least 1, got {n_random}")
     basis = FockBasis(config)
@@ -925,8 +959,9 @@ def inequality_suite(config: FockConfig, alphas, *, rng, n_random: int = 1000):
     report["two_sided_bound_min_eigs"] = a5
 
     # (d) resolvent norms ||(1+p^2)^{1/2} R^{1/2} Q0||
+    orbital = _pekar_orbital(basis)
     report["resolvent_norms"] = {
-        float(alpha): _weighted_resolvent_norm(basis, alpha, discrete_pekar(basis, alpha))
+        float(alpha): _weighted_resolvent_norm(basis, alpha, _pekar_at(basis, orbital, alpha))
         for alpha in alphas
     }
     diffs = np.abs(np.diff([norm for _, norm in sorted(report["resolvent_norms"].items())]))

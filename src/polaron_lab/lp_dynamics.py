@@ -45,46 +45,57 @@ stack: the arrays gain a leading coupling axis, phi as (couplings,
 *grid.shape) and P, Q, P0, Q0 and f as (couplings, *half shape), and the
 per-coupling scalars F and a become tuples with one entry per row. The grid
 transforms, the drift and the potential and displacement maps act on the
-trailing grid axes. The scalar arithmetic of a step (the inner products, each
-one ``np.vdot`` of a row, the rotation angles, the increments of F and the
-phase) stays in Python floats, one coupling at a time, exactly as for one
-state, and reaches the arrays as a column per quantity; a config is the stack
-of one with the same hooks (``_rows``, ``_columns``, ``_packed``,
-``_unpacked``). So each row equals its own march bit for bit. The
-pitfall is complex multiplication: numpy's complex multiply rounds differently
-from Python's, and its ``a*b`` from its ``b*a``, so the phase update stays a
-Python complex product per coupling, and every complex array product keeps its
-operand order (see Operand order below). On the ring a step's cost is numpy's
-per-call overhead, not its arithmetic, so stacking pays: on the 8-site Fock
+trailing grid axes. The scalar arithmetic of a step (the rotation angles, the
+increments of F and the phase) stays in Python floats, one coupling at a time,
+exactly as for one state, and reaches the arrays as a column per quantity; a
+config is the stack of one with the same hooks (``_rows``, ``_columns``,
+``_packed``, ``_unpacked``). Its inner products are ``np.vdot`` of each row,
+all rows in one ``np.vecdot`` over the grid axes (``_row_inner``), which gives
+np.vdot's bits. So each row equals its own march bit for bit. The pitfall is
+complex multiplication: numpy's complex multiply rounds differently from
+Python's, and its ``a*b`` from its ``b*a``, so the phase update stays a Python
+complex product per coupling, and every complex array product keeps its
+operand order (see Operand order below). Per-(config, h) constants, the drift
+of a dt and each representation's half-step factors, are made once and kept
+(``_kept``).
+
+On the ring a step's cost is numpy's per-call overhead, not its arithmetic:
+each of its 40 or so numpy calls on 2 x 8 numbers costs a few tenths of a
+microsecond to 2 microseconds, and the Python between them as much again. So
+the step calls numpy's pocketfft gufuncs without np.fft's wrappers
+(spectral_core's one-axis transforms), and stacking pays. On the 8-site Fock
 ring (alpha 1 and 8, 1250 steps of 2e-3, one thread, a shared 2-vCPU host,
-medians of 8 alternated runs) the stack took 0.130 s against 0.196 s for the
-two states' step loops. A stack of one costs 1.2-1.4 times its step loop on
-rings of 8 and 32 sites and the same at 32^3, so ``evolve`` marches one state
-through ``step`` unstacked.
+medians of 8 runs alternated in one process, two processes each) the stack
+took 84 ms (67 us a step) against 139 ms for the two states' step loops. With
+np.fft's wrappers, a np.vdot call per row and product, and the half-step
+factors made at every call, they read 116 ms (93 us) against 179 ms. A stack
+of one costs 1.1 times its step loop on rings of 8 and 32 sites and about the
+same at 32^3 (0.97), so ``evolve`` marches one state through ``step``
+unstacked.
 
 One step does two complex transforms, the drift's fftn and ifftn, and one
 real pair: the half-step potential's irfftn and the rfftn of f = v rhohat at
 the step's end. The state carries that f, so the next step starts from it
 instead of transforming phi again. The drift exp(-i dt k^2) is built once per
 (config, dt); only the last dt is kept. The transforms are spectral_core's
-grid transforms, numpy's bits on scipy's n-d kernel on a 3d grid.
+grid transforms, numpy's bits on scipy's n-d kernel on a 3d grid and on
+numpy's own pocketfft gufuncs on the ring.
 
-Workspace. A step writes its transients into scratch memory that its config
-(or a stack's ``_Couplings``) owns, a ``_Workspace`` made at first use and
-sized from the arrays it serves: the phonon half step's weighted f and
-J = P - P0 (the oscillator's P_p and P - P_p), the mid-step pair, its
-Hermitian label, the potential's spectrum, the kick and the drifted field
-(transformed in place by scipy's ``overwrite_x``), |phi|^2 and
-f_before + f_after. Transients whose lifetimes do not overlap share one
-region of it, as a stack allocator would reuse a freed block, so a step
-touches less memory. The rule: transients only. Each is written before it
-is read within one call, and no array a state holds (phi, P, Q, P0, Q0, f)
-lies in the workspace; those are fresh arrays, and ``step`` hands its fresh
-phi to the WaveField frozen instead of copying it. So marches of one config
-interleave freely (the lp-evolve verb runs both representations in
-lockstep), but two threads must not step one config at once. The workspace
-dies with its config. Every ufunc takes ``out=`` with the operands in the
-order of the plain expressions it replaces, so the step keeps their bits
+Workspace. A step writes its transients into scratch memory that its config (or
+a stack's ``_Couplings``) owns, a ``_Workspace`` made at first use and sized
+from the arrays it serves: the phonon half step's weighted f and J = P - P0
+(the oscillator's P_p and P - P_p), the mid-step pair, its Hermitian label, the
+potential's spectrum, the kick and the drifted field (transformed in place,
+``overwrite_x``), |phi|^2 and f_before + f_after. Transients whose lifetimes do
+not overlap share one region of it, as a stack allocator would reuse a freed
+block, so a step touches less memory. The rule: transients only. Each is
+written before it is read within one call, and no array a state holds (phi, P,
+Q, P0, Q0, f) lies in the workspace; those are fresh arrays, and ``step`` hands
+its fresh phi to the WaveField frozen instead of copying it. So marches of one
+config interleave freely (the lp-evolve verb runs both representations in
+lockstep), but two threads must not step one config at once. The workspace dies
+with its config. Every ufunc takes ``out=`` with the operands in the order of
+the plain expressions it replaces, so the step keeps their bits
 (``tests/oracles.py`` holds the plain step as the reference).
 
 Operand order. numpy's complex multiply rounds a*b and b*a differently, so
@@ -117,6 +128,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,8 +208,8 @@ class LPConfig:
 
     # A config is the stack of one. The step reads its per-coupling scalars row by row from
     # ``_rows``, puts back a per-row value with ``_packed`` and reads the per-row values of
-    # a scalar or an array's rows with ``_unpacked``, and turns per-row tuples of scalars
-    # into factors of the arrays with ``_columns``; a _Couplings stack does the same.
+    # a scalar with ``_unpacked``, and turns per-row tuples of scalars into factors of the
+    # arrays with ``_columns``; a _Couplings stack does the same.
     @property
     def _rows(self) -> tuple:
         return (self,)
@@ -212,18 +224,36 @@ class LPConfig:
     def _unpacked(value) -> tuple:
         return (value,)
 
-    def _drift(self, dt: float) -> np.ndarray:
-        """Kinetic multiplier exp(-i dt k^2); only the last dt's is kept."""
-        last = self.__dict__.get("_last_drift")
-        if last is None or last[0] != dt:
-            last = (dt, _frozen(np.exp(-1j * dt * self.grid.k_sq)))
-            self.__dict__["_last_drift"] = last
-        return last[1]
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _kept(cfg, make, h: float):
+    """``make(cfg, h)``, made at the first call for an h and kept on ``cfg`` (a config or a
+    stack) until ``make`` is asked of it for another h: the drift of a step dt and the
+    per-row constants of a representation's half step h."""
+    kept = cfg.__dict__.setdefault("_kept", {})
+    last = kept.get(make)
+    if last is None or last[0] != h:
+        last = kept[make] = (h, make(cfg, h))
+    return last[1]
+
+
+def _row_inner(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Re np.vdot(a_r, b_r) of each pair of rows, the trailing ``dim`` grid axes, of a and b
+    (b may stack more rows on leading axes): one ``np.vecdot`` over the grid axes flattened
+    in C order, as np.vdot flattens its arguments, which gives np.vdot's bits."""
+    if dim > 1:
+        a = a.reshape(a.shape[: a.ndim - dim] + (-1,))
+        b = b.reshape(b.shape[: b.ndim - dim] + (-1,))
+    return np.vecdot(a, b).real
+
+
+def _drift(cfg, dt: float) -> np.ndarray:
+    """Kinetic multiplier exp(-i dt k^2)."""
+    return _frozen(np.exp(-1j * dt * cfg.grid.k_sq))
 
 
 class _Workspace:
@@ -236,8 +266,9 @@ class _Workspace:
 
     * "a": the drifted field, |phi|^2, and the half-lattice scratch: the weighted f, the
       product s Q, the potential's spectrum and f_before + f_after;
-    * "b": the kick, and J_P = P - P0 (the oscillator's P_p) within a half step;
-    * "c": J_Q = Q - Q0 (the oscillator's P - P_p) within a half step;
+    * "b": the kick, and within a half step the pair (J_P, J_Q), J = P - P0 (the
+      oscillator's P_p);
+    * "c": the oscillator's P - P_p within a half step;
     * "p", "q" and "h": the mid-step pair and its Hermitian label.
 
     A step writes each transient before it reads it within one call, and no array a state
@@ -331,15 +362,20 @@ class OscillatorRep:
     def hermitian_label(self, cfg: LPConfig, t: float, out=None) -> np.ndarray:
         return self.p
 
-    def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray, out=(None, None)):
-        """Exact rotation of (P - P_p, Q) by omega h about the driven fixed point
-        P_p = -(lam_c/omega) f, drive frozen; the new pair is written into ``out`` (fresh
-        arrays for None)."""
+    @staticmethod
+    def _constants(cfg, h: float) -> tuple:
+        """The factors (-lam_c/omega, cos omega h, sin omega h) of a half step h."""
         rows = [
             (-c.coupling / c.frequency, math.cos(c.frequency * h), math.sin(c.frequency * h))
             for c in cfg._rows
         ]
-        drive, c, s = cfg._columns(rows)
+        return tuple(cfg._columns(rows))
+
+    def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray, out=(None, None)):
+        """Exact rotation of (P - P_p, Q) by omega h about the driven fixed point
+        P_p = -(lam_c/omega) f, drive frozen; the new pair is written into ``out`` (fresh
+        arrays for None)."""
+        drive, c, s = _kept(cfg, OscillatorRep._constants, h)
         shape = self.p.shape
         p_fixed = np.multiply(drive, f_drive, out=cfg._scratch("b", shape))
         dp = np.subtract(self.p, p_fixed, out=cfg._scratch("c", shape))
@@ -392,32 +428,41 @@ class QuadratureRep:
         """The memory integral J_t on the full lattice."""
         return _full_label(cfg, self.p - self.p0, self.q - self.q0)
 
+    @staticmethod
+    def _constants(cfg, h: float) -> list:
+        """Per row (omega, lam_c, -lam_c/omega, -lam_c^2/omega, h - sin(omega h)/omega), the
+        constants of a half step h."""
+        return [
+            (om, lam, -lam / om, -(lam**2 / om), h - math.sin(om * h) / om)
+            for om, lam in ((c.frequency, c.coupling) for c in cfg._rows)
+        ]
+
     def stepped(self, cfg: LPConfig, t: float, h: float, f_drive: np.ndarray, out=(None, None)):
         """The pair and F after h with the drive frozen at f; the new pair is written into
         ``out`` (fresh arrays for None)."""
         # dF/ds = lam * Re[e^{-i om s} <f, J_s>_w]; J(s) analytic for frozen f. For Hermitian
-        # f, <f, J>_w = <f, J_P>_w + i <f, J_Q>_w with both inner products real
-        # (three _half_inner products that share one weighting of f, np.vdot row by row)
-        shape = self.p.shape
-        weighted = np.multiply(cfg.grid.half_weight, f_drive, out=cfg._scratch("a", shape))
-        jp = np.subtract(self.p, self.p0, out=cfg._scratch("b", shape))
-        jq = np.subtract(self.q, self.q0, out=cfg._scratch("c", shape))
-        arrays = (weighted, jp, jq, f_drive)
-        rows = zip(cfg._rows, cfg._unpacked(self.f_acc), *map(cfg._unpacked, arrays))
+        # f, <f, J>_w = <f, J_P>_w + i <f, J_Q>_w with both inner products real: three
+        # _half_inner products that share one weighting of f, of each row of the pair
+        # (J_P, J_Q) and of f
+        ws, shape, dim = cfg._scratch, self.p.shape, cfg.grid.dim
+        weighted = np.multiply(cfg.grid.half_weight, f_drive, out=ws("a", shape))
+        pair = ws("b", (2,) + shape)
+        np.subtract(self.p, self.p0, out=pair[0])
+        np.subtract(self.q, self.q0, out=pair[1])
+        ips, iqs = _row_inner(weighted, pair, dim).reshape(2, -1).tolist()
+        fss = _row_inner(weighted, f_drive, dim).reshape(-1).tolist()
+        end = t + h
+        constants = _kept(cfg, QuadratureRep._constants, h)
         shifts, f_acc = [], []
-        for c, f, w, jp, jq, fd in rows:
-            ip = float(np.vdot(w, jp).real)
-            iq = float(np.vdot(w, jq).real)
-            fs = float(np.vdot(w, fd).real)
-            om, lam = c.frequency, c.coupling
-            dc = math.cos(om * (t + h)) - math.cos(om * t)
-            ds = math.sin(om * (t + h)) - math.sin(om * t)
+        for (om, lam, scale, k2, c2), f, ip, iq, fs in zip(
+            constants, cfg._unpacked(self.f_acc), ips, iqs, fss
+        ):
+            dc = math.cos(om * end) - math.cos(om * t)
+            ds = math.sin(om * end) - math.sin(om * t)
             term1 = lam * (ip * ds - iq * dc) / om
-            term2 = -(lam**2 / om) * fs * (h - math.sin(om * h) / om)
             # J += -(lam/om) f (e^{i om (t+h)} - e^{i om t}), whose pair is -(lam/om) f (dc, ds)
-            scale = -lam / om
             shifts.append((scale * dc, scale * ds))
-            f_acc.append(f + term1 + term2)
+            f_acc.append(f + term1 + k2 * fs * c2)
         shift_p, shift_q = cfg._columns(shifts)
         p = np.multiply(shift_p, f_drive, out=out[0])
         q = np.multiply(shift_q, f_drive, out=out[1])
@@ -499,7 +544,7 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     kick = np.multiply(-0.5j * dt, lift(cfg.label_potential(p_mid)), out=ws("b", values.shape))
     np.exp(kick, out=kick)
     new = np.multiply(kick, _drifted(np.multiply(kick, values, out=ws("a", values.shape)), drift))
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise BlowUpError("electron field became non-finite", last_valid_time=t)
 
     f_after = displacement(new)
@@ -508,11 +553,12 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     # each one _half_inner of a row (the weighting done once, in place)
     f_sum = np.add(f_before, f_after, out=ws("a", half))
     np.multiply(cfg.grid.half_weight, f_sum, out=f_sum)
+    inner = _row_inner(p_mid, f_sum, cfg.grid.dim).reshape(-1).tolist()
     # Python complex arithmetic, one coupling at a time: numpy's complex multiply rounds
     # differently from Python's
-    rows = zip(cfg._rows, cfg._unpacked(a_phase), *map(cfg._unpacked, (p_mid, f_sum)))
     a_new = cfg._packed([
-        a * cmath.exp(1j * dt * c.coupling * float(np.vdot(p, f).real)) for c, a, p, f in rows
+        a * cmath.exp(1j * dt * c.coupling * x)
+        for c, a, x in zip(cfg._rows, cfg._unpacked(a_phase), inner)
     ])
     return new, rep_new, a_new, f_after
 
@@ -524,8 +570,7 @@ _ELIDE_BYTES = 256 * 1024
 
 def _drifted(values: np.ndarray, drift: np.ndarray) -> np.ndarray:
     """ifftn(drift * fftn(values)) over the drift's axes, the trailing ones of a stack,
-    computed in place of ``values`` where the transform allows it (scipy's on a multi-axis
-    grid; numpy's 1-d ones allocate).
+    computed in place of ``values``, a complex128 array.
 
     numpy's complex multiply rounds a*b and b*a differently. The product takes the operand
     order numpy's elision gave the plain one-field expression: the spectrum first for rows
@@ -554,7 +599,7 @@ def step(state: LPState, dt: float) -> LPState:
     cfg = state.cfg
     phi, rep, a_phase, f = _strang_step(
         cfg, state.rep, state.t, state.phi.values, state.displacement(), state.a_phase, dt,
-        cfg._drift(dt), cfg.displacement_profile, _one_body,
+        _kept(cfg, _drift, dt), cfg.displacement_profile, _one_body,
     )
     return LPState(
         cfg=cfg, t=state.t + dt, phi=WaveField(cfg.grid, _frozen(phi)), rep=rep, a_phase=a_phase,
@@ -599,8 +644,7 @@ def _march(state, t_final: float, dt: float, advance, sample_interval: float | N
             yield state
 
 
-@dataclass(frozen=True)
-class _Stack:
+class _Stack(NamedTuple):
     """The raw arrays of a stack of LP states at one time, one row per coupling."""
 
     t: float
@@ -628,7 +672,7 @@ def evolve_stack(states, t_final: float, dt: float, sample_interval: float | Non
             raise ValueError(f"stacked states must share one start time: {first.t} vs {other.t}")
     cfgs = [s.cfg for s in states]
     couplings = _Couplings(cfgs)
-    drift = first.cfg._drift(dt)
+    drift = _kept(first.cfg, _drift, dt)
 
     def advance(stack, dt):
         values, rep, a_phase, f = _strang_step(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import (
     GridMismatchError,
@@ -327,13 +328,20 @@ def _trailing(ndim: int) -> tuple:
     return tuple(range(-1, -ndim - 1, -1))
 
 
+def _one_axis_out(a: np.ndarray, overwrite_x: bool) -> np.ndarray:
+    """The result array of a one-axis complex transform of ``a``: ``a`` itself when
+    ``overwrite_x`` allows it and ``a`` is complex128, else a fresh complex128 array."""
+    return a if overwrite_x and a.dtype == np.complex128 else np.empty(a.shape, np.complex128)
+
+
 def _fftn(a: np.ndarray, ndim: int | None = None, overwrite_x: bool = False) -> np.ndarray:
     """``np.fft.fftn`` over the trailing ``ndim`` axes (every axis by default), bit for bit;
-    see ``_fourier_multiply`` for the kernel. ``overwrite_x`` lets a multi-axis transform
-    of a complex128 array write its result into that array and return it."""
+    see ``_fourier_multiply`` for the kernel. ``overwrite_x`` lets the transform of a
+    complex128 array write its result into that array and return it, as a one-axis
+    transform always does then."""
     ndim = a.ndim if ndim is None else ndim
     if ndim < 2:
-        return np.fft.fft(a)
+        return _pocketfft.fft(a, 1, out=_one_axis_out(a, overwrite_x))
     import scipy.fft
 
     a = np.asarray(a, dtype=np.complex128)
@@ -345,7 +353,7 @@ def _ifftn(a: np.ndarray, ndim: int | None = None, overwrite_x: bool = False) ->
     see ``_fourier_multiply`` for the kernel and ``_fftn`` for ``overwrite_x``."""
     ndim = a.ndim if ndim is None else ndim
     if ndim < 2:
-        return np.fft.ifft(a)
+        return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=_one_axis_out(a, overwrite_x))
     import scipy.fft
 
     a = np.asarray(a, dtype=np.complex128)
@@ -357,7 +365,9 @@ def _rfftn(a: np.ndarray, ndim: int | None = None) -> np.ndarray:
     default), bit for bit; see ``_fourier_multiply``."""
     ndim = a.ndim if ndim is None else ndim
     if ndim < 2:
-        return np.fft.rfft(a)
+        n = a.shape[-1]
+        ufunc = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
+        return ufunc(a, 1, out=np.empty(a.shape[:-1] + (n // 2 + 1,), np.complex128))
     import scipy.fft
 
     axes = _trailing(ndim)
@@ -368,7 +378,8 @@ def _irfftn(half: np.ndarray, shape: tuple) -> np.ndarray:
     """``np.fft.irfftn(half, s=shape)``, the real field of ``shape`` on the trailing axes,
     bit for bit."""
     if len(shape) < 2:
-        return np.fft.irfft(half, shape[0])
+        n = shape[0]
+        return _pocketfft.irfft(half, 1.0 / n, out=np.empty(half.shape[:-1] + (n,)))
     import scipy.fft
 
     return scipy.fft.irfftn(half, s=shape, axes=tuple(range(-len(shape), 0)))
@@ -385,12 +396,13 @@ def _fourier_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     about half numpy's time, in numpy's axis order: numpy transforms the last axis first,
     and the complex transforms cast to complex128 as numpy does. The inverses scale by 1/n,
     a power of two on every Grid, which is exact whether applied per axis (numpy) or once
-    (scipy). A one-axis transform (the Fock ring) stays on numpy's 1-d ``fft``, ``ifft``,
-    ``rfft`` or ``irfft`` along the last axis, which runs the same per-line kernel with less
-    call overhead than its n-d wrapper, and ``scipy.fft`` (which imports ``scipy.special``)
-    is imported at the first multi-axis transform only. Given the grid's number of axes,
-    the transforms run over the trailing ones, so each row of a stack of fields (a leading
-    axis) gets the bits of its own transform.
+    (scipy). A one-axis transform (the Fock ring) runs along the last axis on the pocketfft
+    gufunc behind numpy's 1-d ``fft``, ``ifft``, ``rfft`` or ``irfft``, called with numpy's
+    own scale factor (1, or 1/n for an inverse): numpy's bits without numpy's Python
+    wrapper, whose argument handling took longer than an 8-point transform. ``scipy.fft``
+    (which imports ``scipy.special``) is imported at the first multi-axis transform only.
+    Given the grid's number of axes, the transforms run over the trailing ones, so each row
+    of a stack of fields (a leading axis) gets the bits of its own transform.
     """
     if np.iscomplexobj(values):
         return _ifftn(multiplier * _fftn(values))

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
+from polaron_lab import fock_sim
 from polaron_lab import lp_dynamics as lp
 from polaron_lab.fock_sim import (
     FockBasis,
@@ -342,6 +343,32 @@ def conjugation_residuals_reference(ops, f_values, rng):
             worst = max(worst, float(np.linalg.norm(conj_apply(lhs_op, x) - rhs_op @ x)))
         out[name] = worst
     return out
+
+
+def discrete_pekar_reference(basis, alpha):
+    """``fock_sim.discrete_pekar`` as one function of (basis, alpha), the alternating
+    minimization run afresh for each alpha: its form before the sweeps ran the alpha-free
+    part once per basis, kept as the bit-for-bit reference of every alpha's Pekar state."""
+    n = basis.config.n_sites
+    f = basis.displacement(np.ones(n) / np.sqrt(n))
+    energy = np.inf
+    for _ in range(fock_sim._PEKAR_MAX_ITER):
+        vals, vecs = eigh(basis.mean_field(f))
+        psi, lam, f_prev, e_prev = vecs[:, 0], float(vals[0]), f, energy
+        f = basis.displacement(psi)
+        energy = lam + mode_norm_sq(basis.grid, f)
+        tol = fock_sim._PEKAR_TOL
+        if abs(energy - e_prev) < tol and np.linalg.norm(f - f_prev) < np.sqrt(tol):
+            break
+    fsq = mode_norm_sq(basis.grid, f)
+    mu = -fsq
+    eta, leakage = coherent_state(basis, -alpha * f)
+    e_res = float(np.linalg.norm(basis.mean_field(f) @ psi - lam * psi))
+    h_ph = (alpha**-2) * basis.number_occ + (alpha**-1) * basis.field_occ(f)
+    p_res = float(np.linalg.norm(h_ph @ eta - mu * eta))
+    return fock_sim.DiscretePekar(
+        psi.astype(complex), f, lam, mu, lam + fsq, eta, leakage, e_res, p_res
+    )
 
 
 def stationary_sweep_reference(config, alphas, t_final, n_samples):

@@ -20,6 +20,7 @@ from oracles import (
     coherent_sweep_reference,
     conjugation_residuals_reference,
     dense_weighted_resolvent_norm,
+    discrete_pekar_reference,
     displaced_oscillator_ground_energy,
     h_effective,
     h_tilde,
@@ -191,6 +192,29 @@ class TestWeyl:
         big = np.full(6, 10.0, dtype=complex)
         with pytest.raises(SizingError):
             fs.weyl_apply(ops_id.basis, big, ops_id.basis.vacuum_occ())
+
+    def test_one_norm_is_scipys(self, monkeypatch):
+        # every generator of the fock-sweep and lemma-suite workloads, and a zero displacement
+        # (a generator without entries): the norm picks expm_multiply's Taylor degree
+        from scipy.sparse.linalg._expm_multiply import _exact_1_norm as scipy_norm
+
+        norms, ours = [], fs._exact_1_norm
+
+        def both(generator):
+            norms.append((ours(generator), scipy_norm(generator)))
+            return norms[-1][0]
+
+        monkeypatch.setattr(fs, "_exact_1_norm", both)
+        sweep = fs.FockConfig(8, 2.0, (1, -1, 2, -2), v0=3e-3, n_max=5)
+        phi0, g = fs._coherent_initial_data(fs.FockBasis(sweep), np.random.default_rng(0))
+        fs.error_sweep_coherent(sweep, [1.0, 8.0], 2.5, phi0, g, dt=2e-3, n_samples=26)
+        assert len(norms) == 52
+        fs.inequality_suite(BENCH_LEMMAS, (1.0, 2.0, 4.0), rng=np.random.default_rng(0))
+        assert len(norms) == 52 + 5
+        zero = fs.FockBasis(sweep)._weyl_generator(np.zeros(4))
+        assert zero.nnz == 0
+        both(zero)
+        assert all(a == b for a, b in norms) and norms[-1] == (0.0, 0.0)
 
 
 @st.composite
@@ -460,6 +484,40 @@ class TestDiscretePekar:
         assert abs(np.sum(np.abs(pek.phi) ** 4) - 1 / n) < 1e-12  # the uniform orbital's IPR
         assert np.linalg.norm(pek.f) < 1e-12
 
+    @pytest.mark.parametrize("config", [SWEEP, QUICK_LEMMAS, IDENTITIES])
+    def test_every_alpha_is_its_own_minimization(self, config):
+        # the sweeps solve the alpha-free minimization once per basis; each alpha's state
+        # must equal the per-alpha solve, field by field
+        basis, alphas = fs.FockBasis(config), (1.0, 2.0, 4.0, 8.0)
+        orbital = fs._pekar_orbital(basis)
+        for alpha in alphas:
+            expected = discrete_pekar_reference(basis, alpha)
+            for pek in (fs._pekar_at(basis, orbital, alpha), fs.discrete_pekar(basis, alpha)):
+                for name in ("phi", "f", "eta"):
+                    assert np.array_equal(getattr(pek, name), getattr(expected, name)), name
+                for name in ("lam", "mu", "energy", "leakage", "electron_residual",
+                             "phonon_residual"):
+                    assert getattr(pek, name) == getattr(expected, name), name
+
+    def test_sweep_and_suite_minimize_once_per_basis(self, monkeypatch):
+        calls = []
+        orbital = fs._pekar_orbital
+
+        def counted(basis):
+            calls.append(basis)
+            return orbital(basis)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("minimized once per alpha")
+
+        monkeypatch.setattr(fs, "_pekar_orbital", counted)
+        monkeypatch.setattr(fs, "discrete_pekar", forbidden)
+        alphas = (1.0, 2.0, 4.0)
+        rep = fs.error_sweep_stationary(QUICK_LEMMAS, alphas, 1.0, n_samples=3)
+        assert len(calls) == 1 and len(rep["sup_errors"]) == 3
+        rep = fs.inequality_suite(QUICK_LEMMAS, alphas, rng=np.random.default_rng(0), n_random=2)
+        assert len(calls) == 2 and len(rep["resolvent_norms"]) == 3
+
 
 class TestPropagation:
     def test_t_zero_identity(self, ops_id, rng):
@@ -709,7 +767,7 @@ class TestSweeps:
         def forbidden(*args, **kwargs):
             raise AssertionError("work done before the sector size check")
 
-        for name in ("assemble", "discrete_pekar", "coherent_state"):
+        for name in ("assemble", "discrete_pekar", "_pekar_orbital", "coherent_state"):
             monkeypatch.setattr(fs, name, forbidden)
         with pytest.raises(SizingError, match="dense limit"):
             fs.error_sweep_stationary(config, [1.0, 8.0], 2.5)
@@ -731,7 +789,7 @@ class TestSweeps:
         def forbidden(*args, **kwargs):
             raise AssertionError("work done before the input check")
 
-        for name in ("discrete_pekar", "coherent_state", "Propagator"):
+        for name in ("discrete_pekar", "_pekar_orbital", "coherent_state", "Propagator"):
             monkeypatch.setattr(fs, name, forbidden)
         with pytest.raises(ValueError, match="error sweep needs"):
             fs.error_sweep_stationary(config, alphas, t_final, n_samples=n_samples)
@@ -830,6 +888,25 @@ class TestInequalities:
         monkeypatch.setattr(fs, "FockBasis", build_forbidden)
         with pytest.raises(ValueError, match="n_random"):
             fs.inequality_suite(QUICK_LEMMAS, (1.0, 2.0), rng=UntouchedRng(), n_random=n_random)
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [(), (1.0, -2.0), (0.0,), (2.0, 2.0, 1.0)],
+        ids=["no-alpha", "negative-alpha", "zero-alpha", "repeated-alpha"],
+    )
+    def test_bad_alphas_are_refused_before_any_work(self, monkeypatch, alphas):
+        # (2.0, 2.0, 1.0) used to return 2 resolvent norms and no failure
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done before the alpha check")
+
+        class UntouchedRng:
+            def __getattr__(self, name):
+                raise AssertionError("random stream used before the alpha check")
+
+        for name in ("FockBasis", "_pekar_orbital", "_lowest_by_sector", "assemble"):
+            monkeypatch.setattr(fs, name, forbidden)
+        with pytest.raises(ValueError, match="inequality suite needs distinct alphas"):
+            fs.inequality_suite(QUICK_LEMMAS, alphas, rng=UntouchedRng(), n_random=10)
 
     @staticmethod
     def assert_bounds_are_the_reference(config, alpha, n_random, seed):

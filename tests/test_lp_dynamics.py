@@ -395,6 +395,27 @@ class TestStack:
         assert not np.array_equal(zeroed_stack[-1].displacement(), stack[-1].displacement())
         _assert_same_states(zeroed_stack, list(lp._march(ring_state, t_final, dt, lp.step)))
 
+    @pytest.mark.parametrize("rep", ["quadrature", "oscillator"])
+    def test_a_ring_march_calls_no_numpy_fft_wrapper(self, rep, monkeypatch):
+        # the ring transforms call numpy's pocketfft gufuncs, not np.fft's Python wrappers,
+        # whose argument handling cost more than the transform; the Fock Propagator keeps
+        # np.fft, so the wrappers are forbidden during the march only
+        grid, form = _field_grid(1, 32, 16.0)
+        rng = np.random.default_rng(5)
+        states = [_random_state(lp.LPConfig(grid, form, a), rng, rep) for a in (1.0, 8.0)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ring step called a numpy.fft wrapper")
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        step = lp.step(states[0], 1e-2)
+        stacked = lp.evolve_stack(states, 3e-2, 1e-2)
+        monkeypatch.undo()
+        _assert_same_states([step], [lp_step_reference(states[0], 1e-2)])
+        for state, samples in zip(states, stacked):
+            _assert_same_states(samples, lp.evolve(state, 3e-2, 1e-2))
+
     def test_stack_refuses_mismatched_states_before_any_step(self, ring_state, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("stepped before the stack was checked")

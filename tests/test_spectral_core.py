@@ -334,6 +334,40 @@ class TestSpectralProperties:
         )
 
 
+class TestRingTransforms:
+    """The one-axis transforms (the Fock ring, a field or a stack of rows) call numpy's
+    pocketfft gufuncs themselves. ``lp_step_reference`` runs these same transforms, so only
+    numpy's public functions can tell a wrong scale or direction; the bits must be theirs."""
+
+    @staticmethod
+    def assert_same_bits(ours, theirs):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs) and ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("rows", [(), (2,), (3,)], ids=["field", "2-rows", "3-rows"])
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    def test_one_axis_transforms_are_numpys(self, n, rows):
+        rng = np.random.default_rng(n + len(rows))
+        shape = rows + (n,)
+        real = rng.standard_normal(shape)
+        values = real + 1j * rng.standard_normal(shape)
+        half = np.fft.rfft(rng.standard_normal(shape))
+        for field in (real, values):
+            self.assert_same_bits(_fftn(field, 1), np.fft.fft(field))
+            self.assert_same_bits(_ifftn(field, 1), np.fft.ifft(field))
+        self.assert_same_bits(_rfftn(real, 1), np.fft.rfft(real))
+        self.assert_same_bits(_irfftn(half, (n,)), np.fft.irfft(half, n))
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_overwrite_x_transforms_a_complex_ring_field_in_place(self, n):
+        values = np.random.default_rng(n).standard_normal((2, n)) + 0.5j
+        for transform, public in ((_fftn, np.fft.fft), (_ifftn, np.fft.ifft)):
+            scratch = values.copy()
+            out = transform(scratch, 1, overwrite_x=True)
+            assert out is scratch
+            self.assert_same_bits(out, public(values))
+
+
 @st.composite
 def complex_labels(draw):
     """A random complex label on a small 1-, 2- or 3-d grid, with a real field beside it."""
