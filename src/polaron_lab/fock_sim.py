@@ -53,13 +53,15 @@ from scipy.sparse.linalg._expm_multiply import (
     _fragment_3_1,
 )
 
+from . import spectral_core
 from .errors import ConvergenceError, SizingError
 from .spectral_core import (
     FormFactor,
     Grid,
     WaveField,
     _density_displacement,
-    _label_potential,
+    _hermitian_split,
+    _irfftn,
     mode_norm_sq,
 )
 
@@ -283,7 +285,9 @@ class FockBasis:
 
     def potential(self, f_values: np.ndarray) -> np.ndarray:
         """V(x) = -2 Re sum_j w v_j f_j e^{i k_j x}, the LP potential of the label z = -alpha f."""
-        return _label_potential(self.to_lattice(f_values), self.form, -1.0)
+        multiplier = spectral_core._half_potential_multiplier(self.form, -1.0)
+        p = _hermitian_split(self.to_lattice(f_values))[0]
+        return _irfftn(multiplier * p, self.grid.shape)
 
     def mean_field(self, f_values: np.ndarray) -> np.ndarray:
         """Dense ring mean-field operator h_e = -Lap + V_f, V_f = ``potential(f_values)``."""

@@ -69,9 +69,16 @@ medians of 8 runs alternated in one process, two processes each) the stack
 took 84 ms (67 us a step) against 139 ms for the two states' step loops. With
 np.fft's wrappers, a np.vdot call per row and product, and the half-step
 factors made at every call, they read 116 ms (93 us) against 179 ms. A stack
-of one costs 1.1 times its step loop on rings of 8 and 32 sites and about the
-same at 32^3 (0.97), so ``evolve`` marches one state through ``step``
-unstacked.
+of one costs 1.07 to 1.20 times its step loop on rings of 8 and 32 sites and
+0.97 to 1.10 at 32^3 (one thread, medians of 7 alternated runs, four runs of
+each), so ``evolve`` marches one state through ``step`` unstacked.
+
+Coupling maps. f = v rhohat, the label potential's multiplier and the
+weighted inner product ``_row_inner`` are spectral_core's, shared with the pair
+flow and the Fock ring. A config looks ``_half_displacement`` and
+``_half_potential_multiplier`` up on spectral_core at use, so a patch of either
+there reaches ``step``, a stack row and the pair flow; a config makes its
+multiplier at first use and keeps it, so such a patch must come before that.
 
 One step does two complex transforms, the drift's fftn and ifftn, and one
 real pair: the half-step potential's irfftn and the rfftn of f = v rhohat at
@@ -132,19 +139,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import spectral_core
 from .errors import BlowUpError
 from .spectral_core import (
     FormFactor,
     Grid,
     WaveField,
     _fftn,
-    _half_displacement,
-    _half_inner,
-    _half_potential_multiplier,
     _hermitian_fill,
     _hermitian_split,
     _ifftn,
     _irfftn,
+    _row_inner,
     kinetic_energy,
     mode_norm_sq,
 )
@@ -188,7 +194,7 @@ class LPConfig:
     @cached_property
     def _potential_multiplier(self) -> np.ndarray:
         """2 lam_c w_k N v(k) on the rfftn half lattice: V = irfftn(multiplier * H(z))."""
-        return _frozen(_half_potential_multiplier(self.form, self.coupling))
+        return _frozen(spectral_core._half_potential_multiplier(self.form, self.coupling))
 
     @cached_property
     def _scratch(self) -> "_Workspace":
@@ -198,7 +204,7 @@ class LPConfig:
     def displacement_profile(self, phi_values: np.ndarray) -> np.ndarray:
         """f(k) = v(k) rhohat(k) for the given orbital values, as its rfftn half spectrum."""
         rho = np.abs(phi_values, out=self._scratch("a", phi_values.shape, float))
-        return _half_displacement(np.square(rho, out=rho), self.form)
+        return spectral_core._half_displacement(np.square(rho, out=rho), self.form)
 
     def label_potential(self, p: np.ndarray) -> np.ndarray:
         """V(x) = 2 lam_c Re sum_k w_k v(k) z(k) e^{ikx} (real array) from the rfftn half
@@ -239,16 +245,6 @@ def _kept(cfg, make, h: float):
     if last is None or last[0] != h:
         last = kept[make] = (h, make(cfg, h))
     return last[1]
-
-
-def _row_inner(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """Re np.vdot(a_r, b_r) of each pair of rows, the trailing ``dim`` grid axes, of a and b
-    (b may stack more rows on leading axes): one ``np.vecdot`` over the grid axes flattened
-    in C order, as np.vdot flattens its arguments, which gives np.vdot's bits."""
-    if dim > 1:
-        a = a.reshape(a.shape[: a.ndim - dim] + (-1,))
-        b = b.reshape(b.shape[: b.ndim - dim] + (-1,))
-    return np.vecdot(a, b).real
 
 
 def _drift(cfg, dt: float) -> np.ndarray:
@@ -442,7 +438,7 @@ class QuadratureRep:
         ``out`` (fresh arrays for None)."""
         # dF/ds = lam * Re[e^{-i om s} <f, J_s>_w]; J(s) analytic for frozen f. For Hermitian
         # f, <f, J>_w = <f, J_P>_w + i <f, J_Q>_w with both inner products real: three
-        # _half_inner products that share one weighting of f, of each row of the pair
+        # weighted inner products that share one weighting of f, of each row of the pair
         # (J_P, J_Q) and of f
         ws, shape, dim = cfg._scratch, self.p.shape, cfg.grid.dim
         weighted = np.multiply(cfg.grid.half_weight, f_drive, out=ws("a", shape))
@@ -516,12 +512,13 @@ def initial_state(
 
 def df_energy(state: LPState) -> float:
     """Conserved product-state energy T + omega ||z||^2 + lam_c 2 Re <z, f>."""
-    cfg = state.cfg
+    cfg, grid = state.cfg, state.cfg.grid
     p = state.rep.hermitian_label(cfg, state.t)
+    cross = float(_row_inner(p, grid.half_weight * state.displacement(), grid.dim))
     return (
         kinetic_energy(state.phi)
-        + cfg.frequency * mode_norm_sq(cfg.grid, state.label())
-        + cfg.coupling * 2.0 * _half_inner(cfg.grid, p, state.displacement())
+        + cfg.frequency * mode_norm_sq(grid, state.label())
+        + cfg.coupling * 2.0 * cross
     )
 
 
@@ -550,7 +547,7 @@ def _strang_step(cfg: LPConfig, rep, t, values, f_before, a_phase, dt, drift, di
     f_after = displacement(new)
     rep_new = rep_mid.stepped(cfg, t_mid, dt / 2.0, f_after)
     # 2 Re <z_mid, (f_before + f_after)/2>_w, and Re <z, f>_w = <H(z), f>_w for Hermitian f,
-    # each one _half_inner of a row (the weighting done once, in place)
+    # one weighted inner product of a row each (the weighting done once, in place)
     f_sum = np.add(f_before, f_after, out=ws("a", half))
     np.multiply(cfg.grid.half_weight, f_sum, out=f_sum)
     inner = _row_inner(p_mid, f_sum, cfg.grid.dim).reshape(-1).tolist()

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import spectral_core
 from .errors import SizingError
 from .lp_dynamics import LPConfig, QuadratureRep, _march, _strang_step, stationary_label
 from .pekar import _sphere_minimize, minimize_pekar
@@ -35,7 +36,6 @@ from .spectral_core import (
     _density_displacement,
     _density_potential,
     _fourier_multiply,
-    _half_displacement,
     _hermitian_fill,
     _ifftn,
     kinetic_energy,
@@ -104,30 +104,20 @@ class PTEnergy:
 
 
 def _pair_kinetic_multiplier(grid: Grid) -> np.ndarray:
-    d = grid.dim
-    k1 = grid.k_sq.reshape(grid.shape + (1,) * d)
-    k2 = grid.k_sq.reshape((1,) * d + grid.shape)
-    return k1 + k2
+    return np.add.outer(grid.k_sq, grid.k_sq)
 
 
 def _pair_kernel(grid: Grid, form: FormFactor) -> np.ndarray:
     """K(x1 - x2) on the pair lattice (periodic difference indexing)."""
     k_real = (_ifftn(form.kernel_multiplier) / grid.cell_volume).real
-    n = grid.points_per_axis
-    idx = np.arange(n)
-    diff = [
-        (np.subtract.outer(idx, idx)) % n for _ in range(grid.dim)
-    ]
-    # build index arrays of shape grid.shape * 2
-    d = grid.dim
-    index = []
-    for axis in range(d):
-        a = diff[axis].reshape(
-            tuple(n if i == axis else 1 for i in range(d))
-            + tuple(n if i == axis else 1 for i in range(d))
-        )
-        index.append(np.broadcast_to(a, grid.shape + grid.shape))
-    return k_real[tuple(index)]
+    d, n = grid.dim, grid.points_per_axis
+    idx = np.meshgrid(*([np.arange(n)] * (2 * d)), indexing="ij", sparse=True)
+    return k_real[tuple((idx[axis] - idx[d + axis]) % n for axis in range(d))]
+
+
+def _pair_potential(v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """V(x_1) + V(x_2) + kernel on the pair lattice, with ``kernel`` = U K(x_1 - x_2)."""
+    return np.add.outer(v, v) + kernel
 
 
 def _one_body_density(grid: Grid, pair: np.ndarray) -> np.ndarray:
@@ -148,11 +138,9 @@ def _pair_apply(pair: np.ndarray, cfg: PTConfig, ksq2: np.ndarray, kernel: np.nd
     <pair, (-Lap_1 - Lap_2 + kernel) pair> - D(rho)/2, whose sphere gradient is H pair.
     """
     grid = cfg.grid
-    d = grid.dim
     dv2 = grid.cell_volume**2
     rho = _one_body_density(grid, pair)
     v = _density_potential(rho, cfg.form)
-    v_sum = v.reshape(grid.shape + (1,) * d) + v.reshape((1,) * d + grid.shape)
     kin = _fourier_multiply(pair, ksq2)
     kinetic = float(np.real(np.vdot(pair, kin)) * dv2)
     repulsion = float(np.sum(kernel * np.abs(pair) ** 2) * dv2)
@@ -163,7 +151,7 @@ def _pair_apply(pair: np.ndarray, cfg: PTConfig, ksq2: np.ndarray, kernel: np.nd
         repulsion=repulsion,
         hartree=hartree,
     )
-    return energy, kin + (kernel + v_sum) * pair
+    return energy, kin + _pair_potential(v, kernel) * pair
 
 
 def pt_energy(candidate, cfg: PTConfig) -> PTEnergy:
@@ -394,25 +382,13 @@ class PairState:
         return self._f
 
     @property
-    def alpha(self) -> float:
-        return self.phonons.alpha
-
-    @property
-    def coupling(self) -> float:
-        return self.phonons.coupling
-
-    @property
-    def frequency(self) -> float:
-        return self.phonons.frequency
-
-    @property
     def z(self) -> np.ndarray:
         return self.rep.label(self.phonons, self.t)
 
 
 def _pair_displacement(cfg: PTConfig, pair: np.ndarray) -> np.ndarray:
     """f = v rhohat of the pair's one-body density, as its rfftn half spectrum."""
-    return _half_displacement(_one_body_density(cfg.grid, pair), cfg.form)
+    return spectral_core._half_displacement(_one_body_density(cfg.grid, pair), cfg.form)
 
 
 def dfn_evolve(
@@ -434,7 +410,6 @@ def dfn_evolve(
     if cfg.statistics != "full_two_body":
         raise SizingError("dfn_evolve runs on the full_two_body configuration")
     grid, form = cfg.grid, cfg.form
-    d = grid.dim
     phonons = LPConfig(grid, form, alpha)
     pair0 = np.asarray(pair0, dtype=complex)
     pair0 = pair0 / _pair_norm(grid, pair0)
@@ -445,7 +420,7 @@ def dfn_evolve(
     kernel = cfg.repulsion * _pair_kernel(grid, form)
 
     def lift(v):
-        return v.reshape(grid.shape + (1,) * d) + v.reshape((1,) * d + grid.shape) + kernel
+        return _pair_potential(v, kernel)
 
     def displacement(pair):
         return _pair_displacement(cfg, pair)

@@ -627,9 +627,9 @@ _DISPATCH = {
 def emit_plotdata(record: RunRecord, out_dir) -> list:
     """Write gnuplot-ready two-column data files from a record's error table.
 
-    err-vs-t per alpha plus log(sup err) vs log(alpha) with the fitted line
-    coefficients in a JSON sidecar. Empty tables produce empty files plus a
-    warning.
+    err-vs-t per alpha plus log(sup err) vs log(alpha), from the sweep's ``alphas``
+    and ``sup_errors`` in the record's summary, with the fitted line coefficients
+    in a JSON sidecar. Empty tables produce empty files plus a warning.
     """
     import warnings
 
@@ -644,7 +644,7 @@ def emit_plotdata(record: RunRecord, out_dir) -> list:
         path.write_text("")
         warnings.warn("empty error table: wrote an empty plot file")
         return [path]
-    alphas = sorted({r["alpha"] for r in rows})
+    alphas, sups = zip(*sorted(zip(record.summary["alphas"], record.summary["sup_errors"])))
     for a in alphas:
         path = out_dir / f"err_vs_t_alpha{_fmt(a)}.dat"
         lines = [
@@ -652,7 +652,6 @@ def emit_plotdata(record: RunRecord, out_dir) -> list:
         ]
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
-    sups = [max(r["err"] for r in rows if r["alpha"] == a) for a in alphas]
     path = out_dir / "sup_err_vs_alpha.dat"
     path.write_text(
         "\n".join(f"{_fmt(np.log(a))} {_fmt(np.log(max(s, 1e-300)))}" for a, s in zip(alphas, sups))

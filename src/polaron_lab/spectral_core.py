@@ -19,6 +19,14 @@ Conventions (used consistently across the whole package):
 
 All field/grid values are immutable after construction; operations are pure
 functions and safe to call concurrently.
+
+The coupling maps have one implementation each, here: the displacement
+f = v rhohat (``_half_displacement``), the label potential's multiplier
+(``_half_potential_multiplier``) and the weighted half-lattice inner product
+(``_row_inner``). ``lp_dynamics``, ``npolaron`` and ``fock_sim`` look the first
+two up on this module at each use, never by from-import, so a patch of either
+here reaches every flow. An ``LPConfig`` makes its multiplier at first use and
+keeps it, so a patch of ``_half_potential_multiplier`` must come before that.
 """
 
 from __future__ import annotations
@@ -205,10 +213,19 @@ def mode_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(np.abs(f) ** 2) * grid.mode_weight)
 
 
-def _half_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    """The momentum-space inner product sum_k w_k conj(A) B for Hermitian A, B (spectra of
-    real fields, so the sum is real) from their rfftn half spectra a, b."""
-    return float(np.vdot(a, grid.half_weight * b).real)
+def _row_inner(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Re np.vdot(a_r, b_r) of each pair of rows, the trailing ``dim`` grid axes, of a and b
+    (b may stack more rows on leading axes): one ``np.vecdot`` over the grid axes flattened
+    in C order, as np.vdot flattens its arguments, which gives np.vdot's bits.
+
+    With b weighted by ``grid.half_weight``, this is the momentum-space inner product
+    sum_k w_k conj(A) B of Hermitian A, B (spectra of real fields, so the sum is real) from
+    their rfftn half spectra a, b.
+    """
+    if dim > 1:
+        a = a.reshape(a.shape[: a.ndim - dim] + (-1,))
+        b = b.reshape(b.shape[: b.ndim - dim] + (-1,))
+    return np.vecdot(a, b).real
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -427,20 +444,12 @@ def _density_displacement(rho: np.ndarray, form: FormFactor) -> np.ndarray:
 
 
 def _half_potential_multiplier(form: FormFactor, coupling: float) -> np.ndarray:
-    """2 coupling w_k N v(k) on the rfftn half lattice, the factor of ``_half_potential``."""
+    """2 coupling w_k N v(k) on the rfftn half lattice: the label potential
+    V(x) = 2 coupling Re sum_k w_k v(k) z(k) e^{ikx} on ``form.grid`` is
+    ``_irfftn(multiplier * P, form.grid.shape)`` for the rfftn half spectrum P of the
+    label's Hermitian part, since Re(v z) transforms as v P."""
     grid = form.grid
     return (2.0 * coupling * grid.mode_weight * grid.size) * form.half_values
-
-
-def _half_potential(p: np.ndarray, form: FormFactor, coupling: float) -> np.ndarray:
-    """V(x) = 2 coupling Re sum_k w_k v(k) z(k) e^{ikx} (real array) on ``form.grid``, from
-    the rfftn half spectrum p of the label's Hermitian part: Re(v z) transforms as v P."""
-    return _irfftn(_half_potential_multiplier(form, coupling) * p, form.grid.shape)
-
-
-def _label_potential(z: np.ndarray, form: FormFactor, coupling: float) -> np.ndarray:
-    """``_half_potential`` of a full-lattice label z."""
-    return _half_potential(_hermitian_split(z)[0], form, coupling)
 
 
 def kernel_potential(rho: WaveField, form: FormFactor) -> WaveField:
@@ -458,9 +467,6 @@ class HartreeEnergy:
 
     @property
     def value(self) -> float:
-        return self.momentum
-
-    def __float__(self) -> float:
         return self.momentum
 
 

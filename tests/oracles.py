@@ -29,7 +29,6 @@ from polaron_lab.spectral_core import (
     WaveField,
     _fftn,
     _half_displacement,
-    _half_inner,
     _half_potential_multiplier,
     _ifftn,
     _irfftn,
@@ -259,7 +258,7 @@ def lp_step_reference(state, dt):
     new = kick * new
     f_after = _half_displacement(np.abs(new) ** 2, cfg.form)
     rep_new = stepped(rep_mid, t_mid, dt / 2.0, f_after)
-    inner = _half_inner(grid, p_mid, f_before + f_after)
+    inner = float(np.vdot(p_mid, grid.half_weight * (f_before + f_after)).real)
     a_phase = state.a_phase * cmath.exp(1j * dt * lam * inner)
     return lp.LPState(cfg, t + dt, WaveField(grid, new), rep_new, a_phase, _f=f_after)
 

@@ -49,6 +49,26 @@ class TestConfig:
         assert npl.PTConfig(3, 0.5, grid1d).effective_orbital_coupling == 1.0
 
 
+class TestPairLattice:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pair_arrays_are_their_entrywise_definitions(self, dim):
+        # the broadcasts and the sparse-index gather against a loop over every pair of sites
+        grid = Grid(dim, 4, 6.0)
+        form = FormFactor.coulomb_d3_isolated(grid) if dim == 3 else FormFactor.toy(grid, 0.3)
+        k_real = (np.fft.ifftn(form.kernel_multiplier) / grid.cell_volume).real
+        kernel = npl._pair_kernel(grid, form)
+        ksq2 = npl._pair_kinetic_multiplier(grid)
+        v = np.random.default_rng(dim).standard_normal(grid.shape)
+        potential = npl._pair_potential(v, kernel)
+        assert kernel.shape == ksq2.shape == potential.shape == grid.shape * 2
+        for x1 in np.ndindex(grid.shape):
+            for x2 in np.ndindex(grid.shape):
+                pair = x1 + x2
+                assert kernel[pair] == k_real[tuple((a - b) % 4 for a, b in zip(x1, x2))]
+                assert ksq2[pair] == grid.k_sq[x1] + grid.k_sq[x2]
+                assert potential[pair] == v[x1] + v[x2] + kernel[pair]
+
+
 class TestEnergy:
     def test_product_expansion_matches_reduced_form(self, grid1d, form1d):
         # two independent code paths: term-by-term N-body expectation vs
@@ -329,12 +349,12 @@ class TestDynamics:
 
         def energy(state):
             en = npl.pt_energy(state.pair, cfg).total
-            fsq_term = state.frequency * float(
+            fsq_term = state.phonons.frequency * float(
                 np.sum(np.abs(state.z) ** 2) * cfg.grid.mode_weight
             )
             rho = npl._one_body_density(cfg.grid, state.pair)
             f = cfg.form.values * (np.fft.fftn(rho) * cfg.grid.cell_volume)
-            cross = 2 * state.coupling * float(
+            cross = 2 * state.phonons.coupling * float(
                 np.real(np.vdot(state.z, f)) * cfg.grid.mode_weight
             )
             # subtract the double-counted attraction: product energy already

@@ -483,6 +483,7 @@ class TestCli:
                 "sample_interval",
             ),
             (["fock", "--alpha-grid", "2,2"], "alpha_grid"),
+            (["lp-evolve"], "init"),
         ],
     )
     def test_malformed_parameters_are_refused_before_the_manifest(

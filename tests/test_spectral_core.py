@@ -5,6 +5,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
+from polaron_lab import fock_sim as fs
+from polaron_lab import lp_dynamics as lp
+from polaron_lab import npolaron as npl
+from polaron_lab import spectral_core as sc
 from polaron_lab.errors import (
     GridMismatchError,
     MeasureConsistencyError,
@@ -17,14 +21,13 @@ from polaron_lab.spectral_core import (
     _fftn,
     _fourier_multiply,
     _half_displacement,
-    _half_inner,
-    _half_potential,
+    _half_potential_multiplier,
     _hermitian_fill,
     _hermitian_split,
     _ifftn,
     _irfftn,
-    _label_potential,
     _rfftn,
+    _row_inner,
     hartree_energy,
     kernel_potential,
     kinetic_energy,
@@ -400,7 +403,8 @@ class TestHalfLattice:
             for b, full_b in zip(halves, fulls):
                 exact = np.vdot(full_a, full_b) * grid.mode_weight
                 scale = np.sqrt(mode_norm_sq(grid, full_a) * mode_norm_sq(grid, full_b))
-                assert abs(_half_inner(grid, a, b) - exact) <= 1e-13 * scale
+                inner = _row_inner(a, grid.half_weight * b, grid.dim)
+                assert abs(inner - exact) <= 1e-13 * scale
 
     @spectral_properties
     @given(complex_labels(), st.integers(0, 3), st.floats(0.01, 1.0), st.floats(0.1, 2.0))
@@ -412,10 +416,10 @@ class TestHalfLattice:
         complex_transform = 2.0 * coupling * (
             np.fft.ifftn(form.values * z) * (grid.mode_weight * grid.size)
         ).real
-        half = _half_potential(_hermitian_split(z)[0], form, coupling)
+        multiplier = _half_potential_multiplier(form, coupling)
+        half = _irfftn(multiplier * _hermitian_split(z)[0], grid.shape)
         scale = max(np.max(np.abs(complex_transform)), 1e-300)
         assert np.max(np.abs(half - complex_transform)) <= 1e-13 * scale
-        assert np.array_equal(_label_potential(z, form, coupling), half)
 
     @spectral_properties
     @given(complex_labels(), st.integers(0, 3), st.floats(0.01, 1.0))
@@ -434,3 +438,59 @@ class TestHalfLattice:
         values[1] = 0.3
         with pytest.raises(ValueError, match="even"):
             FormFactor(grid, values, np.inf, "one-sided")
+
+
+def _coupling_map_consumers() -> dict:
+    """What each consumer of the coupling maps gives from configs made here: a step and a
+    stack row on a 32-site ring, a pair-flow step on an 8-site pair, and the Fock ring's
+    displacement and potential."""
+    ring = Grid(1, 32, 16.0)
+    form = FormFactor.toy(ring, 0.08, cutoff=3.0)
+    phi = WaveField(ring, np.exp(-(ring.x_axis_centered**2) / 4.0) * (1 + 0.1j))
+    z0 = 0.05 * np.exp(1j * ring.x_axis) * np.cos(2.0 * ring.x_axis)
+    states = [lp.initial_state(lp.LPConfig(ring, form, a), phi, z0=z0) for a in (2.0, 4.0)]
+    step = lp.step(states[0], 1e-2)
+    row = lp.evolve_stack(states, 1e-2, 1e-2)[1][-1]
+
+    pair_grid = Grid(1, 8, 8.0)
+    pt = npl.PTConfig(2, 0.5, pair_grid, "full_two_body", FormFactor.toy(pair_grid, 0.3))
+    bump = np.exp(-(pair_grid.x_axis_centered**2) / 4.0) * (1 + 0.1j)
+    pair = npl.dfn_evolve(pt, np.multiply.outer(bump, bump), 2.0, 1e-2, 1e-2)[-1]
+
+    basis = fs.FockBasis(fs.FockConfig(8, 2.0, (-2, -1, 1, 2), 3e-3, 2))
+    psi = np.exp(-(basis.grid.x_axis_centered**2)) + 0.2j
+    f = basis.displacement(psi / np.linalg.norm(psi))
+    return {
+        "step": (step.phi.values, step.displacement()),
+        "stack row": (row.phi.values, row.displacement()),
+        "pair flow": (pair.pair, pair.displacement()),
+        "Fock displacement": (f,),
+        "Fock potential": (basis.potential(f),),
+    }
+
+
+class TestCouplingMaps:
+    @pytest.mark.parametrize(
+        "name, factor, unmoved",
+        [
+            ("_half_potential_multiplier", 0.0, {"Fock displacement"}),
+            ("_half_displacement", 0.5, set()),
+        ],
+    )
+    def test_a_patch_of_a_map_reaches_every_flow(self, monkeypatch, name, factor, unmoved):
+        """A patch of a coupling map in spectral_core moves every flow that uses it.
+
+        The one-electron step, a stack row, the pair flow and the Fock ring look the map up
+        on spectral_core at use. An LPConfig makes its potential multiplier at first use and
+        keeps it, so the patch comes before any config is made here.
+        """
+        reference = _coupling_map_consumers()
+        original = getattr(sc, name)
+        monkeypatch.setattr(sc, name, lambda *args: factor * original(*args))
+        patched = _coupling_map_consumers()
+        moved = {
+            consumer
+            for consumer, arrays in reference.items()
+            if not all(map(np.array_equal, arrays, patched[consumer]))
+        }
+        assert moved == set(reference) - unmoved
